@@ -1,8 +1,9 @@
 """Differentially private statistics and machine learning toolkit."""
 
 from .accountant import BudgetExhaustedError, BudgetLedger, LedgerEntry
-from .erm import (Domain, ErmConfig, LossSpec, RegularizerSpec, erm_cms,
-                  erm_kst, l2_regularizer, minimize)
+from .erm import (Domain, ErmConfig, LossSpec, RegularizerSpec,
+                  SolverNotConvergedError, erm_cms, erm_kst, l2_regularizer,
+                  minimize)
 from .mechanisms import (APPROXIMATE, PROBABILISTIC, PURE, BudgetAllocation,
                          PrivacyBudget, RandomSource, SensitivitySpec,
                          exponential_mechanism, gaussian_mechanism,
@@ -23,8 +24,9 @@ __all__ = [
     "Bounds", "BudgetAllocation", "BudgetExhaustedError", "BudgetLedger",
     "Candidate", "Domain", "ErmConfig", "HistogramSpec", "LedgerEntry",
     "LossSpec", "PrivacyBudget", "RandomSource", "RegularizerSpec",
-    "SensitivitySpec", "StatRequest", "StatResult", "TrainedModel",
-    "TuningResult", "cov_dp", "erm_cms", "erm_kst", "exponential_mechanism",
+    "SensitivitySpec", "SolverNotConvergedError", "StatRequest",
+    "StatResult", "TrainedModel", "TuningResult", "cov_dp", "erm_cms",
+    "erm_kst", "exponential_mechanism",
     "fit_linreg", "fit_logistic", "fit_svm", "gaussian_mechanism",
     "gaussian_sigma", "histogram_dp", "huber_loss", "l2_regularizer",
     "laplace_mechanism", "logistic_loss", "mean_dp", "median_dp", "minimize",

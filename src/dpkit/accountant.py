@@ -1,6 +1,8 @@
 """Append-only privacy-budget ledger with composition queries.
 
-Sequential composition sums (epsilon, delta) over entries; parallel
+Sequential composition sums (epsilon, delta) over entries, exactly rounded
+with math.fsum, and the cap is checked against those sums up to the float
+rounding of the charges themselves; parallel
 composition takes componentwise maxima over entries that the caller asserts
 were computed on disjoint data partitions (the ledger never sees raw data, so
 disjointness cannot be verified here). Post-processing operations (predict,
@@ -10,7 +12,24 @@ serialize) never create entries.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+
+
+# Charges and caps are decimals rounded to floats, each off by at most half
+# an ulp, and math.fsum rounds their sum once more.
+_ROUNDING = 2.0 ** -52
+
+
+def exceeds_cap(total: float, cap: float) -> bool:
+    """True when an exactly rounded total is over the cap by more than the
+    float rounding of the charges and the cap can explain.
+
+    A naive running sum of 496 charges of 0.001 exceeds 0.496 by 4e-16, and
+    even math.fsum puts three charges of 0.1 at 0.30000000000000004; both
+    totals equal their caps in the decimals the caller wrote.
+    """
+    return total - cap > _ROUNDING * (total + cap)
 
 
 class BudgetExhaustedError(Exception):
@@ -54,18 +73,20 @@ class BudgetLedger:
                             partition_tag, seq=len(self._entries))
         if self.cap is not None:
             eps_cap, delta_cap = self.cap
-            eps_tot, delta_tot = self.sequential_total()
-            if eps_tot + entry.epsilon > eps_cap or \
-                    delta_tot + entry.delta > delta_cap:
+            charged = self._entries + [entry]
+            eps_new = math.fsum(e.epsilon for e in charged)
+            delta_new = math.fsum(e.delta for e in charged)
+            if exceeds_cap(eps_new, eps_cap) or \
+                    exceeds_cap(delta_new, delta_cap):
+                eps_tot, delta_tot = self.sequential_total()
                 raise BudgetExhaustedError(eps_cap - eps_tot,
                                            delta_cap - delta_tot)
         self._entries.append(entry)
         return entry
 
     def sequential_total(self) -> tuple[float, float]:
-        eps = sum(e.epsilon for e in self._entries)
-        delta = sum(e.delta for e in self._entries)
-        return eps, delta
+        return (math.fsum(e.epsilon for e in self._entries),
+                math.fsum(e.delta for e in self._entries))
 
     def parallel_total(self) -> tuple[float, float]:
         """Componentwise maxima over entries on caller-disjoint partitions."""

@@ -5,7 +5,8 @@ rerun with the same seed is byte-identical) and uses exit codes:
 
   0  success
   2  bad flags or arguments (argparse)
-  3  invalid input (bounds, labels, CSV values)
+  3  invalid input (bounds, labels, CSV values, missing or unreadable
+     files, a solver that did not converge)
   4  privacy budget exhausted
 """
 
@@ -18,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .accountant import BudgetExhaustedError, BudgetLedger
+from .accountant import BudgetExhaustedError, BudgetLedger, exceeds_cap
 from .erm import ErmConfig
 from .mechanisms import (APPROXIMATE, PROBABILISTIC, PURE, BudgetAllocation,
                          PrivacyBudget, RandomSource, SensitivitySpec,
@@ -40,7 +41,9 @@ def _parse_floats(text: str) -> np.ndarray:
         raise ValueError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _parse_bounds_pair(text: str) -> Bounds:
+def _parse_bounds_pair(text: str | None) -> Bounds:
+    if text is None:
+        raise ValueError("--bounds is required")
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"bounds must be 'lower,upper', got {text!r}")
@@ -51,7 +54,9 @@ def _parse_bounds_pair(text: str) -> Bounds:
     return Bounds(lo, hi)
 
 
-def _parse_bounds_list(text: str) -> list[Bounds]:
+def _parse_bounds_list(text: str | None) -> list[Bounds]:
+    if text is None:
+        raise ValueError("--bounds is required")
     return [_parse_bounds_pair(part) for part in text.split(";")]
 
 
@@ -247,9 +252,9 @@ def _cmd_fit(args) -> dict:
                             args.kernel_param, args.huber_h, weights,
                             args.add_bias, rng)
 
-    model.save(args.output)
     _record(args, f"fit {kind}", budget.epsilon, budget.delta,
             getattr(args, "tag", None))
+    model.save(args.output)
     return _report(args, f"fit {kind}",
                    {"model_path": args.output, "kind": model.kind,
                     "coefficients": [float(c) for c in model.coefficients]},
@@ -301,12 +306,12 @@ def _cmd_tune(args) -> dict:
         result = tune_classification([make(g) for g in gammas], X, y,
                                      select_budget, rng)
 
-    result.model.save(args.output)
     # Disjoint folds: the m training releases compose in parallel, then the
     # selection composes sequentially on top.
     eps_total = train_budget.epsilon + select_budget.epsilon
     _record(args, f"tune {args.model}", eps_total, 0.0,
             getattr(args, "tag", None))
+    result.model.save(args.output)
     return _report(args, f"tune {args.model}",
                    {"model_path": args.output, "selected": result.name,
                     "index": result.index}, eps_total, 0.0)
@@ -369,7 +374,7 @@ def _cmd_budget(args) -> dict:
         cap = _parse_floats(args.cap)
         cap_eps = float(cap[0])
         cap_delta = float(cap[1]) if cap.size > 1 else 0.0
-        if eps > cap_eps or delta > cap_delta:
+        if exceeds_cap(eps, cap_eps) or exceeds_cap(delta, cap_delta):
             raise BudgetExhaustedError(cap_eps - eps, cap_delta - delta)
         result["within_cap"] = True
     report = _report(args, f"budget {args.action}", result, 0.0, 0.0)
@@ -513,7 +518,7 @@ def main(argv=None) -> int:
     except BudgetExhaustedError as exc:
         print(f"dpkit: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"dpkit: {exc}", file=sys.stderr)
         return 3
     print(json.dumps(report, sort_keys=True, indent=2))

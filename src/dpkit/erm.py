@@ -3,15 +3,23 @@
 Two frameworks: output/objective perturbation for binary classification
 (with per-observation weights supported on the output path), and
 Gamma/Gaussian objective perturbation for regression over a closed convex
-coefficient domain. Both sit on a projected-gradient minimizer with a
-Barzilai-Borwein step, so the whole module is scipy-free and deterministic
-given a RandomSource.
+coefficient domain. Both sit on one minimizer: the nonmonotone spectral
+projected-gradient method of Birgin, Martinez and Raydan (SIAM J. Optim.
+10(4), 2000), a Barzilai-Borwein step projected onto the domain and accepted
+by the Grippo-Lampariello-Lucidi (GLL) test against the largest of the last
+few objective values. The empirical objective evaluates each point's linear
+scores once and shares them between its value and its gradient. The whole
+module is scipy-free and deterministic given a RandomSource.
+
+Output perturbation is private only at the exact minimizer, so neither
+framework releases a point at which the solver did not converge.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,10 +98,35 @@ class MinimizeResult:
     pg_norm: float
 
 
+class SolverNotConvergedError(ValueError):
+    """The minimizer stopped short of tol; releasing its point would void
+    the privacy guarantee, so nothing is released."""
+
+    def __init__(self, pg_norm: float, iterations: int):
+        self.pg_norm = pg_norm
+        self.iterations = iterations
+        super().__init__(
+            f"the solver did not converge in {iterations} iterations "
+            f"(projected-gradient norm {pg_norm:.3e}); nothing was released")
+
+
+# How many accepted objective values the nonmonotone line search compares a
+# trial value with.
+_NONMONOTONE_MEMORY = 10
+
+
 def minimize(fun, grad, x0, domain: Domain | None = None, tol: float = 1e-8,
              max_iters: int = 10_000) -> MinimizeResult:
-    """Projected-gradient descent with Barzilai-Borwein steps and
-    backtracking. Converged when the projected-gradient norm drops to tol."""
+    """Nonmonotone spectral projected gradient (Birgin, Martinez, Raydan,
+    SIAM J. Optim. 2000).
+
+    Each iteration projects a Barzilai-Borwein (BB1) step onto the domain and
+    halves the step until the trial value passes the Grippo-Lampariello-
+    Lucidi (GLL) test: sufficient decrease relative to the largest of the
+    last _NONMONOTONE_MEMORY accepted values rather than the current one, so
+    the long BB steps are rarely cut back. Converged when the
+    projected-gradient norm drops to tol; warns when max_iters ends the run.
+    """
     domain = domain or Domain()
     x = domain.project(np.asarray(x0, dtype=np.float64).copy())
     f = float(fun(x))
@@ -101,17 +134,19 @@ def minimize(fun, grad, x0, domain: Domain | None = None, tol: float = 1e-8,
         raise ValueError("objective is not finite at the starting point")
     g = np.asarray(grad(x), dtype=np.float64)
     step = 1.0 / max(1.0, float(np.linalg.norm(g)))
+    recent = deque([f], maxlen=_NONMONOTONE_MEMORY)
 
     pg_norm = float(np.linalg.norm(x - domain.project(x - g)))
     it = 0
     while it < max_iters and pg_norm > tol:
         it += 1
+        f_ref = max(recent)
         # Backtrack until sufficient decrease along the projected step.
         for _ in range(60):
             x_new = domain.project(x - step * g)
             d = x_new - x
             f_new = float(fun(x_new))
-            if f_new <= f + 1e-4 * float(g @ d) or not np.any(d):
+            if f_new <= f_ref + 1e-4 * float(g @ d) or not np.any(d):
                 break
             step *= 0.5
         g_new = np.asarray(grad(x_new), dtype=np.float64)
@@ -121,7 +156,8 @@ def minimize(fun, grad, x0, domain: Domain | None = None, tol: float = 1e-8,
         if sy > 0.0:
             step = float(s @ s) / sy  # BB1 step
             step = min(max(step, 1e-12), 1e12)
-        x, f, g = x_new, f_new, g_new
+        x, g = x_new, g_new
+        recent.append(f_new)
         pg_norm = float(np.linalg.norm(x - domain.project(x - g)))
 
     converged = pg_norm <= tol
@@ -172,11 +208,24 @@ def _check_rows(X: np.ndarray, limit: float, tol: float = 1e-9):
 def _empirical_objective(X, y, loss: LossSpec, reg: RegularizerSpec,
                          gamma: float, weights: np.ndarray,
                          slack: float = 0.0, b: np.ndarray | None = None):
+    """Objective value and gradient closures over one data set.
+
+    Both read the linear scores X @ theta through a one-point cache keyed on
+    a copy of theta, so the gradient at a point whose value the solver just
+    computed costs only the per-sample derivative and X^T r.
+    """
     n = X.shape[0]
+    last_theta, last_scores = None, None
+
+    def scores_at(theta):
+        nonlocal last_theta, last_scores
+        if last_theta is None or not np.array_equal(last_theta, theta):
+            last_theta = np.array(theta, dtype=np.float64)
+            last_scores = X @ theta
+        return last_scores
 
     def fun(theta):
-        scores = X @ theta
-        val = float(weights @ loss.value(scores, y)) / n
+        val = float(weights @ loss.value(scores_at(theta), y)) / n
         val += gamma / n * float(reg.value(theta))
         if slack:
             val += slack / (2.0 * n) * float(theta @ theta)
@@ -185,8 +234,7 @@ def _empirical_objective(X, y, loss: LossSpec, reg: RegularizerSpec,
         return val
 
     def grad(theta):
-        scores = X @ theta
-        g = X.T @ (weights * loss.grad(scores, y)) / n
+        g = X.T @ (weights * loss.grad(scores_at(theta), y)) / n
         g = g + gamma / n * np.asarray(reg.grad(theta), dtype=np.float64)
         if slack:
             g = g + slack / n * theta
@@ -197,6 +245,16 @@ def _empirical_objective(X, y, loss: LossSpec, reg: RegularizerSpec,
     return fun, grad
 
 
+def _converged_minimizer(fun, grad, p: int, domain: Domain | None = None,
+                         tol: float = 1e-8) -> np.ndarray:
+    """Minimize from the origin; raise rather than return an unconverged
+    point, which no privacy argument covers."""
+    res = minimize(fun, grad, np.zeros(p), domain, tol)
+    if not res.converged:
+        raise SolverNotConvergedError(res.pg_norm, res.iterations)
+    return res.x
+
+
 def erm_cms(X, y, loss: LossSpec, reg: RegularizerSpec, cfg: ErmConfig,
             weights=None, rng: RandomSource | None = None,
             tol: float = 1e-8) -> np.ndarray:
@@ -205,7 +263,8 @@ def erm_cms(X, y, loss: LossSpec, reg: RegularizerSpec, cfg: ErmConfig,
     Requires row norms <= 1, labels in {-1, +1}, |dloss/dscore| <= 1, and a
     1-strongly-convex differentiable regularizer. The objective path
     additionally needs the loss curvature bound and rejects non-uniform
-    weights.
+    weights. Raises SolverNotConvergedError instead of releasing a point at
+    which the solver did not converge.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -231,11 +290,10 @@ def erm_cms(X, y, loss: LossSpec, reg: RegularizerSpec, cfg: ErmConfig,
             raise ValueError("weights must lie in [0, weight_upper_bound]")
 
     eps = cfg.budget.epsilon
-    x0 = np.zeros(p)
 
     if cfg.perturbation == "output":
         fun, grad = _empirical_objective(X, y, loss, reg, cfg.gamma, weights)
-        theta = minimize(fun, grad, x0, tol=tol).x
+        theta = _converged_minimizer(fun, grad, p, tol=tol)
         beta = cfg.gamma * eps / (2.0 * cfg.weight_upper_bound)
         return theta + cms_output_noise(p, beta, rng)
 
@@ -256,7 +314,7 @@ def erm_cms(X, y, loss: LossSpec, reg: RegularizerSpec, cfg: ErmConfig,
     b = sample_sphere_gamma(p, 2.0 / eps_prime, rng)
     fun, grad = _empirical_objective(X, y, loss, reg, cfg.gamma, weights,
                                      slack=slack, b=b)
-    return minimize(fun, grad, x0, tol=tol).x
+    return _converged_minimizer(fun, grad, p, tol=tol)
 
 
 def kst_slack(eigen_bound: float, epsilon: float) -> float:
@@ -288,7 +346,8 @@ def erm_kst(X, y, loss: LossSpec, reg: RegularizerSpec,
     """Regression-path private ERM over a closed convex coefficient domain.
 
     The loss must supply its gradient-norm bound and Hessian eigenvalue
-    bound; the returned coefficients always lie inside the domain.
+    bound; the returned coefficients always lie inside the domain. Raises
+    SolverNotConvergedError instead of releasing an unconverged point.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -307,4 +366,4 @@ def erm_kst(X, y, loss: LossSpec, reg: RegularizerSpec,
     weights = np.ones(n)
     fun, grad = _empirical_objective(X, y, loss, reg, gamma, weights,
                                      slack=slack, b=b)
-    return minimize(fun, grad, np.zeros(p), domain=domain, tol=tol).x
+    return _converged_minimizer(fun, grad, p, domain, tol)

@@ -30,7 +30,9 @@ def logistic_loss() -> LossSpec:
     """Cross-entropy on the margin z = y * score, labels in {-1, +1}."""
 
     def value(scores, y):
-        return np.logaddexp(0.0, -y * scores)
+        # log(1 + exp(-m)) without overflow, cheaper than np.logaddexp.
+        margins = y * scores
+        return np.log1p(np.exp(-np.abs(margins))) + np.maximum(-margins, 0.0)
 
     def grad(scores, y):
         return -y * expit(-y * scores)
@@ -39,18 +41,18 @@ def logistic_loss() -> LossSpec:
 
 
 def huber_loss_value(z, h: float):
-    """Smooth three-branch approximation of the hinge loss."""
+    """Smooth three-branch approximation of the hinge loss: 0 above 1 + h,
+    1 - z below 1 - h, and (1 + h - z)^2 / (4h) in between."""
     if h <= 0.0:
         raise ValueError("huber smoothing width must be positive")
     z = np.asarray(z, dtype=np.float64)
-    quad = (1.0 + h - z) ** 2 / (4.0 * h)
-    return np.where(z > 1.0 + h, 0.0, np.where(z < 1.0 - h, 1.0 - z, quad))
+    u = np.clip(1.0 + h - z, 0.0, 2.0 * h)  # one expression, three branches
+    return u * u / (4.0 * h) + np.maximum(1.0 - h - z, 0.0)
 
 
 def huber_loss_grad(z, h: float):
     z = np.asarray(z, dtype=np.float64)
-    quad = -(1.0 + h - z) / (2.0 * h)
-    return np.where(z > 1.0 + h, 0.0, np.where(z < 1.0 - h, -1.0, quad))
+    return -np.clip(1.0 + h - z, 0.0, 2.0 * h) / (2.0 * h)
 
 
 def huber_loss(h: float = 0.5) -> LossSpec:

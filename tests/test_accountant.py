@@ -102,3 +102,24 @@ def test_load_applies_cap(tmp_path):
     loaded = BudgetLedger.load(path, cap=(1.0, 0.0))
     with pytest.raises(BudgetExhaustedError):
         loaded.record("y", 0.2)
+
+
+def test_cap_admits_charges_that_sum_to_it_in_decimal():
+    # 0.1 + 0.1 + 0.1 is 0.30000000000000004 even when exactly rounded.
+    ledger = BudgetLedger(cap=(0.3, 0.0))
+    for _ in range(3):
+        ledger.record("a", 0.1)
+    assert len(ledger.entries) == 3
+    with pytest.raises(BudgetExhaustedError):
+        ledger.record("b", 1e-12)
+
+
+def test_cap_admits_long_run_landing_exactly_on_it():
+    # The naive running sum of these charges is 0.4960000000000004.
+    ledger = BudgetLedger(cap=(0.496, 0.001))
+    for _ in range(496):
+        ledger.record("m", 0.001)
+    assert ledger.sequential_total() == (0.496, 0.0)
+    with pytest.raises(BudgetExhaustedError):
+        ledger.record("m", 0.001)
+    assert len(ledger.entries) == 496

@@ -238,3 +238,72 @@ def test_histogram_and_table_cli(capsys, data_csv):
     assert code == 0
     assert np.allclose(json.loads(out)["result"]["value"], [50, 50],
                        atol=2)
+
+
+def test_fit_over_cap_writes_no_model(capsys, clf_csv, tmp_path):
+    model_path = tmp_path / "m.json"
+    ledger = tmp_path / "led.jsonl"
+    code, out, _ = run_cli(capsys, "fit", "logit", "--input", clf_csv,
+                           "--label-column", "label",
+                           "--feature-columns", "a,b",
+                           "--bounds=-1,1;-1,1", "--epsilon", "1",
+                           "--gamma", "1", "--output", str(model_path),
+                           "--ledger", str(ledger), "--cap", "0.5")
+    assert code == 4 and out == ""
+    assert not model_path.exists()
+    assert not ledger.exists()
+
+
+def test_tune_over_cap_writes_no_model(capsys, clf_csv, tmp_path):
+    model_path = tmp_path / "tuned.json"
+    code, _, _ = run_cli(capsys, "tune", "logit", "--input", clf_csv,
+                         "--label-column", "label",
+                         "--feature-columns", "a,b",
+                         "--bounds=-1,1;-1,1", "--gammas", "0.1,1",
+                         "--epsilon-train", "2", "--epsilon-select", "1",
+                         "--output", str(model_path),
+                         "--ledger", str(tmp_path / "led.jsonl"),
+                         "--cap", "2.5")
+    assert code == 4
+    assert not model_path.exists()
+
+
+@pytest.mark.filterwarnings("ignore:minimize hit max_iters")
+def test_fit_refuses_unconverged_solver(capsys, clf_csv, tmp_path,
+                                        one_solver_iteration):
+    model_path = tmp_path / "m.json"
+    code, out, err = run_cli(capsys, "fit", "logit", "--input", clf_csv,
+                             "--label-column", "label",
+                             "--feature-columns", "a,b",
+                             "--bounds=-1,1;-1,1", "--epsilon", "1",
+                             "--gamma", "1", "--output", str(model_path))
+    assert code == 3 and out == ""
+    assert "projected-gradient norm" in err
+    assert not model_path.exists()
+
+
+def _one_line_error(err):
+    assert err.startswith("dpkit: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_missing_files_exit_3(capsys, clf_csv, tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run_cli(capsys, "stat", "mean", "--input", missing,
+                             "--column", "x", "--bounds", "5,10",
+                             "--epsilon", "1")
+    assert code == 3 and out == ""
+    _one_line_error(err)
+    code, out, err = run_cli(capsys, "predict", "--model",
+                             str(tmp_path / "missing.json"),
+                             "--input", clf_csv, "--feature-columns", "a,b")
+    assert code == 3 and out == ""
+    _one_line_error(err)
+
+
+def test_missing_bounds_flag_exits_3(capsys, data_csv):
+    code, out, err = run_cli(capsys, "stat", "mean", "--input", data_csv,
+                             "--column", "x", "--epsilon", "1")
+    assert code == 3 and out == ""
+    assert "--bounds" in err
+    _one_line_error(err)

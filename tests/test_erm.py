@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from dpkit.erm import (Domain, ErmConfig, LossSpec, RegularizerSpec,
-                       cms_output_noise, erm_cms, erm_kst, kst_gaussian_sigma,
-                       kst_noise, kst_slack, l2_regularizer, minimize,
-                       sample_sphere_gamma, _empirical_objective)
+                       SolverNotConvergedError, cms_output_noise, erm_cms,
+                       erm_kst, kst_gaussian_sigma, kst_noise, kst_slack,
+                       l2_regularizer, minimize, sample_sphere_gamma,
+                       _empirical_objective)
 from dpkit.mechanisms import APPROXIMATE, PrivacyBudget, RandomSource
 from dpkit.models import huber_loss, logistic_loss, squared_loss
 
@@ -75,7 +76,42 @@ def test_minimize_warns_on_iteration_cap():
     assert not res.converged and res.iterations == 1
 
 
+def test_minimize_nonmonotone_search_rarely_backtracks():
+    # Noisy labels keep the logistic problem from being separable, and
+    # features of unequal scale make it ill-conditioned enough to take over
+    # 50 iterations. A monotone Armijo search needs about 1.7 values each.
+    rng = np.random.default_rng(11)
+    n, p = 2000, 5
+    Z = rng.uniform(-1, 1, size=(n, p - 1)) * np.array([1.0, 0.5, 0.2, 0.05])
+    X = np.column_stack([np.ones(n), Z]) / math.sqrt(p)
+    logits = 4.0 * (0.5 + Z @ np.array([1.5, -2.0, 4.0, 10.0]))
+    y = np.where(rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-logits)),
+                 1.0, -1.0)
+    fun, grad = _empirical_objective(X, y, logistic_loss(), l2_regularizer(),
+                                     gamma=1.0, weights=np.ones(n))
+    calls = []
+
+    def counted(theta):
+        calls.append(1)
+        return fun(theta)
+
+    res = minimize(counted, grad, np.zeros(p))
+    assert res.converged and res.iterations > 40
+    assert len(calls) <= 1.2 * res.iterations
+
+
 # -- objective assembly ----------------------------------------------------------
+
+def test_empirical_objective_cache_keys_on_a_copy():
+    X, y = _toy_classification(40, 3, seed=8)
+    args = (X, y, logistic_loss(), l2_regularizer(), 0.5, np.ones(40))
+    fun, grad = _empirical_objective(*args)
+    theta = np.array([0.4, -0.1, 0.7])
+    fun(theta)
+    theta[0] = -2.0  # same array object, new point
+    _, fresh_grad = _empirical_objective(*args)
+    assert np.array_equal(grad(theta), fresh_grad(theta.copy()))
+
 
 def test_empirical_objective_gradient_finite_difference():
     X, y = _toy_classification(30, 3, seed=5)
@@ -237,6 +273,35 @@ def test_cms_validation():
     with pytest.raises(ValueError):
         erm_cms(X, y, loss, reg, cfg, weights=np.full(20, 2.0),
                 rng=RandomSource(0))
+
+
+@pytest.mark.filterwarnings("ignore:minimize hit max_iters")
+@pytest.mark.parametrize("perturbation", ["output", "objective"])
+def test_cms_refuses_unconverged_minimizer(one_solver_iteration,
+                                           perturbation):
+    X, y = _toy_classification(80, 2, seed=4)
+    cfg = ErmConfig(PrivacyBudget(1.0), 0.5, perturbation=perturbation)
+    released = []
+    with pytest.raises(SolverNotConvergedError,
+                       match="projected-gradient norm") as exc:
+        released.append(erm_cms(X, y, logistic_loss(), l2_regularizer(),
+                                cfg, rng=RandomSource(0)))
+    assert released == []
+    assert isinstance(exc.value, ValueError) and exc.value.pg_norm > 1e-8
+
+
+@pytest.mark.filterwarnings("ignore:minimize hit max_iters")
+def test_kst_refuses_unconverged_minimizer(one_solver_iteration):
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-1, 1, size=(60, 2))
+    y = np.clip(X @ np.array([1.0, -0.5]), -2, 2)
+    released = []
+    with pytest.raises(SolverNotConvergedError,
+                       match="projected-gradient norm"):
+        released.append(erm_kst(X, y, squared_loss(2), l2_regularizer(),
+                                PrivacyBudget(1.0), 1.0,
+                                Domain(math.sqrt(2)), RandomSource(0)))
+    assert released == []
 
 
 # -- regression path -----------------------------------------------------------

@@ -66,6 +66,34 @@ def test_huber_rejects_nonpositive_width():
         huber_loss_value(0.0, 0.0)
 
 
+def test_huber_formulas_match_branchwise_reference():
+    for h in (0.05, 0.3, 0.5, 1.0):
+        z = np.concatenate([np.linspace(-5.0, 5.0, 2001),
+                            [1.0 - h, 1.0 + h, -800.0, 800.0],
+                            np.nextafter(1.0 - h, [-np.inf, np.inf]),
+                            np.nextafter(1.0 + h, [-np.inf, np.inf])])
+        quad = 1.0 + h - z
+        value = np.where(z > 1.0 + h, 0.0,
+                         np.where(z < 1.0 - h, 1.0 - z, quad ** 2 / (4 * h)))
+        grad = np.where(z > 1.0 + h, 0.0,
+                        np.where(z < 1.0 - h, -1.0, -quad / (2 * h)))
+        np.testing.assert_allclose(huber_loss_value(z, h), value,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(huber_loss_grad(z, h), grad,
+                                   rtol=0, atol=1e-12)
+
+
+def test_logistic_value_matches_logaddexp():
+    scores = np.concatenate([np.linspace(-40.0, 40.0, 4001),
+                             [-800.0, -30.0, 0.0, 30.0, 800.0]])
+    loss = logistic_loss()
+    for label in (-1.0, 1.0):
+        y = np.full_like(scores, label)
+        np.testing.assert_allclose(loss.value(scores, y),
+                                   np.logaddexp(0.0, -y * scores),
+                                   rtol=0, atol=1e-12)
+
+
 def test_logistic_loss_gradient_and_curvature_bounds():
     loss = logistic_loss()
     scores = np.linspace(-20, 20, 401)
