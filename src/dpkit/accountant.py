@@ -7,12 +7,18 @@ composition takes componentwise maxima over entries that the caller asserts
 were computed on disjoint data partitions (the ledger never sees raw data, so
 disjointness cannot be verified here). Post-processing operations (predict,
 serialize) never create entries.
+
+On disk a ledger is JSON Lines, one entry per line. ``BudgetLedger.charge``
+appends one line under an exclusive ``flock`` (POSIX), so concurrent
+processes charging the same file neither lose entries nor pass the cap.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import math
+import os
 from dataclasses import dataclass
 
 
@@ -36,11 +42,13 @@ class BudgetExhaustedError(Exception):
     """Raised when recording an entry would push the ledger past its cap."""
 
     def __init__(self, remaining_epsilon: float, remaining_delta: float):
-        self.remaining_epsilon = remaining_epsilon
-        self.remaining_delta = remaining_delta
+        # A total within the rounding allowance of the cap can sit a few ulps
+        # above it; what remains is then nothing, not a negative amount.
+        self.remaining_epsilon = max(remaining_epsilon, 0.0)
+        self.remaining_delta = max(remaining_delta, 0.0)
         super().__init__(
             f"privacy budget exhausted; remaining epsilon="
-            f"{remaining_epsilon:.6g}, delta={remaining_delta:.6g}")
+            f"{self.remaining_epsilon:.6g}, delta={self.remaining_delta:.6g}")
 
 
 @dataclass(frozen=True)
@@ -120,17 +128,48 @@ class BudgetLedger:
             fh.write(self.entry_to_line(entry) + "\n")
 
     @classmethod
+    def charge(cls, path, operation_name: str, epsilon: float,
+               delta: float = 0.0, partition_tag: str | None = None,
+               cap: tuple[float, float] | None = None) -> LedgerEntry:
+        """Record one spend in the ledger file at ``path`` and return it.
+
+        The entries are read and the new one is checked against ``cap`` and
+        appended while an exclusive lock is held, so the check sees every
+        charge that finished before it. A refused charge raises and writes
+        nothing; in particular it never creates the file.
+        """
+        if not os.path.exists(path):
+            # Refuse before opening the file creates it.
+            alone = LedgerEntry(operation_name, float(epsilon), float(delta))
+            if cap is not None and (exceeds_cap(alone.epsilon, cap[0]) or
+                                    exceeds_cap(alone.delta, cap[1])):
+                raise BudgetExhaustedError(*cap)
+        with open(path, "a+", encoding="utf-8") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
+            ledger = cls.load(path, cap=cap)
+            entry = ledger.record(operation_name, epsilon, delta,
+                                  partition_tag)
+            line = cls.entry_to_line(entry) + "\n"
+            size = os.fstat(fh.fileno()).st_size
+            if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
+                line = "\n" + line  # a hand-edited last line lacks one
+            fh.write(line)
+            fh.flush()
+        return entry
+
+    @classmethod
     def load(cls, path, cap: tuple[float, float] | None = None
              ) -> "BudgetLedger":
-        ledger = cls(cap=None)
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                ledger._entries.append(LedgerEntry(
-                    rec["op"], rec["eps"], rec["delta"], rec["tag"],
-                    rec["seq"]))
+            lines = [line for line in fh.read().splitlines() if line.strip()]
+        records = json.loads("[" + ",".join(lines) + "]")
+        if len(records) != len(lines):
+            raise ValueError(f"ledger {path} holds a line that is not one "
+                             "JSON entry")
+        ledger = cls(cap=None)
+        ledger._entries = [
+            LedgerEntry(rec["op"], rec["eps"], rec["delta"], rec["tag"],
+                        rec["seq"])
+            for rec in records]
         ledger.cap = cap
         return ledger

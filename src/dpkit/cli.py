@@ -34,6 +34,13 @@ from .tuning import Candidate, tune_classification, tune_linreg
 # -- parsing helpers ---------------------------------------------------------
 
 
+def _required(args, flag: str) -> str:
+    value = getattr(args, flag.replace("-", "_"))
+    if value is None:
+        raise ValueError(f"--{flag} is required")
+    return value
+
+
 def _parse_floats(text: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in text.split(",")])
@@ -96,19 +103,14 @@ def _budget(args) -> PrivacyBudget:
 
 def _record(args, operation: str, epsilon: float, delta: float,
             tag: str | None = None) -> None:
-    """Append to the on-disk ledger when --ledger is given; enforce --cap."""
+    """Charge the on-disk ledger when --ledger is given; enforce --cap."""
     if not getattr(args, "ledger", None):
         return
     cap = None
     if getattr(args, "cap", None):
         pair = _parse_floats(args.cap)
         cap = (float(pair[0]), float(pair[1]) if pair.size > 1 else 0.0)
-    try:
-        ledger = BudgetLedger.load(args.ledger, cap=cap)
-    except FileNotFoundError:
-        ledger = BudgetLedger(cap=cap)
-    ledger.record(operation, epsilon, delta, tag)
-    ledger.save(args.ledger)
+    BudgetLedger.charge(args.ledger, operation, epsilon, delta, tag, cap)
 
 
 def _report(args, command: str, result, epsilon: float,
@@ -162,23 +164,24 @@ def _cmd_stat(args) -> dict:
         fn = {"mean": mean_dp, "var": var_dp, "sd": sd_dp}[name]
         released = fn(x, bounds, req, rng)
     elif name == "cov":
-        c1, c2 = args.columns.split(",")
+        c1, c2 = _required(args, "columns").split(",")
         b1, b2 = _parse_bounds_list(args.bounds)
         released = cov_dp(_numeric_column(columns, c1),
                           _numeric_column(columns, c2), b1, b2, req, rng)
     elif name == "pooled-var":
-        groups = _groups_from(columns, args.column, args.group_column)
+        groups = _groups_from(columns, args.column,
+                              _required(args, "group-column"))
         released = pooled_var_dp(groups, _parse_bounds_pair(args.bounds),
                                  req, rng, args.approx_n_max)
     elif name == "pooled-cov":
-        c1, c2 = args.columns.split(",")
+        c1, c2 = _required(args, "columns").split(",")
+        group_column = _required(args, "group-column")
         b1, b2 = _parse_bounds_list(args.bounds)
         v1 = _numeric_column(columns, c1)
         v2 = _numeric_column(columns, c2)
-        labels = columns.get(args.group_column)
+        labels = columns.get(group_column)
         if labels is None:
-            raise ValueError(f"no column named {args.group_column!r} in the "
-                             "input")
+            raise ValueError(f"no column named {group_column!r} in the input")
         pairs = {}
         for a, b, g in zip(v1, v2, labels):
             pairs.setdefault(g, []).append((a, b))
@@ -197,22 +200,26 @@ def _cmd_stat(args) -> dict:
         spec = HistogramSpec(breaks, args.normalize, args.allow_negative)
         released = histogram_dp(x, spec, req, rng)
     elif name == "table":
-        names = args.columns.split(",")
+        names = _required(args, "columns").split(",")
         factors = []
         for c in names:
             if c not in columns:
                 raise ValueError(f"no column named {c!r} in the input")
             factors.append(columns[c])
-        categories = [part.split(",") for part in args.categories.split(";")]
+        categories = [part.split(",")
+                      for part in _required(args, "categories").split(";")]
         released = table_dp(factors, categories, req, rng,
                             args.allow_negative)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown statistic {name!r}")
 
-    _record(args, f"stat {name}", budget.epsilon, budget.delta,
-            getattr(args, "tag", None))
+    # --neighbor both prints one release per neighbor model, and each one
+    # spends the budget; they are charged as one entry.
+    releases = len(released) if isinstance(released, tuple) else 1
+    epsilon, delta = releases * budget.epsilon, releases * budget.delta
+    _record(args, f"stat {name}", epsilon, delta, getattr(args, "tag", None))
     return _report(args, f"stat {name}", _stat_result_json(released),
-                   budget.epsilon, budget.delta)
+                   epsilon, delta)
 
 
 # -- fit / predict -----------------------------------------------------------

@@ -259,8 +259,13 @@ def histogram_dp(x, spec: HistogramSpec, req: StatRequest, rng: RandomSource):
     if x.size == 0:
         raise ValueError("histogram needs at least one observation")
     edges = spec.edges_for(x)
-    # Values outside explicit edges land in the end bins.
-    counts, _ = np.histogram(np.clip(x, edges[0], edges[-1]), bins=edges)
+    # Values outside explicit edges land in the end bins. Bins are half-open
+    # but the last one also holds its right edge, as in np.histogram; sorted
+    # values make the edge search sequential, and NaNs (sorted last) drop out.
+    xs = np.sort(np.clip(x, edges[0], edges[-1]))
+    xs = xs[:np.searchsorted(xs, edges[-1], side="right")]
+    bins = np.searchsorted(edges[:-1], xs, side="right") - 1
+    counts = np.bincount(bins, minlength=edges.size - 1)
 
     postprocess = None
     if spec.normalize:

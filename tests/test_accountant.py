@@ -1,6 +1,10 @@
+import math
+import multiprocessing
+
 import pytest
 
-from dpkit.accountant import BudgetExhaustedError, BudgetLedger, LedgerEntry
+from dpkit.accountant import (BudgetExhaustedError, BudgetLedger, LedgerEntry,
+                              exceeds_cap)
 
 
 def test_sequential_composition_sums():
@@ -123,3 +127,118 @@ def test_cap_admits_long_run_landing_exactly_on_it():
     with pytest.raises(BudgetExhaustedError):
         ledger.record("m", 0.001)
     assert len(ledger.entries) == 496
+
+
+def test_refusal_reports_no_negative_remainder():
+    # fsum puts three charges of 0.1 a few ulps above the cap of 0.3.
+    ledger = BudgetLedger(cap=(0.3, 0.0))
+    for _ in range(3):
+        ledger.record("a", 0.1)
+    with pytest.raises(BudgetExhaustedError) as exc:
+        ledger.record("b", 0.01)
+    assert exc.value.remaining_epsilon == 0.0
+    assert "remaining epsilon=0," in str(exc.value)
+
+
+def test_load_rejects_two_entries_on_one_line(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    ledger = BudgetLedger()
+    e1 = ledger.record("x", 0.5)
+    e2 = ledger.record("y", 0.25)
+    path.write_text(BudgetLedger.entry_to_line(e1) + ", " +
+                    BudgetLedger.entry_to_line(e2) + "\n")
+    with pytest.raises(ValueError):
+        BudgetLedger.load(path)
+
+
+def test_charge_appends_what_save_writes(tmp_path):
+    charged, saved = tmp_path / "charged.jsonl", tmp_path / "saved.jsonl"
+    ledger = BudgetLedger()
+    ledger.record("mean", 0.5, 0.01, partition_tag="east")
+    ledger.save(charged)
+    BudgetLedger.charge(charged, "fit", 1.25, 0.0, None, cap=(2.0, 0.1))
+    entry = BudgetLedger.charge(charged, "var", 0.25, 0.02, "west")
+    assert entry.seq == 2
+    ledger.record("fit", 1.25)
+    ledger.record("var", 0.25, 0.02, partition_tag="west")
+    ledger.save(saved)
+    assert charged.read_text() == saved.read_text()
+
+
+def test_charge_mends_a_missing_final_newline(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    ledger = BudgetLedger()
+    ledger.record("x", 0.5)
+    ledger.save(path)
+    path.write_text(path.read_text().rstrip("\n"))
+    BudgetLedger.charge(path, "y", 0.25)
+    assert [e.operation_name for e in BudgetLedger.load(path).entries] == \
+        ["x", "y"]
+
+
+def test_refused_charge_writes_nothing(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    with pytest.raises(BudgetExhaustedError) as exc:
+        BudgetLedger.charge(path, "x", 2.0, cap=(1.0, 0.0))
+    assert exc.value.remaining_epsilon == 1.0
+    with pytest.raises(ValueError):
+        BudgetLedger.charge(path, "x", 0.0)
+    assert not path.exists()
+
+    BudgetLedger.charge(path, "x", 0.75, cap=(1.0, 0.0))
+    before = path.read_bytes()
+    with pytest.raises(BudgetExhaustedError):
+        BudgetLedger.charge(path, "y", 0.5, cap=(1.0, 0.0))
+    with pytest.raises(BudgetExhaustedError):
+        BudgetLedger.charge(path, "y", 0.1, 0.1, cap=(1.0, 0.0))
+    assert path.read_bytes() == before
+
+
+SPAWN = multiprocessing.get_context("spawn")
+
+
+def run_together(target, args, workers):
+    """Run ``target(barrier, *args)`` in ``workers`` fresh processes, which
+    wait at ``barrier`` so that their work overlaps, and wait for all."""
+    barrier = SPAWN.Barrier(workers)
+    procs = [SPAWN.Process(target=target, args=(barrier, *args))
+             for _ in range(workers)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=120)
+    assert not any(p.is_alive() for p in procs)
+    assert all(p.exitcode == 0 for p in procs)
+
+
+def _charge_many(barrier, path, count, epsilon, cap, accepted):
+    barrier.wait()
+    for i in range(count):
+        try:
+            BudgetLedger.charge(path, f"op{i}", epsilon, cap=cap)
+        except BudgetExhaustedError:
+            continue
+        with accepted.get_lock():
+            accepted.value += 1
+
+
+def test_concurrent_charges_lose_no_entry(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    accepted = SPAWN.Value("i", 0)
+    run_together(_charge_many, (path, 25, 0.01, None, accepted), 4)
+    assert accepted.value == 100
+    ledger = BudgetLedger.load(path)
+    assert len(ledger.entries) == 100
+    assert sorted(e.seq for e in ledger.entries) == list(range(100))
+    assert ledger.sequential_total() == (math.fsum([0.01] * 100), 0.0)
+
+
+def test_concurrent_charges_never_pass_the_cap(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    # 100 charges of 0.01 race for a cap that admits exactly 50 of them.
+    accepted = SPAWN.Value("i", 0)
+    run_together(_charge_many, (path, 25, 0.01, (0.5, 0.0), accepted), 4)
+    ledger = BudgetLedger.load(path)
+    assert accepted.value == len(ledger.entries) == 50
+    assert sorted(e.seq for e in ledger.entries) == list(range(50))
+    assert not exceeds_cap(ledger.sequential_total()[0], 0.5)

@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
 
 import numpy as np
 import pytest
 
+from dpkit.accountant import BudgetLedger, exceeds_cap
 from dpkit.cli import main
+
+from test_accountant import SPAWN, run_together
 
 
 def run_cli(capsys, *argv):
@@ -307,3 +311,105 @@ def test_missing_bounds_flag_exits_3(capsys, data_csv):
     assert code == 3 and out == ""
     assert "--bounds" in err
     _one_line_error(err)
+
+
+def test_refusal_message_reports_no_negative_remainder(capsys, tmp_path):
+    ledger = str(tmp_path / "led.jsonl")
+    charge = ("mech", "laplace", "--values", "1", "--sensitivities", "1",
+              "--ledger", ledger, "--cap", "0.3", "--epsilon")
+    for _ in range(3):
+        code, _, _ = run_cli(capsys, *charge, "0.1")
+        assert code == 0
+    code, out, err = run_cli(capsys, *charge, "0.01")
+    assert code == 4 and out == ""
+    assert "remaining epsilon=0," in err
+
+
+def test_neighbor_both_charges_each_release(capsys, data_csv, tmp_path):
+    ledger = str(tmp_path / "led.jsonl")
+    argv = ("stat", "mean", "--input", data_csv, "--column", "x",
+            "--bounds", "5,10", "--epsilon", "1", "--neighbor", "both",
+            "--ledger", ledger)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["result"]) == 2
+    assert report["epsilon_used"] == 2.0
+    assert BudgetLedger.load(ledger).sequential_total() == (2.0, 0.0)
+    assert len(BudgetLedger.load(ledger).entries) == 1
+
+    capped = str(tmp_path / "capped.jsonl")
+    code, out, _ = run_cli(capsys, *argv[:-1], capped, "--cap", "1.5")
+    assert code == 4 and out == ""
+
+
+@pytest.mark.parametrize("statistic,flags,missing", [
+    ("cov", ["--bounds", "5,10;0,1"], "--columns"),
+    ("pooled-cov", ["--bounds", "5,10;0,1", "--group-column", "g"],
+     "--columns"),
+    ("pooled-cov", ["--bounds", "5,10;0,1", "--columns", "x,y"],
+     "--group-column"),
+    ("pooled-var", ["--bounds", "5,10", "--column", "x"], "--group-column"),
+    ("table", ["--categories", "a,b"], "--columns"),
+    ("table", ["--columns", "g"], "--categories"),
+])
+def test_missing_stat_flags_exit_3(capsys, data_csv, statistic, flags,
+                                   missing):
+    code, out, err = run_cli(capsys, "stat", statistic, "--input", data_csv,
+                             "--epsilon", "1", *flags)
+    assert code == 3 and out == ""
+    assert f"{missing} is required" in err
+    _one_line_error(err)
+
+
+def test_cli_charge_appends_to_saved_ledger(capsys, tmp_path):
+    charged, saved = tmp_path / "led.jsonl", tmp_path / "saved.jsonl"
+    ledger = BudgetLedger()
+    ledger.record("stat mean", 0.5, 0.01, partition_tag="east")
+    ledger.record("fit logit", 1.0)
+    ledger.save(charged)
+    code, _, _ = run_cli(capsys, "mech", "gaussian", "--values", "0",
+                         "--sensitivities", "1", "--epsilon", "0.5",
+                         "--delta", "0.01", "--ledger", str(charged),
+                         "--tag", "west")
+    assert code == 0
+    ledger.record("mech gaussian", 0.5, 0.01, partition_tag="west")
+    ledger.save(saved)
+    assert charged.read_text() == saved.read_text()
+
+
+def test_refused_cli_charge_leaves_ledger_unchanged(capsys, data_csv,
+                                                    tmp_path):
+    ledger = tmp_path / "led.jsonl"
+    argv = ("stat", "mean", "--input", data_csv, "--column", "x",
+            "--bounds", "5,10", "--ledger", str(ledger), "--cap", "1,0",
+            "--epsilon")
+    code, _, _ = run_cli(capsys, *argv, "0.75")
+    assert code == 0
+    before = ledger.read_bytes()
+    code, out, _ = run_cli(capsys, *argv, "0.5")
+    assert code == 4 and out == ""
+    assert ledger.read_bytes() == before
+
+
+def _cli_charges(barrier, ledger, count, accepted):
+    argv = ["mech", "laplace", "--values", "1", "--sensitivities", "1",
+            "--epsilon", "0.01", "--ledger", ledger, "--cap", "0.3"]
+    barrier.wait()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        codes = [main(argv) for _ in range(count)]
+    assert set(codes) <= {0, 4}
+    with accepted.get_lock():
+        accepted.value += codes.count(0)
+
+
+def test_concurrent_cli_writers(tmp_path):
+    ledger = str(tmp_path / "led.jsonl")
+    # Two writers of 20 charges each against a cap that admits 30.
+    accepted = SPAWN.Value("i", 0)
+    run_together(_cli_charges, (ledger, 20, accepted), 2)
+    ledger = BudgetLedger.load(ledger)
+    assert accepted.value == len(ledger.entries) == 30
+    assert sorted(e.seq for e in ledger.entries) == list(range(30))
+    assert not exceeds_cap(ledger.sequential_total()[0], 0.3)

@@ -188,6 +188,21 @@ def test_histogram_normalize_integrates_to_one():
     assert float(res.value @ widths) == pytest.approx(1.0)
 
 
+def test_histogram_counts_match_numpy():
+    rng = np.random.default_rng(11)
+    for trial in range(50):
+        edges = np.cumsum(rng.uniform(0.01, 2.0, rng.integers(2, 40))) - 5.0
+        x = np.concatenate([
+            rng.uniform(edges[0] - 3.0, edges[-1] + 3.0, 200),  # some outside
+            rng.choice(edges[1:-1], 30) if edges.size > 2 else [],  # interior
+            np.full(5, edges[-1]), np.full(3, edges[0])])
+        res = noiseless(histogram_dp, x,
+                        HistogramSpec(edges, allow_negative=True))
+        expected, _ = np.histogram(np.clip(x, edges[0], edges[-1]),
+                                   bins=edges)
+        assert np.array_equal(res.value, expected), trial
+
+
 def test_histogram_both_neighbors_returns_pair():
     x = np.arange(10.0)
     req = StatRequest(PrivacyBudget(1.0), neighbor=BOTH)
