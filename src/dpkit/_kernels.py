@@ -1,158 +1,12 @@
-"""Hot numeric kernels with optional numba acceleration.
-
-Every kernel has a pure-numpy implementation; when numba is importable and the
-environment variable ``DPKIT_NO_NUMBA`` is not set to ``1``, the jitted
-versions are installed instead. Both paths implement the same algorithms and
-agree to floating-point roundoff, so seeded replay is stable within a
-configuration. ``benchmarks/bench_kernels.py`` compares the two.
-"""
+"""Numeric kernels: uniform variates to Normal or Laplace noise, and random
+cosine features. Each is one vectorized numpy/scipy expression."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Rational approximation coefficients for the inverse normal CDF (Acklam's
-# algorithm, max abs error ~1.15e-9 before refinement; one Halley step pushes
-# it to roundoff level).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _normal_quantile_scalar(u: float) -> float:
-    if u <= 0.0 or u >= 1.0:
-        raise ValueError("uniform variate must lie strictly inside (0, 1)")
-    if u < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(u))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q
-              + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif u <= 1.0 - _P_LOW:
-        q = u - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r
-              + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4])
-                * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - u))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q
-               + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    # One Halley refinement step against the exact CDF.
-    e = 0.5 * math.erfc(-x / _SQRT2) - u
-    d = e * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x - d / (1.0 + 0.5 * x * d)
-
-
-def _normal_quantile_np(u: np.ndarray) -> np.ndarray:
-    from scipy.special import erfc
-
-    u = np.asarray(u, dtype=np.float64)
-    x = np.empty(u.shape, dtype=np.float64)
-
-    low = u < _P_LOW
-    high = u > 1.0 - _P_LOW
-    mid = ~(low | high)
-
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(u[low]))
-        x[low] = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q
-                   + _C[4]) * q + _C[5]) / \
-                 ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if np.any(high):
-        q = np.sqrt(-2.0 * np.log(1.0 - u[high]))
-        x[high] = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q
-                     + _C[4]) * q + _C[5]) / \
-                  ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if np.any(mid):
-        q = u[mid] - 0.5
-        r = q * q
-        x[mid] = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r
-                   + _A[4]) * r + _A[5]) * q / \
-                 (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r
-                   + _B[4]) * r + 1.0)
-
-    e = 0.5 * erfc(-x / _SQRT2) - u
-    d = e * _SQRT_2PI * np.exp(0.5 * x * x)
-    return x - d / (1.0 + 0.5 * x * d)
-
-
-def _laplace_noise_np(u: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    scale = np.broadcast_to(np.asarray(scale, dtype=np.float64), u.shape)
-    v = u - 0.5
-    return -scale * np.sign(v) * np.log1p(-2.0 * np.abs(v))
-
-
-def _rff_features_np(x: np.ndarray, freqs: np.ndarray,
-                     phases: np.ndarray) -> np.ndarray:
-    # v_ij = D^{-1/2} cos(w_j . x_i + psi_j); |v_i| <= 1 by construction.
-    proj = x @ freqs.T + phases
-    return np.cos(proj) / math.sqrt(freqs.shape[0])
-
-
-NUMBA_ENABLED = False
-
-if os.environ.get("DPKIT_NO_NUMBA", "") != "1":
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-    if njit is not None:
-        NUMBA_ENABLED = True
-
-        _normal_quantile_scalar_jit = njit(cache=True)(_normal_quantile_scalar)
-
-        @njit(cache=True)
-        def _normal_quantile_numba(u):
-            flat = u.ravel()
-            out = np.empty(flat.size, dtype=np.float64)
-            for i in range(flat.size):
-                out[i] = _normal_quantile_scalar_jit(flat[i])
-            return out.reshape(u.shape)
-
-        @njit(cache=True)
-        def _laplace_noise_numba(u, scale):
-            flat_u = u.ravel()
-            flat_s = scale.ravel()
-            out = np.empty(flat_u.size, dtype=np.float64)
-            for i in range(flat_u.size):
-                v = flat_u[i] - 0.5
-                s = flat_s[i % flat_s.size]
-                if v > 0.0:
-                    out[i] = -s * math.log1p(-2.0 * v)
-                elif v < 0.0:
-                    out[i] = s * math.log1p(2.0 * v)
-                else:
-                    out[i] = 0.0
-            return out.reshape(u.shape)
-
-        @njit(cache=True)
-        def _rff_features_numba(x, freqs, phases):
-            n, p = x.shape
-            d = freqs.shape[0]
-            inv = 1.0 / math.sqrt(d)
-            out = np.empty((n, d), dtype=np.float64)
-            for i in range(n):
-                for j in range(d):
-                    acc = phases[j]
-                    for k in range(p):
-                        acc += freqs[j, k] * x[i, k]
-                    out[i, j] = math.cos(acc) * inv
-            return out
+from scipy.special import ndtri
 
 
 def normal_quantile(u: np.ndarray) -> np.ndarray:
@@ -160,34 +14,26 @@ def normal_quantile(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.float64)
     if u.size and (u.min() <= 0.0 or u.max() >= 1.0):
         raise ValueError("uniform variates must lie strictly inside (0, 1)")
-    if NUMBA_ENABLED:
-        return _normal_quantile_numba(np.ascontiguousarray(u))
-    return _normal_quantile_np(u)
+    return ndtri(u)
 
 
 def laplace_noise(u: np.ndarray, scale) -> np.ndarray:
-    """Laplace(0, scale) noise from uniforms via the inverse CDF.
-
-    u = 0.5 maps to exactly zero noise. ``scale`` broadcasts against ``u``.
-    """
+    """Laplace(0, scale) noise by the inverse CDF; u = 0.5 gives exactly 0.
+    ``scale`` broadcasts against ``u``."""
     u = np.asarray(u, dtype=np.float64)
     scale = np.asarray(scale, dtype=np.float64)
     if np.any(scale < 0.0):
         raise ValueError("Laplace scale must be nonnegative")
-    if NUMBA_ENABLED:
-        s = np.ascontiguousarray(np.broadcast_to(scale, u.shape))
-        return _laplace_noise_numba(np.ascontiguousarray(u), s)
-    return _laplace_noise_np(u, scale)
+    v = u - 0.5
+    return -scale * np.sign(v) * np.log1p(-2.0 * np.abs(v))
 
 
 def rff_features(x: np.ndarray, freqs: np.ndarray,
                  phases: np.ndarray) -> np.ndarray:
-    """Random cosine features: rows of the output have l2 norm <= 1."""
+    """Features D^{-1/2} cos(w_j . x_i + psi_j); rows have l2 norm <= 1."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
-    phases = np.ascontiguousarray(phases, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != freqs.shape[1]:
         raise ValueError("input dimension does not match projection frequencies")
-    if NUMBA_ENABLED:
-        return _rff_features_numba(x, freqs, phases)
-    return _rff_features_np(x, freqs, phases)
+    proj = x @ freqs.T + np.asarray(phases, dtype=np.float64)
+    return np.cos(proj) / math.sqrt(freqs.shape[0])

@@ -1,5 +1,9 @@
 """Core randomized mechanisms: Laplace, Gaussian, and exponential.
 
+``joint_mechanism`` adds iid Laplace or Gaussian noise calibrated once to the
+joint sensitivity of a whole vector; the per-coordinate Laplace and Gaussian
+mechanisms reduce to it under their default allocation.
+
 All randomness flows through a seedable :class:`RandomSource`, so every
 mechanism is a pure function of (inputs, seed).
 """
@@ -99,6 +103,31 @@ def _check_lengths(values, sens, alloc):
         raise ValueError("allocation length does not match values")
 
 
+def joint_mechanism(values, budget: PrivacyBudget, norm: str,
+                    sensitivity: float, rng: RandomSource) -> np.ndarray:
+    """Add iid noise calibrated once to the joint sensitivity of the vector.
+
+    ``norm="l1"`` adds Laplace noise of scale sensitivity/eps (pure budget);
+    ``norm="l2"`` adds N(0, sigma^2) with sigma = gaussian_sigma(budget,
+    sensitivity). Every coordinate consumes one uniform from ``rng``.
+    """
+    sensitivity = float(sensitivity)
+    if not (0.0 <= sensitivity < math.inf):
+        raise ValueError("sensitivity must be finite and nonnegative")
+    values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    if norm == "l1":
+        if budget.variant != PURE:
+            raise ValueError("Laplace mechanism requires a pure-DP budget")
+        scale = sensitivity / budget.epsilon
+        return values + _kernels.laplace_noise(rng.uniform(values.shape[0]),
+                                               scale)
+    if norm != "l2":
+        raise ValueError("norm must be 'l1' or 'l2'")
+    sigma = gaussian_sigma(budget, sensitivity)
+    return values + sigma * _kernels.normal_quantile(
+        rng.uniform(values.shape[0]))
+
+
 def laplace_mechanism(values, budget: PrivacyBudget,
                       sens: SensitivitySpec,
                       alloc: BudgetAllocation | None = None,
@@ -106,8 +135,9 @@ def laplace_mechanism(values, budget: PrivacyBudget,
     """Add Lap(0, delta_i / eps_i) noise per coordinate.
 
     Default allocation splits the budget proportionally to the per-coordinate
-    sensitivities, so every coordinate gets the scale sum(delta)/eps. An
-    explicit allocation sets eps_i = eps * alloc_i.
+    sensitivities, so every coordinate gets the scale sum(delta)/eps: the
+    joint mechanism at the l1 total, with zero-sensitivity coordinates left
+    exact. An explicit allocation sets eps_i = eps * alloc_i.
     """
     if budget.variant != PURE:
         raise ValueError("Laplace mechanism requires a pure-DP budget")
@@ -118,13 +148,10 @@ def laplace_mechanism(values, budget: PrivacyBudget,
 
     delta = sens.per_coordinate
     if alloc is None:
-        total = delta.sum()
-        # eps_i = eps * delta_i / total  =>  scale_i = total / eps
-        scales = np.where(delta > 0.0, total / budget.epsilon, 0.0)
-    else:
-        eps_i = budget.epsilon * alloc.proportions
-        scales = np.where(delta > 0.0, delta / eps_i, 0.0)
-
+        noisy = joint_mechanism(values, budget, "l1", delta.sum(), rng)
+        return np.where(delta > 0.0, noisy, values)
+    eps_i = budget.epsilon * alloc.proportions
+    scales = np.where(delta > 0.0, delta / eps_i, 0.0)
     noise = _kernels.laplace_noise(rng.uniform(values.shape[0]), scales)
     return values + noise
 
@@ -154,7 +181,7 @@ def gaussian_mechanism(values, budget: PrivacyBudget,
                        rng: RandomSource | None = None) -> np.ndarray:
     """Add N(0, sigma_i^2) noise per coordinate.
 
-    Without an allocation, sigma is calibrated once against the composite
+    Without an allocation this is the joint mechanism at the composite
     sensitivity sqrt(sum(delta_i^2)). With an allocation, coordinate i gets
     its own (eps * alloc_i, delta * alloc_i) budget and its own sensitivity.
     """
@@ -168,15 +195,13 @@ def gaussian_mechanism(values, budget: PrivacyBudget,
 
     delta = sens.per_coordinate
     if alloc is None:
-        composite = math.sqrt(float(delta @ delta))
-        sigmas = np.full(values.shape[0], gaussian_sigma(budget, composite))
-    else:
-        sigmas = np.empty(values.shape[0])
-        for i, prop in enumerate(alloc.proportions):
-            sub = PrivacyBudget(budget.epsilon * prop, budget.delta * prop,
-                                budget.variant)
-            sigmas[i] = gaussian_sigma(sub, float(delta[i]))
-
+        return joint_mechanism(values, budget, "l2",
+                               math.sqrt(float(delta @ delta)), rng)
+    sigmas = np.empty(values.shape[0])
+    for i, prop in enumerate(alloc.proportions):
+        sub = PrivacyBudget(budget.epsilon * prop, budget.delta * prop,
+                            budget.variant)
+        sigmas[i] = gaussian_sigma(sub, float(delta[i]))
     z = _kernels.normal_quantile(rng.uniform(values.shape[0]))
     return values + sigmas * z
 

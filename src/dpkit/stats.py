@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mechanisms import (PURE, BudgetAllocation, PrivacyBudget, RandomSource,
-                         SensitivitySpec, exponential_mechanism,
-                         gaussian_mechanism, laplace_mechanism)
+from .mechanisms import (PURE, PrivacyBudget, RandomSource,
+                         exponential_mechanism, joint_mechanism)
 
 LAPLACE = "laplace"
 GAUSSIAN = "gaussian"
@@ -102,23 +101,14 @@ def _neighbors(req: StatRequest) -> list[str]:
 
 
 def _privatize(values: np.ndarray, joint_sensitivity: float,
-               req: StatRequest, rng: RandomSource,
-               neighbor: str) -> np.ndarray:
+               req: StatRequest, rng: RandomSource) -> np.ndarray:
     """Release a vector whose joint l1 (or l2) sensitivity is known.
 
-    Splitting the joint sensitivity evenly across coordinates makes the
-    mechanisms' default composition reproduce iid noise calibrated to the
-    joint value (scale joint/eps per coordinate for Laplace, one sigma from
-    the composite l2 for Gaussian).
+    Every coordinate gets iid noise calibrated once to the joint value:
+    Laplace scale joint/eps, or one Gaussian sigma from the joint l2.
     """
-    n = values.shape[0]
-    if req.mechanism == LAPLACE:
-        sens = SensitivitySpec("l1", np.full(n, joint_sensitivity / n),
-                               neighbor)
-        return laplace_mechanism(values, req.budget, sens, None, rng)
-    sens = SensitivitySpec("l2", np.full(n, joint_sensitivity / math.sqrt(n)),
-                           neighbor)
-    return gaussian_mechanism(values, req.budget, sens, None, rng)
+    norm = "l1" if req.mechanism == LAPLACE else "l2"
+    return joint_mechanism(values, req.budget, norm, joint_sensitivity, rng)
 
 
 def _scalar_release(statistic: str, value: float, sensitivity, req: StatRequest,
@@ -126,7 +116,7 @@ def _scalar_release(statistic: str, value: float, sensitivity, req: StatRequest,
     results = []
     for neighbor in _neighbors(req):
         delta = sensitivity(neighbor) if callable(sensitivity) else sensitivity
-        noisy = _privatize(np.array([value]), delta, req, rng, neighbor)
+        noisy = _privatize(np.array([value]), delta, req, rng)
         results.append(StatResult(statistic, float(noisy[0]), delta,
                                   req.mechanism, neighbor,
                                   req.budget.epsilon, req.budget.delta,
@@ -242,8 +232,7 @@ def _release_counts(statistic: str, counts: np.ndarray, req: StatRequest,
     results = []
     for neighbor in _neighbors(req):
         sensitivity = count_sensitivity(neighbor, req.mechanism)
-        noisy = _privatize(counts.astype(np.float64), sensitivity, req, rng,
-                           neighbor)
+        noisy = _privatize(counts.astype(np.float64), sensitivity, req, rng)
         if not allow_negative:
             noisy = np.maximum(noisy, 0.0)
         value = postprocess(noisy) if postprocess is not None else noisy
@@ -290,21 +279,21 @@ def table_dp(factors, categories, req: StatRequest,
     if len(lengths) != 1:
         raise ValueError("factors must have equal length")
     shape = tuple(len(c) for c in categories)
+    n = lengths.pop()
     index_arrays = []
     for factor, cats in zip(factors, categories):
         lookup = {c: i for i, c in enumerate(cats)}
         try:
-            index_arrays.append(np.array([lookup[v] for v in factor]))
+            index_arrays.append(np.fromiter(map(lookup.__getitem__, factor),
+                                            np.intp, count=n))
         except KeyError as exc:
-            raise ValueError(f"unknown category label: {exc.args[0]!r}")
-    counts = np.zeros(shape, dtype=np.float64)
-    np.add.at(counts, tuple(index_arrays), 1.0)
-
-    flat = counts.ravel()
-    released = _release_counts("table", flat, req, rng, allow_negative,
-                               {"categories": categories},
-                               postprocess=lambda c: c.reshape(shape))
-    return released
+            raise ValueError(
+                f"unknown category label: {exc.args[0]!r}") from None
+    flat = np.bincount(np.ravel_multi_index(index_arrays, shape),
+                       minlength=math.prod(shape))
+    return _release_counts("table", flat, req, rng, allow_negative,
+                           {"categories": categories},
+                           postprocess=lambda c: c.reshape(shape))
 
 
 def quantile_dp(x, q: float, budget: PrivacyBudget, bounds: Bounds,

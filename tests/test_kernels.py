@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -95,55 +92,3 @@ def test_rff_features_dimension_mismatch():
     with pytest.raises(ValueError):
         _kernels.rff_features(np.zeros((3, 2)), np.zeros((4, 3)),
                               np.zeros(4))
-
-
-_PARITY_SNIPPET = """
-import json
-import numpy as np
-from dpkit import _kernels
-assert _kernels.NUMBA_ENABLED == {expect}, "wrong backend selected"
-rng = np.random.default_rng(42)
-u = rng.uniform(1e-9, 1 - 1e-9, size=5000)
-scale = rng.uniform(0.1, 5.0, size=5000)
-x = rng.normal(size=(40, 3))
-freqs = rng.normal(size=(16, 3))
-phases = rng.uniform(0, 6.28, size=16)
-out = {{
-    "nq": _kernels.normal_quantile(u).tolist(),
-    "lap": _kernels.laplace_noise(u, scale).tolist(),
-    "rff": _kernels.rff_features(x, freqs, phases).tolist(),
-}}
-print(json.dumps(out))
-"""
-
-
-def _run_backend(disable_numba: bool):
-    env = dict(os.environ)
-    env["DPKIT_NO_NUMBA"] = "1" if disable_numba else "0"
-    code = _PARITY_SNIPPET.format(expect=not disable_numba)
-    res = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    import json
-    return json.loads(res.stdout)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED,
-                    reason="numba backend unavailable in this process")
-def test_backend_parity():
-    """The jitted kernels and the numpy fallback agree to roundoff."""
-    jit = _run_backend(disable_numba=False)
-    plain = _run_backend(disable_numba=True)
-    for key, tol in (("nq", 1e-9), ("lap", 1e-9), ("rff", 1e-12)):
-        a = np.asarray(jit[key])
-        b = np.asarray(plain[key])
-        assert np.max(np.abs(a - b)) < tol, key
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ)
-    env["DPKIT_NO_NUMBA"] = "1"
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "from dpkit import _kernels; print(_kernels.NUMBA_ENABLED)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert res.stdout.strip() == "False"

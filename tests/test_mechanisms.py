@@ -7,7 +7,7 @@ from dpkit.mechanisms import (APPROXIMATE, PROBABILISTIC, PURE,
                               BudgetAllocation, PrivacyBudget, RandomSource,
                               SensitivitySpec, exponential_mechanism,
                               gaussian_mechanism, gaussian_sigma,
-                              laplace_mechanism)
+                              joint_mechanism, laplace_mechanism)
 
 from oracles import EXP_MECH_PROBS, SIGMA_APPROX, SIGMA_PROB
 
@@ -219,6 +219,40 @@ def test_gaussian_rejects_pure_budget_and_l1():
     with pytest.raises(ValueError):
         gaussian_mechanism(np.zeros(1), PrivacyBudget(0.5, 0.1, APPROXIMATE),
                            SensitivitySpec("l1", [1.0]), rng=FixedUniform(0.5))
+
+
+# -- joint mechanism -----------------------------------------------------------
+
+def test_joint_mechanism_validation():
+    pure = PrivacyBudget(1.0)
+    approx = PrivacyBudget(0.5, 0.01, APPROXIMATE)
+    for budget, norm, sens in ((approx, "l1", 1.0), (pure, "l2", 1.0),
+                               (pure, "linf", 1.0), (pure, "l1", -1.0),
+                               (approx, "l2", math.inf),
+                               (pure, "l1", math.nan)):
+        with pytest.raises(ValueError):
+            joint_mechanism(np.zeros(2), budget, norm, sens,
+                            FixedUniform(0.5))
+
+
+def test_joint_mechanism_draws_one_uniform_per_coordinate():
+    rng = RandomSource(8)
+    joint_mechanism(np.zeros(5), PrivacyBudget(1.0), "l1", 2.0, rng)
+    assert rng.uniform() == RandomSource(8).uniform(6)[5]
+
+
+def test_default_allocations_reduce_to_joint_mechanism():
+    values = np.array([1.0, -2.0, 3.5])
+    pure = PrivacyBudget(0.8)
+    a = laplace_mechanism(values, pure, SensitivitySpec("l1", [1.0, 2.0, 3.0]),
+                          rng=RandomSource(9))
+    b = joint_mechanism(values, pure, "l1", 6.0, RandomSource(9))
+    assert np.array_equal(a, b)
+    approx = PrivacyBudget(0.5, 0.01, APPROXIMATE)
+    a = gaussian_mechanism(values[:2], approx, SensitivitySpec("l2", [3, 4]),
+                           rng=RandomSource(9))
+    b = joint_mechanism(values[:2], approx, "l2", 5.0, RandomSource(9))
+    assert np.array_equal(a, b)
 
 
 # -- exponential ---------------------------------------------------------------

@@ -230,6 +230,84 @@ def test_table_counts_and_unknown_label():
         noiseless(table_dp, [f1, f2[:-1]], [["a", "b"], ["x", "y"]])
 
 
+def test_table_counts_match_bincount_reference():
+    rng = np.random.default_rng(5)
+    cats = [[f"{name}{i}" for i in range(size)]
+            for name, size in (("a", 4), ("b", 3), ("c", 5))]
+    codes = [rng.integers(0, len(c), 500) for c in cats]
+    factors = [[c[k] for k in code] for c, code in zip(cats, codes)]
+    res = noiseless(table_dp, factors, cats)
+    shape = (4, 3, 5)
+    want = np.bincount(np.ravel_multi_index(codes, shape),
+                       minlength=60).reshape(shape)
+    assert res.value.shape == shape
+    assert np.array_equal(res.value, want)
+
+
+def test_table_integer_labels():
+    res = noiseless(table_dp, [np.array([3, 1, 3, 3]), [10, 20, 20, 10]],
+                    [[1, 3], [10, 20]])
+    assert np.array_equal(res.value, [[0, 1], [2, 1]])
+
+
+def test_table_unknown_label_is_named():
+    with pytest.raises(ValueError, match="'zz'"):
+        noiseless(table_dp, [["a", "zz", "b"]], [["a", "b"]])
+    with pytest.raises(ValueError, match="label: 7"):
+        noiseless(table_dp, [[1, 7]], [[1, 2]])
+
+
+def test_table_zero_length_factors_give_zero_table():
+    res = noiseless(table_dp, [[], []], [["a", "b"], ["x", "y", "z"]])
+    assert np.array_equal(res.value, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("mechanism", [LAPLACE, GAUSSIAN])
+@pytest.mark.parametrize("cells", [7, 1_000_000])
+def test_count_noise_uses_the_stated_sensitivity(cells, mechanism):
+    """Each cell's noise is rebuilt from the same seeded uniforms at exactly
+    the reported joint sensitivity: Laplace scale 2/eps, Gaussian sigma
+    gaussian_sigma(budget, sqrt 2). Re-summing the sensitivity split over
+    the cells would give 1.9999999999999996 (7 Laplace cells) or
+    1.4142135623728675 (1e6 Gaussian cells) instead."""
+    from dpkit import _kernels
+    from dpkit.mechanisms import gaussian_sigma
+
+    if mechanism == LAPLACE:
+        budget = PrivacyBudget(1.0)
+    else:
+        budget = PrivacyBudget(0.5, 1e-6, APPROXIMATE)
+    spec = HistogramSpec(np.linspace(0.0, 1.0, cells + 1),
+                         allow_negative=True)
+    res = histogram_dp(np.array([0.5 / cells]), spec,
+                       StatRequest(budget, mechanism), RandomSource(21))
+    counts = np.zeros(cells)
+    counts[0] = 1.0
+    u = RandomSource(21).uniform(cells)
+    if mechanism == LAPLACE:
+        assert res.sensitivity == 2.0
+        noise = _kernels.laplace_noise(u, 2.0 / budget.epsilon)
+    else:
+        assert res.sensitivity == math.sqrt(2.0)
+        noise = (gaussian_sigma(budget, math.sqrt(2.0))
+                 * _kernels.normal_quantile(u))
+    assert np.array_equal(res.value, counts + noise)
+
+
+def test_count_release_builds_no_sensitivity_vector(monkeypatch):
+    from dpkit import mechanisms
+
+    def refuse(self):
+        raise AssertionError("a count release built a SensitivitySpec")
+
+    monkeypatch.setattr(mechanisms.SensitivitySpec, "__post_init__", refuse)
+    gauss = StatRequest(PrivacyBudget(0.5, 1e-6, APPROXIMATE), GAUSSIAN)
+    for req in (PURE_REQ, gauss):
+        histogram_dp(np.arange(10.0), HistogramSpec(4), req, RandomSource(1))
+        table_dp([["a", "b"]], [["a", "b"]], req, RandomSource(2))
+        mean_dp(np.arange(10.0), Bounds(0, 10), req, RandomSource(3))
+
+
 def test_gaussian_mean_release():
     req = StatRequest(PrivacyBudget(0.5, 0.01, APPROXIMATE),
                       mechanism=GAUSSIAN)
