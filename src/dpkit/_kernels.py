@@ -1,16 +1,21 @@
 """Numeric kernels: uniform variates to Normal or Laplace noise, and random
-cosine features. Each is one vectorized numpy/scipy expression."""
+cosine features, each computed by vectorized numpy/scipy calls.
+
+scipy is imported on the first Normal quantile, not with the package: it
+takes most of ``import dpkit``, and Laplace releases and the ledger never
+need it."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 
 def normal_quantile(u: np.ndarray) -> np.ndarray:
     """Inverse standard normal CDF, elementwise, for u strictly in (0, 1)."""
+    from scipy.special import ndtri
+
     u = np.asarray(u, dtype=np.float64)
     if u.size and (u.min() <= 0.0 or u.max() >= 1.0):
         raise ValueError("uniform variates must lie strictly inside (0, 1)")
@@ -18,14 +23,23 @@ def normal_quantile(u: np.ndarray) -> np.ndarray:
 
 
 def laplace_noise(u: np.ndarray, scale) -> np.ndarray:
-    """Laplace(0, scale) noise by the inverse CDF; u = 0.5 gives exactly 0.
-    ``scale`` broadcasts against ``u``."""
-    u = np.asarray(u, dtype=np.float64)
+    """Laplace(0, scale) noise by the inverse CDF, -scale sign(v)
+    log1p(-2|v|) with v = u - 0.5; u = 0.5 gives exactly 0. ``scale``
+    broadcasts against ``u``, and the result has at least one dimension."""
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     scale = np.asarray(scale, dtype=np.float64)
     if np.any(scale < 0.0):
         raise ValueError("Laplace scale must be nonnegative")
+    # In place, in the operand order of the formula, so the bits are the
+    # same. np.sign is not run in place: numpy's in-place sign is slower
+    # than the allocation it saves.
     v = u - 0.5
-    return -scale * np.sign(v) * np.log1p(-2.0 * np.abs(v))
+    noise = np.multiply(-scale, np.sign(v))
+    np.abs(v, out=v)
+    v *= -2.0
+    np.log1p(v, out=v)
+    noise *= v
+    return noise
 
 
 def rff_features(x: np.ndarray, freqs: np.ndarray,

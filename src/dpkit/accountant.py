@@ -19,7 +19,7 @@ import fcntl
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 # Charges and caps are decimals rounded to floats, each off by at most half
@@ -60,10 +60,7 @@ class LedgerEntry:
     seq: int = 0
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError("entry epsilon must be positive")
-        if self.delta < 0.0:
-            raise ValueError("entry delta must be nonnegative")
+        _check_amounts(self.epsilon, self.delta)
 
 
 class BudgetLedger:
@@ -79,16 +76,8 @@ class BudgetLedger:
                partition_tag: str | None = None) -> LedgerEntry:
         entry = LedgerEntry(operation_name, float(epsilon), float(delta),
                             partition_tag, seq=len(self._entries))
-        if self.cap is not None:
-            eps_cap, delta_cap = self.cap
-            charged = self._entries + [entry]
-            eps_new = math.fsum(e.epsilon for e in charged)
-            delta_new = math.fsum(e.delta for e in charged)
-            if exceeds_cap(eps_new, eps_cap) or \
-                    exceeds_cap(delta_new, delta_cap):
-                eps_tot, delta_tot = self.sequential_total()
-                raise BudgetExhaustedError(eps_cap - eps_tot,
-                                           delta_cap - delta_tot)
+        _check_cap(self.cap, [e.epsilon for e in self._entries],
+                   [e.delta for e in self._entries], entry)
         self._entries.append(entry)
         return entry
 
@@ -136,22 +125,25 @@ class BudgetLedger:
         The entries are read and the new one is checked against ``cap`` and
         appended while an exclusive lock is held, so the check sees every
         charge that finished before it. A refused charge raises and writes
-        nothing; in particular it never creates the file.
+        nothing; in particular it never creates the file. The check needs
+        only the entry count and the two totals, so no ``LedgerEntry`` is
+        built for the lines already there.
         """
+        entry = LedgerEntry(operation_name, float(epsilon), float(delta),
+                            partition_tag)
         if not os.path.exists(path):
-            # Refuse before opening the file creates it.
-            alone = LedgerEntry(operation_name, float(epsilon), float(delta))
-            if cap is not None and (exceeds_cap(alone.epsilon, cap[0]) or
-                                    exceeds_cap(alone.delta, cap[1])):
-                raise BudgetExhaustedError(*cap)
-        with open(path, "a+", encoding="utf-8") as fh:
+            _check_cap(cap, [], [], entry)  # before opening creates the file
+        # newline="" keeps "\r\n" visible, so a missing final "\n" shows.
+        with open(path, "a+", encoding="utf-8", newline="") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
-            ledger = cls.load(path, cap=cap)
-            entry = ledger.record(operation_name, epsilon, delta,
-                                  partition_tag)
+            fh.seek(0)
+            text = fh.read()
+            records = _parse_records(text, path)
+            entry = replace(entry, seq=len(records))
+            _check_cap(cap, [rec["eps"] for rec in records],
+                       [rec["delta"] for rec in records], entry)
             line = cls.entry_to_line(entry) + "\n"
-            size = os.fstat(fh.fileno()).st_size
-            if size and os.pread(fh.fileno(), 1, size - 1) != b"\n":
+            if text and not text.endswith("\n"):
                 line = "\n" + line  # a hand-edited last line lacks one
             fh.write(line)
             fh.flush()
@@ -161,15 +153,43 @@ class BudgetLedger:
     def load(cls, path, cap: tuple[float, float] | None = None
              ) -> "BudgetLedger":
         with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
-        records = json.loads("[" + ",".join(lines) + "]")
-        if len(records) != len(lines):
-            raise ValueError(f"ledger {path} holds a line that is not one "
-                             "JSON entry")
-        ledger = cls(cap=None)
+            records = _parse_records(fh.read(), path)
+        ledger = cls(cap=cap)
         ledger._entries = [
             LedgerEntry(rec["op"], rec["eps"], rec["delta"], rec["tag"],
                         rec["seq"])
             for rec in records]
-        ledger.cap = cap
         return ledger
+
+
+def _parse_records(text: str, path) -> list[dict]:
+    """The ledger lines in ``text`` as dicts, one per non-blank line, with
+    the amounts checked as ``LedgerEntry`` checks them."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    records = json.loads("[" + ",".join(lines) + "]")
+    if len(records) != len(lines):
+        raise ValueError(f"ledger {path} holds a line that is not one "
+                         "JSON entry")
+    for rec in records:
+        _check_amounts(rec["eps"], rec["delta"])
+    return records
+
+
+def _check_amounts(epsilon, delta) -> None:
+    if not (epsilon > 0.0):
+        raise ValueError("entry epsilon must be positive")
+    if delta < 0.0:
+        raise ValueError("entry delta must be nonnegative")
+
+
+def _check_cap(cap: tuple[float, float] | None, epsilons: list[float],
+               deltas: list[float], entry: LedgerEntry) -> None:
+    """Raise ``BudgetExhaustedError`` when ``entry`` would take the exact
+    totals of ``epsilons``/``deltas`` past ``cap``."""
+    if cap is None:
+        return
+    eps_cap, delta_cap = cap
+    if exceeds_cap(math.fsum(epsilons + [entry.epsilon]), eps_cap) or \
+            exceeds_cap(math.fsum(deltas + [entry.delta]), delta_cap):
+        raise BudgetExhaustedError(eps_cap - math.fsum(epsilons),
+                                   delta_cap - math.fsum(deltas))

@@ -1,7 +1,13 @@
 """Command-line front end.
 
+Each process runs one command, so ``main`` builds the argument parser of
+that command alone; a missing or unknown command, and ``dpkit --help``, get
+the parser of every command. Both accept and reject the same arguments with
+the same text.
+
 Every command prints a single JSON run report to stdout (sorted keys, so a
-rerun with the same seed is byte-identical) and uses exit codes:
+rerun with the same ``--seed`` is byte-identical). The report never holds
+the seed: without ``--seed`` each run draws fresh noise. Exit codes:
 
   0  success
   2  bad flags or arguments (argparse)
@@ -68,20 +74,33 @@ def _parse_bounds_list(text: str | None) -> list[Bounds]:
 
 
 def _read_csv(path: str) -> dict[str, list[str]]:
+    """Columns of a CSV file (or stdin for ``-``) by header name.
+
+    A header row is required and empty rows are skipped. A row with more or
+    fewer fields than the header is an error that names it, counting the
+    header as row 1. Of two columns with one name the last wins.
+    """
     fh = sys.stdin if path == "-" else open(path, newline="",
                                             encoding="utf-8")
     try:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError("input CSV is empty; a header row is required")
-        columns = {name: [] for name in reader.fieldnames}
-        for row in reader:
-            for name in columns:
-                columns[name].append(row[name])
-        return columns
+        rows = list(reader)
     finally:
         if fh is not sys.stdin:
             fh.close()
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        for i, row in enumerate(rows):
+            if row and len(row) != width:
+                raise ValueError(f"row {i + 2} of the input has {len(row)} "
+                                 f"fields; the header has {width}")
+        rows = [row for row in rows if row]
+    if not rows:
+        return {name: [] for name in header}
+    return {name: list(col) for name, col in zip(header, zip(*rows))}
 
 
 def _numeric_column(columns: dict, name: str) -> np.ndarray:
@@ -113,10 +132,10 @@ def _record(args, operation: str, epsilon: float, delta: float,
     BudgetLedger.charge(args.ledger, operation, epsilon, delta, tag, cap)
 
 
-def _report(args, command: str, result, epsilon: float,
-            delta: float) -> dict:
-    return {"command": command, "seed": args.seed, "epsilon_used": epsilon,
-            "delta_used": delta, "result": result}
+def _report(command: str, result, epsilon: float, delta: float) -> dict:
+    # No seed: whoever knows it can replay the noise and subtract it.
+    return {"command": command, "epsilon_used": epsilon, "delta_used": delta,
+            "result": result}
 
 
 def _stat_payload(res) -> dict:
@@ -218,7 +237,7 @@ def _cmd_stat(args) -> dict:
     releases = len(released) if isinstance(released, tuple) else 1
     epsilon, delta = releases * budget.epsilon, releases * budget.delta
     _record(args, f"stat {name}", epsilon, delta, getattr(args, "tag", None))
-    return _report(args, f"stat {name}", _stat_result_json(released),
+    return _report(f"stat {name}", _stat_result_json(released),
                    epsilon, delta)
 
 
@@ -262,7 +281,7 @@ def _cmd_fit(args) -> dict:
     _record(args, f"fit {kind}", budget.epsilon, budget.delta,
             getattr(args, "tag", None))
     model.save(args.output)
-    return _report(args, f"fit {kind}",
+    return _report(f"fit {kind}",
                    {"model_path": args.output, "kind": model.kind,
                     "coefficients": [float(c) for c in model.coefficients]},
                    budget.epsilon, budget.delta)
@@ -275,7 +294,7 @@ def _cmd_predict(args) -> dict:
     feature_names = args.feature_columns.split(",")
     X = np.column_stack([_numeric_column(columns, c) for c in feature_names])
     values = predict(model, X, raw_value=args.raw)
-    return _report(args, "predict",
+    return _report("predict",
                    {"predictions": [float(v) for v in values]}, 0.0, 0.0)
 
 
@@ -319,7 +338,7 @@ def _cmd_tune(args) -> dict:
     _record(args, f"tune {args.model}", eps_total, 0.0,
             getattr(args, "tag", None))
     result.model.save(args.output)
-    return _report(args, f"tune {args.model}",
+    return _report(f"tune {args.model}",
                    {"model_path": args.output, "selected": result.name,
                     "index": result.index}, eps_total, 0.0)
 
@@ -353,7 +372,7 @@ def _cmd_mech(args) -> dict:
 
     _record(args, f"mech {args.mechanism}", budget.epsilon, budget.delta,
             getattr(args, "tag", None))
-    return _report(args, f"mech {args.mechanism}", result,
+    return _report(f"mech {args.mechanism}", result,
                    budget.epsilon, budget.delta)
 
 
@@ -384,30 +403,29 @@ def _cmd_budget(args) -> dict:
         if exceeds_cap(eps, cap_eps) or exceeds_cap(delta, cap_delta):
             raise BudgetExhaustedError(cap_eps - eps, cap_delta - delta)
         result["within_cap"] = True
-    report = _report(args, f"budget {args.action}", result, 0.0, 0.0)
-    return report
+    return _report(f"budget {args.action}", result, 0.0, 0.0)
 
 
 # -- parser ------------------------------------------------------------------
 
-
-def _add_common(p, ledger=True):
-    p.add_argument("--seed", type=int, default=0)
-    if ledger:
-        p.add_argument("--ledger", default=None,
-                       help="JSONL ledger file to append this spend to")
-        p.add_argument("--cap", default=None,
-                       help="ledger cap as 'epsilon[,delta]'")
-        p.add_argument("--tag", default=None,
-                       help="partition tag for parallel composition")
+_SEED_HELP = ("seed of the noise stream, for replay and tests; anyone who "
+              "knows it can remove the noise from the output. Without it "
+              "each run seeds PCG64 (not a cryptographic generator) from "
+              "fresh OS entropy")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dpkit",
-        description="Differentially private statistics and models")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+def _add_common(p):
+    """Flags of the commands that draw noise and spend budget."""
+    p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
+    p.add_argument("--ledger", default=None,
+                   help="JSONL ledger file to append this spend to")
+    p.add_argument("--cap", default=None,
+                   help="ledger cap as 'epsilon[,delta]'")
+    p.add_argument("--tag", default=None,
+                   help="partition tag for parallel composition")
 
+
+def _add_stat(sub):
     st = sub.add_parser("stat", help="release a private statistic")
     st.add_argument("statistic", choices=[
         "mean", "var", "sd", "cov", "pooled-var", "pooled-cov",
@@ -440,6 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(st)
     st.set_defaults(handler=_cmd_stat)
 
+
+def _add_fit(sub):
     ft = sub.add_parser("fit", help="train a private model")
     ft.add_argument("model", choices=["logit", "svm", "linreg"])
     ft.add_argument("--input", required=True)
@@ -465,14 +485,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ft)
     ft.set_defaults(handler=_cmd_fit)
 
+
+def _add_predict(sub):
     pr = sub.add_parser("predict", help="apply a saved model (costs nothing)")
     pr.add_argument("--model", required=True)
     pr.add_argument("--input", required=True)
     pr.add_argument("--feature-columns", required=True)
     pr.add_argument("--raw", action="store_true")
-    _add_common(pr, ledger=False)
+    pr.add_argument("--seed", type=int, default=None)  # draws no noise
     pr.set_defaults(handler=_cmd_predict)
 
+
+def _add_tune(sub):
     tn = sub.add_parser("tune", help="private selection over a gamma grid")
     tn.add_argument("model", choices=["logit", "svm", "linreg"])
     tn.add_argument("--input", required=True)
@@ -490,6 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(tn)
     tn.set_defaults(handler=_cmd_tune)
 
+
+def _add_mech(sub):
     mc = sub.add_parser("mech", help="run a raw mechanism")
     mc.add_argument("mechanism", choices=["laplace", "gaussian",
                                           "exponential"])
@@ -508,18 +534,45 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(mc)
     mc.set_defaults(handler=_cmd_mech)
 
+
+def _add_budget(sub):
     bd = sub.add_parser("budget", help="inspect or check a ledger")
     bd.add_argument("action", choices=["report", "check"])
     bd.add_argument("--ledger", required=True)
     bd.add_argument("--cap", default=None)
-    bd.add_argument("--seed", type=int, default=0)
+    bd.add_argument("--seed", type=int, default=None)  # draws no noise
     bd.set_defaults(handler=_cmd_budget)
 
+
+# Subcommand name -> the function that adds its subparser, in help order.
+_COMMANDS = {"stat": _add_stat, "fit": _add_fit, "predict": _add_predict,
+             "tune": _add_tune, "mech": _add_mech, "budget": _add_budget}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The dpkit parser with every subcommand, or with ``command`` alone.
+
+    A one-command parser accepts and rejects that command's arguments with
+    the same exit codes and text as the full parser.
+    """
+    parser = argparse.ArgumentParser(
+        prog="dpkit",
+        description="Differentially private statistics and models")
+    # A one-command parser's usage line must still list every command, as
+    # argparse prints it with errors such as "unrecognized arguments". The
+    # full parser takes no metavar: its errors name the argument "cmd".
+    metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
+    for name in [command] if command else _COMMANDS:
+        _COMMANDS[name](sub)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # One process runs one command: build only the subparser argv names.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         report = args.handler(args)
     except BudgetExhaustedError as exc:

@@ -266,6 +266,8 @@ def erm_cms(X, y, loss: LossSpec, reg: RegularizerSpec, cfg: ErmConfig,
     weights. Raises SolverNotConvergedError instead of releasing a point at
     which the solver did not converge.
     """
+    if rng is None:
+        rng = RandomSource()  # seeded from OS entropy
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
@@ -349,6 +351,8 @@ def erm_kst(X, y, loss: LossSpec, reg: RegularizerSpec,
     bound; the returned coefficients always lie inside the domain. Raises
     SolverNotConvergedError instead of releasing an unconverged point.
     """
+    if rng is None:
+        rng = RandomSource()  # seeded from OS entropy
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape

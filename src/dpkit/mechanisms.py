@@ -26,12 +26,16 @@ _VARIANTS = (PURE, APPROXIMATE, PROBABILISTIC)
 class RandomSource:
     """Seedable stream of uniform variates strictly inside (0, 1).
 
-    Identical seed implies an identical output sequence. Single-consumer:
-    callers running concurrently must each own their instance.
+    Identical seed implies an identical output sequence, so anyone who knows
+    the seed can replay the noise and remove it. Without a seed, PCG64 is
+    seeded from 128 bits of fresh OS entropy. PCG64 is not a cryptographic
+    generator: the privacy argument assumes a reader sees only the noisy
+    outputs, never the generator's words. Single-consumer: callers running
+    concurrently must each own their instance.
     """
 
-    def __init__(self, seed: int):
-        self.seed = int(seed)
+    def __init__(self, seed: int | None = None):
+        self.seed = None if seed is None else int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, size=None):
@@ -139,6 +143,8 @@ def laplace_mechanism(values, budget: PrivacyBudget,
     joint mechanism at the l1 total, with zero-sensitivity coordinates left
     exact. An explicit allocation sets eps_i = eps * alloc_i.
     """
+    if rng is None:
+        rng = RandomSource()  # seeded from OS entropy
     if budget.variant != PURE:
         raise ValueError("Laplace mechanism requires a pure-DP budget")
     if sens.norm != "l1":
@@ -185,6 +191,8 @@ def gaussian_mechanism(values, budget: PrivacyBudget,
     sensitivity sqrt(sum(delta_i^2)). With an allocation, coordinate i gets
     its own (eps * alloc_i, delta * alloc_i) budget and its own sensitivity.
     """
+    if rng is None:
+        rng = RandomSource()  # seeded from OS entropy
     if budget.variant not in (APPROXIMATE, PROBABILISTIC):
         raise ValueError("Gaussian mechanism requires an approximate or "
                          "probabilistic budget")
@@ -215,6 +223,8 @@ def exponential_mechanism(utility, budget: PrivacyBudget, sens_u: float,
     Uses max-subtraction before exponentiation, so utility ranges spanning
     [-1e6, 1e6] are handled without overflow.
     """
+    if rng is None:
+        rng = RandomSource()  # seeded from OS entropy
     if budget.variant != PURE:
         raise ValueError("exponential mechanism requires a pure-DP budget")
     if sens_u < 0.0:

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from . import _kernels
 from .erm import (Domain, ErmConfig, LossSpec, RegularizerSpec, erm_cms,
@@ -28,6 +27,7 @@ _BOUNDS_TOL = 1e-9
 
 def logistic_loss() -> LossSpec:
     """Cross-entropy on the margin z = y * score, labels in {-1, +1}."""
+    from scipy.special import expit  # scipy loads only when a model needs it
 
     def value(scores, y):
         # log(1 + exp(-m)) without overflow, cheaper than np.logaddexp.
@@ -241,6 +241,7 @@ def predict_logistic(model: TrainedModel, X, add_bias: bool | None = None,
         raise ValueError("column count does not match the trained model")
     scores = Xb @ model.coefficients
     if raw_value:
+        from scipy.special import expit
         return expit(scores)
     return (scores >= 0.0).astype(float)  # score 0.5 rounds up to label 1
 
@@ -255,6 +256,8 @@ def fit_svm(X, y, bounds: list[Bounds] | None, cfg: ErmConfig,
     y = _check_binary_labels(y)
     y_pm = 2.0 * y - 1.0
     loss = huber_loss(huber_h)
+    if rng is None:
+        rng = RandomSource()  # seeded from OS entropy
     reg = reg or l2_regularizer()
 
     if kernel == "linear":

@@ -301,6 +301,8 @@ def quantile_dp(x, q: float, budget: PrivacyBudget, bounds: Bounds,
                 rng: RandomSource | None = None) -> StatResult:
     """Private quantile via the exponential mechanism over sorted-data
     intervals, with interval lengths as the base measure."""
+    if rng is None:
+        rng = RandomSource()  # seeded from OS entropy
     if not (0.0 <= q <= 1.0):
         raise ValueError("quantile must lie in [0, 1]")
     if budget.variant != PURE:

@@ -194,6 +194,40 @@ def test_refused_charge_writes_nothing(tmp_path):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("line,message", [
+    ('{"delta": 0.0, "eps": 0.0, "op": "x", "seq": 1, "tag": null}',
+     "entry epsilon must be positive"),
+    ('{"delta": -0.1, "eps": 1.0, "op": "x", "seq": 1, "tag": null}',
+     "entry delta must be nonnegative"),
+])
+def test_charge_checks_every_entry_it_reads(tmp_path, line, message):
+    path = tmp_path / "ledger.jsonl"
+    BudgetLedger.charge(path, "ok", 0.5)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    before = path.read_bytes()
+    for read in (lambda: BudgetLedger.charge(path, "y", 0.1),
+                 lambda: BudgetLedger.load(path)):
+        with pytest.raises(ValueError, match=message):
+            read()
+    assert path.read_bytes() == before
+
+
+def test_charge_counts_and_totals_match_load(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    charges = [(0.1, 0.0), (0.2, 1e-6), (0.3, 0.0), (0.4, 2e-6)]
+    for i, (eps, delta) in enumerate(charges):
+        entry = BudgetLedger.charge(path, f"op{i}", eps, delta,
+                                    cap=(1.0, 3e-6))
+        assert entry.seq == i
+    ledger = BudgetLedger.load(path)
+    assert ledger.sequential_total() == (math.fsum(e for e, _ in charges),
+                                         math.fsum(d for _, d in charges))
+    with pytest.raises(BudgetExhaustedError) as exc:
+        BudgetLedger.charge(path, "over", 1e-3, cap=(1.0, 3e-6))
+    assert exc.value.remaining_epsilon == 0.0
+
+
 SPAWN = multiprocessing.get_context("spawn")
 
 

@@ -50,7 +50,7 @@ def test_stat_mean_gaussian_report(capsys, data_csv):
     report = json.loads(out)
     assert report["delta_used"] == 0.05
     assert report["epsilon_used"] == 0.9
-    assert report["seed"] == 7
+    assert "seed" not in report
     assert report["result"]["detail"]["n"] == 100
     assert report["result"]["sensitivity"] == pytest.approx(0.05)
     assert 4.0 < report["result"]["value"] < 11.0
@@ -413,3 +413,158 @@ def test_concurrent_cli_writers(tmp_path):
     assert accepted.value == len(ledger.entries) == 30
     assert sorted(e.seq for e in ledger.entries) == list(range(30))
     assert not exceeds_cap(ledger.sequential_total()[0], 0.3)
+
+
+# -- per-command parser ------------------------------------------------------
+
+# One argv per subcommand that parses, and a required flag it carries.
+_VALID_ARGV = {
+    "stat": (["stat", "mean", "--input", "d.csv", "--epsilon", "1"],
+             "--epsilon"),
+    "fit": (["fit", "logit", "--input", "d.csv", "--label-column", "y",
+             "--feature-columns", "a", "--epsilon", "1", "--gamma", "1",
+             "--output", "m.json"], "--gamma"),
+    "predict": (["predict", "--model", "m.json", "--input", "d.csv",
+                 "--feature-columns", "a"], "--model"),
+    "tune": (["tune", "logit", "--input", "d.csv", "--label-column", "y",
+              "--feature-columns", "a", "--bounds", "0,1", "--gammas", "1",
+              "--epsilon-train", "1", "--epsilon-select", "1",
+              "--output", "m.json"], "--gammas"),
+    "mech": (["mech", "laplace", "--epsilon", "1"], "--epsilon"),
+    "budget": (["budget", "report", "--ledger", "l.jsonl"], "--ledger"),
+}
+
+
+def _parse(parser, argv):
+    """(exit code or parsed namespace, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _without(argv, flag):
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+def _parse_cases(command):
+    argv, required = _VALID_ARGV[command]
+    if command == "predict":  # no choices; a flag value it rejects instead
+        bad = argv + ["--raw=yes"]
+    else:
+        bad = [command, "bogus"] + argv[2:]
+    return {"valid": argv, "help": [command, "--help"],
+            "unknown flag": argv + ["--nope", "1"],
+            "missing flag": _without(argv, required), "bad choice": bad}
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_ARGV))
+def test_command_parser_matches_full_parser(command):
+    from dpkit.cli import build_parser
+    for case, argv in _parse_cases(command).items():
+        alone = _parse(build_parser(command), argv)
+        full = _parse(build_parser(), argv)
+        assert alone == full, (command, case)
+        assert isinstance(alone[0], dict) == (case == "valid"), case
+        if case == "help":
+            assert alone[0] == 0 and alone[1].startswith(
+                f"usage: dpkit {command} ")
+        elif case != "valid":
+            assert alone[0] == 2 and alone[2].startswith("usage: dpkit ")
+
+
+def test_top_level_errors_use_the_full_parser(capsys, monkeypatch):
+    import dpkit.cli as cli
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: built.append(command)
+                        or original(command))
+    for argv, code in (([], 2), (["-h"], 0), (["bogus"], 2),
+                       (["budget", "-h"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        got = capsys.readouterr()
+        assert (code, got.out, got.err) == _parse(original(), argv)
+    assert built == [None, None, None, "budget"]
+    _, _, err = _parse(original(), [])
+    assert err.endswith("error: the following arguments are required: "
+                        "cmd\n")
+    _, _, err = _parse(original(), ["bogus"])
+    assert "argument cmd: invalid choice: 'bogus'" in err
+    _, out, _ = _parse(original(), ["-h"])
+    assert out.startswith("usage: dpkit [-h] "
+                          "{stat,fit,predict,tune,mech,budget} ...\n")
+
+
+# -- CSV ingest --------------------------------------------------------------
+
+
+def _dictreader_columns(text):
+    """The reader this module replaced, as the reference."""
+    import csv
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    columns = {name: [] for name in reader.fieldnames}
+    for row in reader:
+        for name in columns:
+            columns[name].append(row[name])
+    return columns
+
+
+@pytest.mark.parametrize("text", [
+    "x,g\n1,a\n2,b\n",
+    "x,g\r\n1,a\r\n2,b",                        # CRLF, no final newline
+    "x,g\n\n1,a\n\n\n2,b\n\n",                  # empty lines are skipped
+    'x,"g, h"\n"1.5","a ""quoted"", b"\n2,"two\nlines"\n',
+    "x,x,y\n1,2,3\n4,5,6\n",                    # the last "x" wins
+    "x\n\"\"\n3\n",                             # one empty field is a row
+    "x,g\n",                                    # header only
+])
+def test_read_csv_matches_dictreader(tmp_path, monkeypatch, text):
+    from dpkit.cli import _read_csv
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    assert _read_csv(str(path)) == _dictreader_columns(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text, newline=""))
+    assert _read_csv("-") == _dictreader_columns(text)
+
+
+@pytest.mark.parametrize("text,row,fields", [
+    ("g,x\na,1\nb\na,3\n", 3, 1),
+    ("g,x\na,1\n\nb,2,9\n", 4, 3),
+])
+def test_ragged_csv_rows_exit_3(capsys, tmp_path, text, row, fields):
+    path = tmp_path / "ragged.csv"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "stat", "mean", "--input", str(path),
+                             "--column", "x", "--bounds", "0,5",
+                             "--epsilon", "1", "--seed", "1")
+    assert code == 3 and out == ""
+    assert f"row {row} of the input has {fields} fields; the header has 2" \
+        in err
+    _one_line_error(err)
+
+
+# -- noise secrecy -----------------------------------------------------------
+
+
+def test_unseeded_runs_defeat_the_differencing_attack(capsys, tmp_path):
+    # Two files one row apart (6 -> 10): with one shared default seed the
+    # two printed means differed by exactly the true difference, 1.0.
+    values = []
+    for last in ("6", "10"):
+        path = tmp_path / f"s{last}.csv"
+        path.write_text("x\n5.123\n7\n9.876\n" + last + "\n")
+        argv = ("stat", "mean", "--input", str(path), "--column", "x",
+                "--bounds", "5,10", "--epsilon", "0.1")
+        reports = [json.loads(run_cli(capsys, *argv)[1]) for _ in range(2)]
+        assert all("seed" not in r for r in reports)
+        first, again = (r["result"]["value"] for r in reports)
+        assert first != again
+        values.append(first)
+    assert abs((values[1] - values[0]) - 1.0) > 1e-6

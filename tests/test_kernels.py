@@ -63,6 +63,29 @@ def test_laplace_noise_scale_broadcast():
     assert np.allclose(out / out[0], [1.0, 2.0, 3.0, 4.0])
 
 
+def _laplace_reference(u, scale):
+    """The one-expression form the in-place kernel must match bit for bit."""
+    v = u - 0.5
+    return -scale * np.sign(v) * np.log1p(-2.0 * np.abs(v))
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 0.37, np.array(1e-300),
+                                   "vector"])
+def test_laplace_noise_is_bitwise_the_reference_expression(scale):
+    rng = np.random.default_rng(5)
+    u = np.concatenate([(rng.integers(0, 1 << 53, 10_000) + 0.5) * 2.0 ** -53,
+                        [0.5, 2.0 ** -54, 1.0 - 2.0 ** -53,
+                         0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53]])
+    if isinstance(scale, str):
+        scale = rng.uniform(0.0, 3.0, u.size)
+    got = _kernels.laplace_noise(u, scale)
+    want = _laplace_reference(u, np.asarray(scale, dtype=np.float64))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert got[u == 0.5].tolist() == [0.0]
+    assert not np.signbit(got[u == 0.5]).any()
+
+
 def test_laplace_noise_rejects_negative_scale():
     with pytest.raises(ValueError):
         _kernels.laplace_noise(np.array([0.5]), np.array([-1.0]))

@@ -33,6 +33,30 @@ def test_random_source_reproducible():
     assert not np.array_equal(a, RandomSource(124).uniform(1000))
 
 
+def test_random_source_without_seed_draws_fresh_entropy():
+    first, second = RandomSource(), RandomSource(None)
+    assert first.seed is None
+    assert not np.array_equal(first.uniform(8), second.uniform(8))
+
+
+def test_mechanisms_without_rng_use_fresh_sources():
+    budget = PrivacyBudget(1.0)
+    sens = SensitivitySpec("l1", np.ones(3))
+    gauss = PrivacyBudget(0.5, 0.01, APPROXIMATE)
+    draws = [
+        lambda: laplace_mechanism(np.zeros(3), budget, sens),
+        lambda: laplace_mechanism(np.zeros(3), budget, sens,
+                                  BudgetAllocation(np.full(3, 1 / 3))),
+        lambda: gaussian_mechanism(np.zeros(3), gauss,
+                                   SensitivitySpec("l2", np.ones(3))),
+    ]
+    for draw in draws:
+        assert not np.array_equal(draw(), draw())
+    picks = {exponential_mechanism(np.zeros(50), budget, 1.0)
+             for _ in range(20)}
+    assert len(picks) > 1
+
+
 def test_random_source_open_interval():
     u = RandomSource(0).uniform(100_000)
     assert u.min() > 0.0 and u.max() < 1.0

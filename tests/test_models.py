@@ -243,6 +243,21 @@ def test_fit_svm_gaussian_learns_radial_pattern():
     assert acc > 0.75
 
 
+def test_fits_without_rng_draw_fresh_noise():
+    X, y = _toy(n=100, seed=9)
+    bounds = [Bounds(-2, 2), Bounds(-2, 2)]
+    cfg = ErmConfig(PrivacyBudget(1.0), 1.0)
+    fits = [
+        lambda: fit_logistic(X, y, bounds, cfg),
+        lambda: fit_svm(X, y, None, cfg, kernel="gaussian", rff_dim=10),
+        lambda: fit_linreg(X[:, :1], X[:, 1], bounds, PrivacyBudget(1.0),
+                           1.0),
+    ]
+    for fit in fits:
+        first, second = fit(), fit()
+        assert not np.array_equal(first.coefficients, second.coefficients)
+
+
 # -- random features ----------------------------------------------------------------
 
 def test_rff_projection_deterministic_from_seed():

@@ -357,6 +357,13 @@ def test_median_lands_on_central_values():
         assert res.value in (20.0, 30.0)
 
 
+def test_median_without_rng_draws_fresh_noise():
+    x = np.linspace(0.0, 1.0, 50)
+    values = {median_dp(x, PrivacyBudget(1.0), Bounds(0, 1)).value
+              for _ in range(5)}
+    assert len(values) > 1
+
+
 def test_quantile_empty_data_returns_within_bounds():
     res = quantile_dp(np.array([]), 0.5, PrivacyBudget(1.0), Bounds(0, 1),
                       rng=RandomSource(0))
