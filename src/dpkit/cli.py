@@ -33,8 +33,8 @@ from .mechanisms import (APPROXIMATE, PROBABILISTIC, PURE, BudgetAllocation,
                          laplace_mechanism)
 from .models import (TrainedModel, fit_linreg, fit_logistic, fit_svm, predict)
 from .stats import (Bounds, HistogramSpec, StatRequest, cov_dp, histogram_dp,
-                    mean_dp, median_dp, pooled_cov_dp, pooled_var_dp,
-                    quantile_dp, sd_dp, table_dp, var_dp)
+                    mean_dp, pooled_cov_dp, pooled_var_dp, quantile_dp, sd_dp,
+                    table_dp, var_dp)
 from .tuning import Candidate, tune_classification, tune_linreg
 
 # -- parsing helpers ---------------------------------------------------------
@@ -120,22 +120,27 @@ def _budget(args) -> PrivacyBudget:
     return PrivacyBudget(args.epsilon, delta, variant)
 
 
-def _record(args, operation: str, epsilon: float, delta: float,
-            tag: str | None = None) -> None:
-    """Charge the on-disk ledger when --ledger is given; enforce --cap."""
-    if not getattr(args, "ledger", None):
-        return
-    cap = None
-    if getattr(args, "cap", None):
-        pair = _parse_floats(args.cap)
-        cap = (float(pair[0]), float(pair[1]) if pair.size > 1 else 0.0)
-    BudgetLedger.charge(args.ledger, operation, epsilon, delta, tag, cap)
-
-
 def _report(command: str, result, epsilon: float, delta: float) -> dict:
     # No seed: whoever knows it can replay the noise and subtract it.
     return {"command": command, "epsilon_used": epsilon, "delta_used": delta,
             "result": result}
+
+
+def _release(args, command: str, epsilon: float, delta: float,
+             result) -> dict:
+    """Charge (epsilon, delta) to --ledger under --cap, then build the report.
+
+    The one path by which a command that spends budget reports: a refused
+    charge raises before anything is printed or written.
+    """
+    if args.ledger:
+        cap = None
+        if args.cap:
+            pair = _parse_floats(args.cap)
+            cap = (float(pair[0]), float(pair[1]) if pair.size > 1 else 0.0)
+        BudgetLedger.charge(args.ledger, command, epsilon, delta, args.tag,
+                            cap)
+    return _report(command, result, epsilon, delta)
 
 
 def _stat_payload(res) -> dict:
@@ -148,12 +153,6 @@ def _stat_payload(res) -> dict:
     return {"statistic": res.statistic, "value": value,
             "sensitivity": res.sensitivity, "mechanism": res.mechanism,
             "neighbor": res.neighbor, "detail": detail}
-
-
-def _stat_result_json(released):
-    if isinstance(released, tuple):
-        return [_stat_payload(r) for r in released]
-    return _stat_payload(released)
 
 
 # -- stat --------------------------------------------------------------------
@@ -210,13 +209,11 @@ def _cmd_stat(args) -> dict:
         x = _numeric_column(columns, args.column)
         bounds = _parse_bounds_pair(args.bounds)
         q = 0.5 if name == "median" else args.q
-        released = quantile_dp(x, q, budget, bounds,
-                               not args.left_endpoint, rng)
+        released = quantile_dp(x, q, budget, bounds, rng=rng)
     elif name == "histogram":
         x = _numeric_column(columns, args.column)
-        breaks = (_parse_floats(args.breaks)
-                  if "," in args.breaks else int(args.breaks))
-        spec = HistogramSpec(breaks, args.normalize, args.allow_negative)
+        spec = HistogramSpec(_parse_floats(_required(args, "breaks")),
+                             args.normalize, args.allow_negative)
         released = histogram_dp(x, spec, req, rng)
     elif name == "table":
         names = _required(args, "columns").split(",")
@@ -232,13 +229,8 @@ def _cmd_stat(args) -> dict:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown statistic {name!r}")
 
-    # --neighbor both prints one release per neighbor model, and each one
-    # spends the budget; they are charged as one entry.
-    releases = len(released) if isinstance(released, tuple) else 1
-    epsilon, delta = releases * budget.epsilon, releases * budget.delta
-    _record(args, f"stat {name}", epsilon, delta, getattr(args, "tag", None))
-    return _report(f"stat {name}", _stat_result_json(released),
-                   epsilon, delta)
+    return _release(args, f"stat {name}", budget.epsilon, budget.delta,
+                    _stat_payload(released))
 
 
 # -- fit / predict -----------------------------------------------------------
@@ -278,13 +270,12 @@ def _cmd_fit(args) -> dict:
                             args.kernel_param, args.huber_h, weights,
                             args.add_bias, rng)
 
-    _record(args, f"fit {kind}", budget.epsilon, budget.delta,
-            getattr(args, "tag", None))
+    report = _release(
+        args, f"fit {kind}", budget.epsilon, budget.delta,
+        {"model_path": args.output, "kind": model.kind,
+         "coefficients": [float(c) for c in model.coefficients]})
     model.save(args.output)
-    return _report(f"fit {kind}",
-                   {"model_path": args.output, "kind": model.kind,
-                    "coefficients": [float(c) for c in model.coefficients]},
-                   budget.epsilon, budget.delta)
+    return report
 
 
 def _cmd_predict(args) -> dict:
@@ -335,12 +326,11 @@ def _cmd_tune(args) -> dict:
     # Disjoint folds: the m training releases compose in parallel, then the
     # selection composes sequentially on top.
     eps_total = train_budget.epsilon + select_budget.epsilon
-    _record(args, f"tune {args.model}", eps_total, 0.0,
-            getattr(args, "tag", None))
+    report = _release(args, f"tune {args.model}", eps_total, 0.0,
+                      {"model_path": args.output, "selected": result.name,
+                       "index": result.index})
     result.model.save(args.output)
-    return _report(f"tune {args.model}",
-                   {"model_path": args.output, "selected": result.name,
-                    "index": result.index}, eps_total, 0.0)
+    return report
 
 
 # -- mech --------------------------------------------------------------------
@@ -363,17 +353,15 @@ def _cmd_mech(args) -> dict:
         values = _parse_floats(args.values)
         sens_vec = _parse_floats(args.sensitivities)
         if args.mechanism == "laplace":
-            sens = SensitivitySpec("l1", sens_vec, args.neighbor)
+            sens = SensitivitySpec("l1", sens_vec)
             out = laplace_mechanism(values, budget, sens, alloc, rng)
         else:
-            sens = SensitivitySpec("l2", sens_vec, args.neighbor)
+            sens = SensitivitySpec("l2", sens_vec)
             out = gaussian_mechanism(values, budget, sens, alloc, rng)
         result = {"values": out.tolist()}
 
-    _record(args, f"mech {args.mechanism}", budget.epsilon, budget.delta,
-            getattr(args, "tag", None))
-    return _report(f"mech {args.mechanism}", result,
-                   budget.epsilon, budget.delta)
+    return _release(args, f"mech {args.mechanism}", budget.epsilon,
+                    budget.delta, result)
 
 
 # -- budget ------------------------------------------------------------------
@@ -443,12 +431,13 @@ def _add_stat(sub):
                     default=None)
     st.add_argument("--mechanism", choices=["laplace", "gaussian"],
                     default="laplace")
-    st.add_argument("--neighbor", choices=["bounded", "unbounded", "both"],
-                    default="bounded")
+    st.add_argument("--neighbor", choices=["bounded", "unbounded"],
+                    default="bounded",
+                    help="unbounded (a row added or removed) applies to "
+                         "histogram and table only")
     st.add_argument("--q", type=float, default=0.5)
-    st.add_argument("--left-endpoint", action="store_true",
-                    help="return interval endpoints instead of sampling")
-    st.add_argument("--breaks", default="10")
+    st.add_argument("--breaks", default=None,
+                    help="histogram edges, comma separated and ascending")
     st.add_argument("--normalize", action="store_true")
     st.add_argument("--allow-negative", action="store_true")
     st.add_argument("--categories", default=None,
@@ -529,8 +518,6 @@ def _add_mech(sub):
     mc.add_argument("--delta", type=float, default=0.0)
     mc.add_argument("--variant", choices=[APPROXIMATE, PROBABILISTIC],
                     default=None)
-    mc.add_argument("--neighbor", choices=["bounded", "unbounded"],
-                    default="bounded")
     _add_common(mc)
     mc.set_defaults(handler=_cmd_mech)
 

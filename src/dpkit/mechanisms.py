@@ -71,13 +71,10 @@ class PrivacyBudget:
 class SensitivitySpec:
     norm: str  # "l1" or "l2"
     per_coordinate: np.ndarray
-    neighbor: str = "bounded"  # "bounded" or "unbounded"
 
     def __post_init__(self):
         if self.norm not in ("l1", "l2"):
             raise ValueError("norm must be 'l1' or 'l2'")
-        if self.neighbor not in ("bounded", "unbounded"):
-            raise ValueError("neighbor must be 'bounded' or 'unbounded'")
         arr = np.atleast_1d(np.asarray(self.per_coordinate, dtype=np.float64))
         if arr.size == 0:
             raise ValueError("sensitivity vector must be nonempty")

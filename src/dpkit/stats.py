@@ -2,14 +2,22 @@
 
 Sensitivities are computed internally from caller-supplied global bounds;
 data falling outside the bounds is clipped before the statistic is computed.
-Each release returns a :class:`StatResult` carrying the value together with
-the metadata (sensitivity, mechanism, budget) a ledger needs.
+Each release returns one :class:`StatResult` carrying the value together
+with the metadata (sensitivity, mechanism, budget) a ledger needs; apart
+from the value, that metadata depends only on public inputs.
+
+Scalar statistics (mean, variance, covariance and their pooled forms) are
+released under bounded neighbors only: under unbounded neighbors their
+sensitivity depends on the private number of rows. Counts (histograms and
+contingency tables) take either neighbor model. Histogram edges are always
+declared by the caller, and a quantile is drawn uniformly from inside the
+interval the exponential mechanism picks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +28,6 @@ LAPLACE = "laplace"
 GAUSSIAN = "gaussian"
 BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
-BOTH = "both"
 
 
 @dataclass(frozen=True)
@@ -46,9 +53,8 @@ class StatRequest:
     def __post_init__(self):
         if self.mechanism not in (LAPLACE, GAUSSIAN):
             raise ValueError("mechanism must be 'laplace' or 'gaussian'")
-        if self.neighbor not in (BOUNDED, UNBOUNDED, BOTH):
-            raise ValueError("neighbor must be 'bounded', 'unbounded', or "
-                             "'both'")
+        if self.neighbor not in (BOUNDED, UNBOUNDED):
+            raise ValueError("neighbor must be 'bounded' or 'unbounded'")
         if self.mechanism == LAPLACE and self.budget.variant != PURE:
             raise ValueError("the Laplace mechanism requires a pure budget")
         if self.mechanism == GAUSSIAN and self.budget.delta <= 0.0:
@@ -57,24 +63,18 @@ class StatRequest:
 
 @dataclass(frozen=True)
 class HistogramSpec:
-    breaks: object = 10  # bin count or explicit ascending edges
+    breaks: np.ndarray  # declared edges, never derived from the data
     normalize: bool = False
     allow_negative: bool = False
 
-    def edges_for(self, x: np.ndarray) -> np.ndarray:
-        if np.isscalar(self.breaks):
-            count = int(self.breaks)
-            if count < 1:
-                raise ValueError("bin count must be at least 1")
-            lo, hi = float(np.min(x)), float(np.max(x))
-            if lo == hi:
-                lo, hi = lo - 0.5, hi + 0.5
-            return np.linspace(lo, hi, count + 1)
+    def __post_init__(self):
         edges = np.asarray(self.breaks, dtype=np.float64)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("explicit breaks must be >= 2 strictly "
+        if (edges.ndim != 1 or edges.size < 2
+                or not np.all(np.isfinite(edges))
+                or np.any(np.diff(edges) <= 0)):
+            raise ValueError("breaks must be >= 2 finite, strictly "
                              "ascending edges")
-        return edges
+        object.__setattr__(self, "breaks", edges)
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,6 @@ def clip(x, bounds: Bounds) -> np.ndarray:
     return np.clip(x, bounds.lower, bounds.upper)
 
 
-def _neighbors(req: StatRequest) -> list[str]:
-    return [BOUNDED, UNBOUNDED] if req.neighbor == BOTH else [req.neighbor]
-
-
 def _privatize(values: np.ndarray, joint_sensitivity: float,
                req: StatRequest, rng: RandomSource) -> np.ndarray:
     """Release a vector whose joint l1 (or l2) sensitivity is known.
@@ -111,23 +107,23 @@ def _privatize(values: np.ndarray, joint_sensitivity: float,
     return joint_mechanism(values, req.budget, norm, joint_sensitivity, rng)
 
 
-def _scalar_release(statistic: str, value: float, sensitivity, req: StatRequest,
-                    rng: RandomSource, detail: dict | None = None):
-    results = []
-    for neighbor in _neighbors(req):
-        delta = sensitivity(neighbor) if callable(sensitivity) else sensitivity
-        noisy = _privatize(np.array([value]), delta, req, rng)
-        results.append(StatResult(statistic, float(noisy[0]), delta,
-                                  req.mechanism, neighbor,
-                                  req.budget.epsilon, req.budget.delta,
-                                  detail or {}))
-    return results[0] if len(results) == 1 else tuple(results)
+def _scalar_release(statistic: str, value: float, sensitivity: float,
+                    req: StatRequest, rng: RandomSource,
+                    detail: dict) -> StatResult:
+    if req.neighbor != BOUNDED:
+        # Adding or removing a row changes n, and these sensitivities scale
+        # with 1/n: the noise would depend on the private count.
+        raise ValueError(f"{statistic} is released under bounded neighbors "
+                         "only; unbounded neighbors apply to counts")
+    noisy = _privatize(np.array([value]), sensitivity, req, rng)
+    return StatResult(statistic, float(noisy[0]), sensitivity, req.mechanism,
+                      BOUNDED, req.budget.epsilon, req.budget.delta, detail)
 
 
 def mean_dp(x, bounds: Bounds, req: StatRequest, rng: RandomSource):
     clipped = clip(x, bounds)
     n = clipped.size
-    sensitivity = bounds.width / n  # same for both neighbor models
+    sensitivity = bounds.width / n
     return _scalar_release("mean", float(clipped.mean()), sensitivity, req,
                            rng, {"n": n})
 
@@ -147,12 +143,8 @@ def sd_dp(x, bounds: Bounds, req: StatRequest, rng: RandomSource):
 
     Post-processing of a single variance release, so no extra budget."""
     released = var_dp(x, bounds, req, rng)
-    singles = released if isinstance(released, tuple) else (released,)
-    out = tuple(
-        StatResult("sd", math.sqrt(max(r.value, 0.0)), r.sensitivity,
-                   r.mechanism, r.neighbor, r.epsilon, r.delta, r.detail)
-        for r in singles)
-    return out if isinstance(released, tuple) else out[0]
+    return replace(released, statistic="sd",
+                   value=math.sqrt(max(released.value, 0.0)))
 
 
 def cov_dp(x1, x2, bounds1: Bounds, bounds2: Bounds, req: StatRequest,
@@ -228,27 +220,23 @@ def count_sensitivity(neighbor: str, mechanism: str) -> float:
 
 def _release_counts(statistic: str, counts: np.ndarray, req: StatRequest,
                     rng: RandomSource, allow_negative: bool, detail: dict,
-                    postprocess=None):
-    results = []
-    for neighbor in _neighbors(req):
-        sensitivity = count_sensitivity(neighbor, req.mechanism)
-        noisy = _privatize(counts.astype(np.float64), sensitivity, req, rng)
-        if not allow_negative:
-            noisy = np.maximum(noisy, 0.0)
-        value = postprocess(noisy) if postprocess is not None else noisy
-        results.append(StatResult(statistic, value, sensitivity,
-                                  req.mechanism, neighbor,
-                                  req.budget.epsilon, req.budget.delta,
-                                  detail))
-    return results[0] if len(results) == 1 else tuple(results)
+                    postprocess=None) -> StatResult:
+    sensitivity = count_sensitivity(req.neighbor, req.mechanism)
+    noisy = _privatize(counts.astype(np.float64), sensitivity, req, rng)
+    if not allow_negative:
+        noisy = np.maximum(noisy, 0.0)
+    value = postprocess(noisy) if postprocess is not None else noisy
+    return StatResult(statistic, value, sensitivity, req.mechanism,
+                      req.neighbor, req.budget.epsilon, req.budget.delta,
+                      detail)
 
 
 def histogram_dp(x, spec: HistogramSpec, req: StatRequest, rng: RandomSource):
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if x.size == 0:
         raise ValueError("histogram needs at least one observation")
-    edges = spec.edges_for(x)
-    # Values outside explicit edges land in the end bins. Bins are half-open
+    edges = spec.breaks
+    # Values outside the edges land in the end bins. Bins are half-open
     # but the last one also holds its right edge, as in np.histogram; sorted
     # values make the edge search sequential, and NaNs (sorted last) drop out.
     xs = np.sort(np.clip(x, edges[0], edges[-1]))
@@ -300,7 +288,14 @@ def quantile_dp(x, q: float, budget: PrivacyBudget, bounds: Bounds,
                 uniform_sampling: bool = True,
                 rng: RandomSource | None = None) -> StatResult:
     """Private quantile via the exponential mechanism over sorted-data
-    intervals, with interval lengths as the base measure."""
+    intervals, with interval lengths as the base measure.
+
+    The value is drawn uniformly from inside the chosen interval; an
+    interval endpoint would be a raw data value. ``uniform_sampling`` is
+    kept for positional callers and must be true."""
+    if not uniform_sampling:
+        raise ValueError("a quantile is always sampled inside its interval; "
+                         "an endpoint is a raw data value")
     if rng is None:
         rng = RandomSource()  # seeded from OS entropy
     if not (0.0 <= q <= 1.0):
@@ -316,16 +311,11 @@ def quantile_dp(x, q: float, budget: PrivacyBudget, bounds: Bounds,
     utility = -np.abs(idx - q * n)
     measure = lengths if np.any(lengths > 0.0) else None
     i = exponential_mechanism(utility, budget, 1.0, measure, rng)
-    if uniform_sampling:
-        value = float(z[i] + rng.uniform() * (z[i + 1] - z[i]))
-    else:
-        value = float(z[i])
+    value = float(z[i] + rng.uniform() * (z[i + 1] - z[i]))
     return StatResult("quantile", value, 1.0, "exponential", BOUNDED,
-                      budget.epsilon, budget.delta,
-                      {"q": q, "n": n, "interval_index": i})
+                      budget.epsilon, budget.delta, {"q": q, "n": n})
 
 
 def median_dp(x, budget: PrivacyBudget, bounds: Bounds,
-              uniform_sampling: bool = True,
               rng: RandomSource | None = None) -> StatResult:
-    return quantile_dp(x, 0.5, budget, bounds, uniform_sampling, rng)
+    return quantile_dp(x, 0.5, budget, bounds, rng=rng)

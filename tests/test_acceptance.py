@@ -140,6 +140,22 @@ def test_criterion_02_sensitivity_oracle_gate():
         tp = np.bincount(fp, minlength=3)
         ok &= np.abs(t - tp).sum() <= 2
 
+    # ... and one added or removed record moves one cell by one, so l1 and
+    # l2 are at most 1 (the unbounded count sensitivity).
+    for _ in range(10_000 // 10):
+        x = draw(n)
+        f = rng.integers(0, 3, size=n)
+        i = rng.integers(0, n)
+        h = np.histogram(x, edges)[0]
+        t = np.bincount(f, minlength=3)
+        for hp, tp in ((np.histogram(np.append(x, draw(1)), edges)[0],
+                        np.bincount(np.append(f, rng.integers(0, 3)),
+                                    minlength=3)),
+                       (np.histogram(np.delete(x, i), edges)[0],
+                        np.bincount(np.delete(f, i), minlength=3))):
+            for d in (h - hp, t - tp):
+                ok &= np.abs(d).sum() <= 1 and np.sqrt(d @ d) <= 1
+
     # quantile utility: u(z) = -|#{x <= z} - q n| moves by at most 1.
     zgrid = np.linspace(c0, c1, 9)
     q, n = 0.5, 12
@@ -446,11 +462,11 @@ def test_criterion_04_huge_epsilon_degeneration():
     ok &= np.max(np.abs(tbl.value - want)) < 1e-9
 
     # Quantile: with q*n an integer the utility argmax is unique, so the
-    # huge-budget release hits the non-private order statistic exactly.
+    # huge-budget release lands strictly inside the interval that starts at
+    # the non-private order statistic.
     xq = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    qr = quantile_dp(xq, 0.4, HUGE, Bounds(0, 10), uniform_sampling=False,
-                     rng=source)
-    ok &= qr.value == 2.0
+    qr = quantile_dp(xq, 0.4, HUGE, Bounds(0, 10), rng=source)
+    ok &= 2.0 < qr.value < 3.0
 
     # Models against independent scipy oracles, in the scaled space.
     X = rng.uniform(-1, 1, size=(150, 2))

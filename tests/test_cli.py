@@ -325,22 +325,78 @@ def test_refusal_message_reports_no_negative_remainder(capsys, tmp_path):
     assert "remaining epsilon=0," in err
 
 
-def test_neighbor_both_charges_each_release(capsys, data_csv, tmp_path):
-    ledger = str(tmp_path / "led.jsonl")
-    argv = ("stat", "mean", "--input", data_csv, "--column", "x",
-            "--bounds", "5,10", "--epsilon", "1", "--neighbor", "both",
-            "--ledger", ledger)
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    report = json.loads(out)
-    assert len(report["result"]) == 2
-    assert report["epsilon_used"] == 2.0
-    assert BudgetLedger.load(ledger).sequential_total() == (2.0, 0.0)
-    assert len(BudgetLedger.load(ledger).entries) == 1
+@pytest.mark.parametrize("statistic,flags", [
+    ("mean", ["--column", "x", "--bounds", "5,10"]),
+    ("pooled-var", ["--column", "x", "--group-column", "g",
+                    "--bounds", "5,10"]),
+])
+def test_unbounded_scalar_statistic_exits_3_uncharged(capsys, data_csv,
+                                                      tmp_path, statistic,
+                                                      flags):
+    # Under add/remove neighbors a scalar's sensitivity scales with the
+    # private n, so only counts take --neighbor unbounded.
+    ledger = tmp_path / "led.jsonl"
+    code, out, err = run_cli(capsys, "stat", statistic, "--input", data_csv,
+                             "--epsilon", "1", "--neighbor", "unbounded",
+                             "--ledger", str(ledger), *flags)
+    assert code == 3 and out == ""
+    assert "bounded neighbors only" in err
+    _one_line_error(err)
+    assert not ledger.exists()
 
-    capped = str(tmp_path / "capped.jsonl")
-    code, out, _ = run_cli(capsys, *argv[:-1], capped, "--cap", "1.5")
-    assert code == 4 and out == ""
+
+def test_histogram_bin_count_breaks_exit_3(capsys, data_csv):
+    # Edges from a bin count would be the data's own min and max.
+    code, out, err = run_cli(capsys, "stat", "histogram", "--input", data_csv,
+                             "--column", "x", "--breaks", "3",
+                             "--epsilon", "1")
+    assert code == 3 and out == ""
+    assert "ascending edges" in err
+    _one_line_error(err)
+
+
+# Two CSVs one modified row apart (x 7.0 -> 6.0, y, and the table column h
+# change; the group column g stays, so group sizes are the same).
+_AUDIT_ROWS = ("x,y,g,h\n5.123,1,a,u\n{}\n8.5,3,b,u\n9.876,4,b,v\n",
+               ("7.0,2,a,v", "6.0,3,a,u"))
+_AUDIT_FLAGS = {
+    "mean": ["--column", "x", "--bounds", "0,20"],
+    "var": ["--column", "x", "--bounds", "0,20"],
+    "sd": ["--column", "x", "--bounds", "0,20"],
+    "cov": ["--columns", "x,y", "--bounds", "0,20;0,5"],
+    "pooled-var": ["--column", "x", "--group-column", "g",
+                   "--bounds", "0,20"],
+    "pooled-cov": ["--columns", "x,y", "--group-column", "g",
+                   "--bounds", "0,20;0,5"],
+    "quantile": ["--column", "x", "--bounds", "0,20", "--q", "0.25"],
+    "median": ["--column", "x", "--bounds", "0,20"],
+    "histogram": ["--column", "x", "--breaks", "0,5,10,15,20"],
+    "table": ["--columns", "h", "--categories", "u,v"],
+}
+
+
+@pytest.mark.parametrize("statistic", sorted(_AUDIT_FLAGS))
+def test_report_differs_only_in_value_on_neighbors(capsys, tmp_path,
+                                                   statistic):
+    """Report audit: with one seed, the public reports on neighboring CSVs
+    may differ in result.value alone. Anything else (an edge, a rank, a
+    count) would be printed without noise."""
+    template, rows = _AUDIT_ROWS
+    paths = []
+    for i, row in enumerate(rows):
+        paths.append(tmp_path / f"d{i}.csv")
+        paths[-1].write_text(template.format(row))
+    for seed in range(4):
+        reports = []
+        for path in paths:
+            code, out, _ = run_cli(capsys, "stat", statistic, "--input",
+                                   str(path), "--epsilon", "1", "--seed",
+                                   str(seed), *_AUDIT_FLAGS[statistic])
+            assert code == 0
+            report = json.loads(out)
+            del report["result"]["value"]
+            reports.append(report)
+        assert reports[0] == reports[1], (statistic, seed)
 
 
 @pytest.mark.parametrize("statistic,flags,missing", [
@@ -352,6 +408,7 @@ def test_neighbor_both_charges_each_release(capsys, data_csv, tmp_path):
     ("pooled-var", ["--bounds", "5,10", "--column", "x"], "--group-column"),
     ("table", ["--categories", "a,b"], "--columns"),
     ("table", ["--columns", "g"], "--categories"),
+    ("histogram", ["--column", "x"], "--breaks"),
 ])
 def test_missing_stat_flags_exit_3(capsys, data_csv, statistic, flags,
                                    missing):

@@ -96,8 +96,6 @@ def test_sensitivity_spec_validation():
         SensitivitySpec("l1", [-1.0])
     with pytest.raises(ValueError):
         SensitivitySpec("l1", [])
-    with pytest.raises(ValueError):
-        SensitivitySpec("l1", [1.0], neighbor="swap")
 
 
 def test_allocation_validation():

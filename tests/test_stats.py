@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpkit.mechanisms import APPROXIMATE, PrivacyBudget, RandomSource
-from dpkit.stats import (BOTH, BOUNDED, GAUSSIAN, LAPLACE, UNBOUNDED, Bounds,
+from dpkit.stats import (BOUNDED, GAUSSIAN, LAPLACE, UNBOUNDED, Bounds,
                          HistogramSpec, StatRequest, clip, count_sensitivity,
                          cov_dp, histogram_dp, mean_dp, median_dp,
                          pooled_cov_dp, pooled_var_dp, pooled_var_sensitivity,
@@ -203,20 +203,20 @@ def test_histogram_counts_match_numpy():
         assert np.array_equal(res.value, expected), trial
 
 
-def test_histogram_both_neighbors_returns_pair():
+def test_histogram_unbounded_neighbors_release_one_result():
     x = np.arange(10.0)
-    req = StatRequest(PrivacyBudget(1.0), neighbor=BOTH)
-    pair = histogram_dp(x, HistogramSpec(4), req, RandomSource(0))
-    assert isinstance(pair, tuple) and len(pair) == 2
-    assert pair[0].neighbor == BOUNDED and pair[0].sensitivity == 2.0
-    assert pair[1].neighbor == UNBOUNDED and pair[1].sensitivity == 1.0
+    req = StatRequest(PrivacyBudget(1.0), neighbor=UNBOUNDED)
+    res = histogram_dp(x, HistogramSpec([0, 3, 6, 9]), req, RandomSource(0))
+    assert res.neighbor == UNBOUNDED and res.sensitivity == 1.0
+    assert res.value.shape == (3,)
 
 
-def test_histogram_bin_count_breaks():
-    x = np.array([0.0, 1.0, 2.0, 3.0])
-    res = noiseless(histogram_dp, x, HistogramSpec(3))
-    assert len(res.detail["edges"]) == 4
-    assert float(np.sum(res.value)) == pytest.approx(4.0)
+@pytest.mark.parametrize("breaks", [3, [1.0], [0.0, 0.0, 1.0], [1.0, 0.0],
+                                    [0.0, np.nan, 1.0], [0.0, np.inf],
+                                    [[0.0, 1.0]]])
+def test_histogram_breaks_must_be_declared_edges(breaks):
+    with pytest.raises(ValueError, match="ascending edges"):
+        HistogramSpec(breaks)
 
 
 def test_table_counts_and_unknown_label():
@@ -303,7 +303,8 @@ def test_count_release_builds_no_sensitivity_vector(monkeypatch):
     monkeypatch.setattr(mechanisms.SensitivitySpec, "__post_init__", refuse)
     gauss = StatRequest(PrivacyBudget(0.5, 1e-6, APPROXIMATE), GAUSSIAN)
     for req in (PURE_REQ, gauss):
-        histogram_dp(np.arange(10.0), HistogramSpec(4), req, RandomSource(1))
+        histogram_dp(np.arange(10.0), HistogramSpec([0, 3, 6, 9]), req,
+                     RandomSource(1))
         table_dp([["a", "b"]], [["a", "b"]], req, RandomSource(2))
         mean_dp(np.arange(10.0), Bounds(0, 10), req, RandomSource(3))
 
@@ -324,6 +325,25 @@ def test_stat_request_validation():
         StatRequest(PrivacyBudget(1.0, 0.1, APPROXIMATE), mechanism=LAPLACE)
     with pytest.raises(ValueError):
         StatRequest(PrivacyBudget(1.0), neighbor="weird")
+    with pytest.raises(ValueError):
+        StatRequest(PrivacyBudget(1.0), neighbor="both")
+
+
+@pytest.mark.parametrize("release", [
+    lambda req, rng: mean_dp(np.arange(10.0), Bounds(0, 10), req, rng),
+    lambda req, rng: sd_dp(np.arange(10.0), Bounds(0, 10), req, rng),
+    lambda req, rng: cov_dp(np.arange(4.0), np.arange(4.0), Bounds(0, 4),
+                            Bounds(0, 4), req, rng),
+    lambda req, rng: pooled_var_dp([np.arange(3.0), np.arange(4.0)],
+                                   Bounds(0, 4), req, rng),
+])
+def test_scalar_statistics_refuse_unbounded_neighbors(release):
+    # Their sensitivity scales with the private n under add/remove
+    # neighbors; the refusal comes before any noise is drawn.
+    rng = RandomSource(0)
+    with pytest.raises(ValueError, match="bounded neighbors only"):
+        release(StatRequest(PrivacyBudget(1.0), neighbor=UNBOUNDED), rng)
+    assert rng.uniform() == RandomSource(0).uniform()
 
 
 # -- quantile --------------------------------------------------------------------
@@ -335,9 +355,9 @@ def test_quantile_deterministic_at_huge_epsilon():
     budget = PrivacyBudget(1e6)
     for seed in range(10):
         res = quantile_dp(x, 0.4, budget, Bounds(0, 10),
-                          uniform_sampling=False, rng=RandomSource(seed))
-        assert res.value == 2.0
-        assert res.detail["interval_index"] == 2
+                          rng=RandomSource(seed))
+        assert 2.0 < res.value < 3.0
+        assert set(res.detail) == {"q", "n"}
 
 
 def test_quantile_uniform_sampling_stays_inside_interval():
@@ -352,9 +372,8 @@ def test_median_lands_on_central_values():
     budget = PrivacyBudget(1e6)
     # q*n = 2.5 ties the two central intervals; either is acceptable.
     for seed in range(10):
-        res = median_dp(x, budget, Bounds(0, 60), uniform_sampling=False,
-                        rng=RandomSource(seed))
-        assert res.value in (20.0, 30.0)
+        res = median_dp(x, budget, Bounds(0, 60), rng=RandomSource(seed))
+        assert 20.0 < res.value < 30.0 or 30.0 < res.value < 40.0
 
 
 def test_median_without_rng_draws_fresh_noise():
@@ -378,6 +397,9 @@ def test_quantile_validation():
         quantile_dp(np.arange(3.0), 0.5,
                     PrivacyBudget(1.0, 0.1, APPROXIMATE), Bounds(0, 10),
                     rng=RandomSource(0))
+    with pytest.raises(ValueError, match="raw data value"):
+        quantile_dp(np.arange(3.0), 0.5, PrivacyBudget(1.0), Bounds(0, 10),
+                    False, RandomSource(0))
 
 
 def test_quantile_degenerate_lengths_fall_back_to_utility():
@@ -386,7 +408,7 @@ def test_quantile_degenerate_lengths_fall_back_to_utility():
     # value everything collapses, so the measure is dropped.
     x = np.full(5, 1.0)
     res = quantile_dp(x, 0.5, PrivacyBudget(1e6), Bounds(0, 2),
-                      uniform_sampling=False, rng=RandomSource(0))
+                      rng=RandomSource(0))
     assert 0.0 <= res.value <= 2.0
 
 
