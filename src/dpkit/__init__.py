@@ -9,8 +9,7 @@ from .mechanisms import (APPROXIMATE, PROBABILISTIC, PURE, BudgetAllocation,
                          exponential_mechanism, gaussian_mechanism,
                          gaussian_sigma, laplace_mechanism)
 from .models import (TrainedModel, fit_linreg, fit_logistic, fit_svm,
-                     huber_loss, logistic_loss, predict, predict_linreg,
-                     predict_logistic, predict_svm)
+                     huber_loss, logistic_loss, predict)
 from .stats import (Bounds, HistogramSpec, StatRequest, StatResult, cov_dp,
                     histogram_dp, mean_dp, median_dp, pooled_cov_dp,
                     pooled_var_dp, quantile_dp, sd_dp, table_dp, var_dp)
@@ -30,7 +29,7 @@ __all__ = [
     "fit_linreg", "fit_logistic", "fit_svm", "gaussian_mechanism",
     "gaussian_sigma", "histogram_dp", "huber_loss", "l2_regularizer",
     "laplace_mechanism", "logistic_loss", "mean_dp", "median_dp", "minimize",
-    "pooled_cov_dp", "pooled_var_dp", "predict", "predict_linreg",
-    "predict_logistic", "predict_svm", "quantile_dp", "sd_dp", "split_folds",
-    "table_dp", "tune_classification", "tune_linreg", "var_dp",
+    "pooled_cov_dp", "pooled_var_dp", "predict", "quantile_dp", "sd_dp",
+    "split_folds", "table_dp", "tune_classification", "tune_linreg",
+    "var_dp",
 ]

@@ -112,10 +112,6 @@ class BudgetLedger:
             for entry in self._entries:
                 fh.write(self.entry_to_line(entry) + "\n")
 
-    def append_to_file(self, path, entry: LedgerEntry) -> None:
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(self.entry_to_line(entry) + "\n")
-
     @classmethod
     def charge(cls, path, operation_name: str, epsilon: float,
                delta: float = 0.0, partition_tag: str | None = None,

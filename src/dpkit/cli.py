@@ -27,14 +27,14 @@ import numpy as np
 
 from .accountant import BudgetExhaustedError, BudgetLedger, exceeds_cap
 from .erm import ErmConfig
-from .mechanisms import (APPROXIMATE, PROBABILISTIC, PURE, BudgetAllocation,
+from .mechanisms import (APPROXIMATE, PROBABILISTIC, BudgetAllocation,
                          PrivacyBudget, RandomSource, SensitivitySpec,
                          exponential_mechanism, gaussian_mechanism,
                          laplace_mechanism)
 from .models import (TrainedModel, fit_linreg, fit_logistic, fit_svm, predict)
 from .stats import (Bounds, HistogramSpec, StatRequest, cov_dp, histogram_dp,
-                    mean_dp, pooled_cov_dp, pooled_var_dp, quantile_dp, sd_dp,
-                    table_dp, var_dp)
+                    mean_dp, pooled_cov_dp, pooled_var_dp, quantile_dp,
+                    require_bounded, sd_dp, table_dp, var_dp)
 from .tuning import Candidate, tune_classification, tune_linreg
 
 # -- parsing helpers ---------------------------------------------------------
@@ -54,23 +54,32 @@ def _parse_floats(text: str) -> np.ndarray:
         raise ValueError(f"expected comma-separated numbers, got {text!r}")
 
 
-def _parse_bounds_pair(text: str | None) -> Bounds:
+def _parse_bounds(text: str | None, pairs: int) -> list[Bounds]:
+    """--bounds as ``pairs`` 'lower,upper' pairs separated by semicolons."""
     if text is None:
         raise ValueError("--bounds is required")
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"bounds must be 'lower,upper', got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ValueError(f"bounds must be numeric, got {text!r}")
-    return Bounds(lo, hi)
+    bounds = []
+    for part in text.split(";"):
+        ends = part.split(",")
+        if len(ends) != 2:
+            raise ValueError(f"bounds must be 'lower,upper', got {part!r}")
+        try:
+            lo, hi = float(ends[0]), float(ends[1])
+        except ValueError:
+            raise ValueError(f"bounds must be numeric, got {part!r}")
+        bounds.append(Bounds(lo, hi))
+    if len(bounds) != pairs:
+        raise ValueError(f"--bounds needs {pairs} 'lower,upper' pair(s) "
+                         f"separated by ';', got {len(bounds)}")
+    return bounds
 
 
-def _parse_bounds_list(text: str | None) -> list[Bounds]:
-    if text is None:
-        raise ValueError("--bounds is required")
-    return [_parse_bounds_pair(part) for part in text.split(";")]
+def _parse_cap(text: str) -> tuple[float, float]:
+    values = _parse_floats(text)
+    if values.size > 2 or not np.all(values >= 0.0):  # NaN would admit all
+        raise ValueError("--cap must be 'epsilon[,delta]', both "
+                         f"nonnegative, got {text!r}")
+    return float(values[0]), float(values[1]) if values.size > 1 else 0.0
 
 
 def _read_csv(path: str) -> dict[str, list[str]]:
@@ -103,11 +112,16 @@ def _read_csv(path: str) -> dict[str, list[str]]:
     return {name: list(col) for name, col in zip(header, zip(*rows))}
 
 
-def _numeric_column(columns: dict, name: str) -> np.ndarray:
+def _column(columns: dict, name: str) -> list[str]:
     if name not in columns:
         raise ValueError(f"no column named {name!r} in the input")
+    return columns[name]
+
+
+def _numeric_column(columns: dict, name: str) -> np.ndarray:
+    values = _column(columns, name)
     try:
-        return np.array([float(v) for v in columns[name]])
+        return np.array([float(v) for v in values])
     except ValueError:
         raise ValueError(f"column {name!r} contains non-numeric values")
 
@@ -133,11 +147,8 @@ def _release(args, command: str, epsilon: float, delta: float,
     The one path by which a command that spends budget reports: a refused
     charge raises before anything is printed or written.
     """
+    cap = None if args.cap is None else _parse_cap(args.cap)
     if args.ledger:
-        cap = None
-        if args.cap:
-            pair = _parse_floats(args.cap)
-            cap = (float(pair[0]), float(pair[1]) if pair.size > 1 else 0.0)
         BudgetLedger.charge(args.ledger, command, epsilon, delta, args.tag,
                             cap)
     return _report(command, result, epsilon, delta)
@@ -158,15 +169,12 @@ def _stat_payload(res) -> dict:
 # -- stat --------------------------------------------------------------------
 
 
-def _groups_from(columns, value_col, group_col):
-    values = _numeric_column(columns, value_col)
-    if group_col not in columns:
-        raise ValueError(f"no column named {group_col!r} in the input")
-    labels = columns[group_col]
-    groups = {}
-    for v, g in zip(values, labels):
-        groups.setdefault(g, []).append(v)
-    return [np.array(groups[g]) for g in sorted(groups)]
+def _groups(columns, values: np.ndarray, group_column: str):
+    """The rows of ``values`` split by the labels in ``group_column``, in
+    sorted label order and in input order within a group."""
+    labels, index = np.unique(np.asarray(_column(columns, group_column)),
+                              return_inverse=True)
+    return [values[index == k] for k in range(labels.size)]
 
 
 def _cmd_stat(args) -> dict:
@@ -178,36 +186,32 @@ def _cmd_stat(args) -> dict:
 
     if name in ("mean", "var", "sd"):
         x = _numeric_column(columns, args.column)
-        bounds = _parse_bounds_pair(args.bounds)
+        bounds, = _parse_bounds(args.bounds, 1)
         fn = {"mean": mean_dp, "var": var_dp, "sd": sd_dp}[name]
         released = fn(x, bounds, req, rng)
     elif name == "cov":
         c1, c2 = _required(args, "columns").split(",")
-        b1, b2 = _parse_bounds_list(args.bounds)
+        b1, b2 = _parse_bounds(args.bounds, 2)
         released = cov_dp(_numeric_column(columns, c1),
                           _numeric_column(columns, c2), b1, b2, req, rng)
     elif name == "pooled-var":
-        groups = _groups_from(columns, args.column,
-                              _required(args, "group-column"))
-        released = pooled_var_dp(groups, _parse_bounds_pair(args.bounds),
-                                 req, rng, args.approx_n_max)
+        group_column = _required(args, "group-column")
+        groups = _groups(columns, _numeric_column(columns, args.column),
+                         group_column)
+        bounds, = _parse_bounds(args.bounds, 1)
+        released = pooled_var_dp(groups, bounds, req, rng, args.approx_n_max)
     elif name == "pooled-cov":
         c1, c2 = _required(args, "columns").split(",")
         group_column = _required(args, "group-column")
-        b1, b2 = _parse_bounds_list(args.bounds)
-        v1 = _numeric_column(columns, c1)
-        v2 = _numeric_column(columns, c2)
-        labels = columns.get(group_column)
-        if labels is None:
-            raise ValueError(f"no column named {group_column!r} in the input")
-        pairs = {}
-        for a, b, g in zip(v1, v2, labels):
-            pairs.setdefault(g, []).append((a, b))
-        released = pooled_cov_dp([np.array(pairs[g]) for g in sorted(pairs)],
+        b1, b2 = _parse_bounds(args.bounds, 2)
+        values = np.column_stack([_numeric_column(columns, c1),
+                                  _numeric_column(columns, c2)])
+        released = pooled_cov_dp(_groups(columns, values, group_column),
                                  b1, b2, req, rng, args.approx_n_max)
     elif name in ("quantile", "median"):
+        require_bounded(name, args.neighbor)
         x = _numeric_column(columns, args.column)
-        bounds = _parse_bounds_pair(args.bounds)
+        bounds, = _parse_bounds(args.bounds, 1)
         q = 0.5 if name == "median" else args.q
         released = quantile_dp(x, q, budget, bounds, rng=rng)
     elif name == "histogram":
@@ -216,12 +220,8 @@ def _cmd_stat(args) -> dict:
                              args.normalize, args.allow_negative)
         released = histogram_dp(x, spec, req, rng)
     elif name == "table":
-        names = _required(args, "columns").split(",")
-        factors = []
-        for c in names:
-            if c not in columns:
-                raise ValueError(f"no column named {c!r} in the input")
-            factors.append(columns[c])
+        factors = [_column(columns, c)
+                   for c in _required(args, "columns").split(",")]
         categories = [part.split(",")
                       for part in _required(args, "categories").split(";")]
         released = table_dp(factors, categories, req, rng,
@@ -236,33 +236,31 @@ def _cmd_stat(args) -> dict:
 # -- fit / predict -----------------------------------------------------------
 
 
-def _design(columns, args):
-    feature_names = args.feature_columns.split(",")
-    X = np.column_stack([_numeric_column(columns, c) for c in feature_names])
-    y = _numeric_column(columns, args.label_column)
-    return X, y
+def _features(columns, args) -> np.ndarray:
+    return np.column_stack([_numeric_column(columns, c)
+                            for c in args.feature_columns.split(",")])
 
 
 def _cmd_fit(args) -> dict:
     columns = _read_csv(args.input)
-    X, y = _design(columns, args)
+    X = _features(columns, args)
+    y = _numeric_column(columns, args.label_column)
     rng = RandomSource(args.seed)
     kind = args.model
+    budget = _budget(args)
 
     if kind == "linreg":
-        budget = _budget(args)
-        bounds = _parse_bounds_list(args.bounds)
+        bounds = _parse_bounds(args.bounds, X.shape[1] + 1)
         model = fit_linreg(X, y, bounds, budget, args.gamma,
                            args.add_bias, rng)
     else:
-        budget = PrivacyBudget(args.epsilon)
         cfg = ErmConfig(budget, args.gamma, args.method,
                         args.weight_upper_bound)
         if kind == "logit":
-            bounds = _parse_bounds_list(args.bounds)
+            bounds = _parse_bounds(args.bounds, X.shape[1])
             model = fit_logistic(X, y, bounds, cfg, args.add_bias, rng)
         else:
-            bounds = (_parse_bounds_list(args.bounds)
+            bounds = (_parse_bounds(args.bounds, X.shape[1])
                       if args.bounds else None)
             weights = (_numeric_column(columns, args.weights_column)
                        if args.weights_column else None)
@@ -281,10 +279,8 @@ def _cmd_fit(args) -> dict:
 def _cmd_predict(args) -> dict:
     # Post-processing of a released model: reads no ledger, spends nothing.
     model = TrainedModel.load(args.model)
-    columns = _read_csv(args.input)
-    feature_names = args.feature_columns.split(",")
-    X = np.column_stack([_numeric_column(columns, c) for c in feature_names])
-    values = predict(model, X, raw_value=args.raw)
+    values = predict(model, _features(_read_csv(args.input), args),
+                     raw_value=args.raw)
     return _report("predict",
                    {"predictions": [float(v) for v in values]}, 0.0, 0.0)
 
@@ -294,10 +290,12 @@ def _cmd_predict(args) -> dict:
 
 def _cmd_tune(args) -> dict:
     columns = _read_csv(args.input)
-    X, y = _design(columns, args)
+    X = _features(columns, args)
+    y = _numeric_column(columns, args.label_column)
     rng = RandomSource(args.seed)
     gammas = [float(g) for g in args.gammas.split(",")]
-    bounds = _parse_bounds_list(args.bounds)
+    bounds = _parse_bounds(args.bounds,
+                           X.shape[1] + (args.model == "linreg"))
     train_budget = PrivacyBudget(args.epsilon_train)
     select_budget = PrivacyBudget(args.epsilon_select)
 
@@ -343,15 +341,15 @@ def _cmd_mech(args) -> dict:
              if getattr(args, "alloc", None) else None)
 
     if args.mechanism == "exponential":
-        utility = _parse_floats(args.utility)
+        utility = _parse_floats(_required(args, "utility"))
         measure = (_parse_floats(args.measure)
                    if args.measure else None)
         idx = exponential_mechanism(utility, budget, args.sensitivity,
                                     measure, rng)
         result = {"index": idx}
     else:
-        values = _parse_floats(args.values)
-        sens_vec = _parse_floats(args.sensitivities)
+        values = _parse_floats(_required(args, "values"))
+        sens_vec = _parse_floats(_required(args, "sensitivities"))
         if args.mechanism == "laplace":
             sens = SensitivitySpec("l1", sens_vec)
             out = laplace_mechanism(values, budget, sens, alloc, rng)
@@ -383,11 +381,9 @@ def _cmd_budget(args) -> dict:
               "sequential": {"epsilon": eps, "delta": delta},
               "parallel": parallel}
     if args.action == "check":
-        if not args.cap:
+        if args.cap is None:
             raise ValueError("budget check requires --cap")
-        cap = _parse_floats(args.cap)
-        cap_eps = float(cap[0])
-        cap_delta = float(cap[1]) if cap.size > 1 else 0.0
+        cap_eps, cap_delta = _parse_cap(args.cap)
         if exceeds_cap(eps, cap_eps) or exceeds_cap(delta, cap_delta):
             raise BudgetExhaustedError(cap_eps - eps, cap_delta - delta)
         result["within_cap"] = True
@@ -400,6 +396,7 @@ _SEED_HELP = ("seed of the noise stream, for replay and tests; anyone who "
               "knows it can remove the noise from the output. Without it "
               "each run seeds PCG64 (not a cryptographic generator) from "
               "fresh OS entropy")
+_CAP_HELP = "ledger cap as 'epsilon[,delta]'; delta defaults to 0"
 
 
 def _add_common(p):
@@ -407,8 +404,7 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     p.add_argument("--ledger", default=None,
                    help="JSONL ledger file to append this spend to")
-    p.add_argument("--cap", default=None,
-                   help="ledger cap as 'epsilon[,delta]'")
+    p.add_argument("--cap", default=None, help=_CAP_HELP)
     p.add_argument("--tag", default=None,
                    help="partition tag for parallel composition")
 
@@ -481,7 +477,6 @@ def _add_predict(sub):
     pr.add_argument("--input", required=True)
     pr.add_argument("--feature-columns", required=True)
     pr.add_argument("--raw", action="store_true")
-    pr.add_argument("--seed", type=int, default=None)  # draws no noise
     pr.set_defaults(handler=_cmd_predict)
 
 
@@ -526,8 +521,7 @@ def _add_budget(sub):
     bd = sub.add_parser("budget", help="inspect or check a ledger")
     bd.add_argument("action", choices=["report", "check"])
     bd.add_argument("--ledger", required=True)
-    bd.add_argument("--cap", default=None)
-    bd.add_argument("--seed", type=int, default=None)  # draws no noise
+    bd.add_argument("--cap", default=None, help=_CAP_HELP)
     bd.set_defaults(handler=_cmd_budget)
 
 

@@ -90,9 +90,6 @@ class FeatureScaler:
     def unscale_coefficients(self, theta: np.ndarray) -> np.ndarray:
         return theta / self.column_divisors / self.global_divisor
 
-    def scale_coefficients(self, theta: np.ndarray) -> np.ndarray:
-        return theta * self.column_divisors * self.global_divisor
-
 
 @dataclass(frozen=True)
 class RffProjection:
@@ -151,18 +148,22 @@ class TrainedModel:
 
     @classmethod
     def from_json(cls, text: str) -> "TrainedModel":
+        """The model a ``to_json`` document holds. A missing key or a value
+        of the wrong type raises ``ValueError`` naming the key."""
         doc = json.loads(text)
-        scaler = None
-        if doc["scaler"] is not None:
-            scaler = FeatureScaler(
-                np.asarray(doc["scaler"]["column_divisors"]),
-                doc["scaler"]["global_divisor"])
-        rff = None
-        if doc["rff"] is not None:
-            r = doc["rff"]
-            rff = RffProjection.create(r["p"], r["dim"], r["beta"], r["seed"])
-        return cls(doc["kind"], np.asarray(doc["coefficients"]), scaler,
-                   doc["add_bias"], rff, doc["huber_h"], doc["config"])
+        scaler = _field(doc, "scaler", dict, type(None))
+        if scaler is not None:
+            scaler = FeatureScaler(_numbers(scaler, "column_divisors"),
+                                   _field(scaler, "global_divisor", *_NUMBER))
+        rff = _field(doc, "rff", dict, type(None))
+        if rff is not None:
+            rff = RffProjection.create(
+                _field(rff, "p", int), _field(rff, "dim", int),
+                _field(rff, "beta", *_NUMBER), _field(rff, "seed", int))
+        return cls(_field(doc, "kind", str), _numbers(doc, "coefficients"),
+                   scaler, _field(doc, "add_bias", bool), rff,
+                   _field(doc, "huber_h", *_NUMBER, type(None)),
+                   _field(doc, "config", dict))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -172,6 +173,29 @@ class TrainedModel:
     def load(cls, path) -> "TrainedModel":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(fh.read())
+
+
+_NUMBER = (int, float)
+
+
+def _field(doc, key: str, *types):
+    """``doc[key]``, required to be an instance of one of ``types``; a bool
+    passes only where ``bool`` is listed."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"model file lacks the key {key!r}")
+    value = doc[key]
+    if not isinstance(value, types) or \
+            (isinstance(value, bool) and bool not in types):
+        raise ValueError(f"model file key {key!r} has the wrong type")
+    return value
+
+
+def _numbers(doc, key: str) -> np.ndarray:
+    values = _field(doc, key, list)
+    if not all(isinstance(v, _NUMBER) and not isinstance(v, bool)
+               for v in values):
+        raise ValueError(f"model file key {key!r} must list numbers")
+    return np.asarray(values, dtype=np.float64)
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -198,52 +222,53 @@ def _with_bias(X: np.ndarray, add_bias: bool) -> np.ndarray:
     return np.column_stack([np.ones(X.shape[0]), X])
 
 
-def _classification_scaler(bounds: list[Bounds], add_bias: bool
-                           ) -> FeatureScaler:
+def _column_divisors(bounds: list[Bounds], add_bias: bool) -> np.ndarray:
     divisors = [max(abs(b.lower), abs(b.upper)) for b in bounds]
     if add_bias:
         divisors = [1.0] + divisors  # bias column has bounds [1, 1]
-    p = len(divisors)
-    return FeatureScaler(np.asarray(divisors), math.sqrt(p))
+    return np.asarray(divisors)
 
 
-def _check_binary_labels(y) -> np.ndarray:
+def _pm_labels(y) -> np.ndarray:
+    """Labels coded in {0, 1}, recoded to {-1, +1}."""
     y = np.asarray(y, dtype=np.float64).ravel()
     if not np.all(np.isin(y, (0.0, 1.0))):
         raise ValueError("labels must be coded in {0, 1}")
-    return y
+    return 2.0 * y - 1.0
+
+
+def _config(budget: PrivacyBudget, gamma: float, **extra) -> dict:
+    """The ``config`` of every saved model: budget, gamma and ``extra``."""
+    return {"epsilon": budget.epsilon, "delta": budget.delta, "gamma": gamma,
+            **extra}
+
+
+def _fit_scaled_classifier(kind: str, X: np.ndarray, y_pm: np.ndarray,
+                           bounds: list[Bounds], cfg: ErmConfig,
+                           loss: LossSpec, reg: RegularizerSpec | None,
+                           weights, add_bias: bool, rng: RandomSource | None,
+                           huber_h: float | None = None, **extra
+                           ) -> TrainedModel:
+    """Scale the rows into the unit ball by their declared bounds, fit by
+    ``erm_cms`` and scale the coefficients back to the original features."""
+    _check_in_bounds(X, bounds)
+    divisors = _column_divisors(bounds, add_bias)
+    scaler = FeatureScaler(divisors, math.sqrt(divisors.size))
+    theta = erm_cms(scaler.scale(_with_bias(X, add_bias)), y_pm, loss,
+                    reg or l2_regularizer(), cfg, weights, rng)
+    return TrainedModel(kind, scaler.unscale_coefficients(theta), scaler,
+                        add_bias, huber_h=huber_h,
+                        config=_config(cfg.budget, cfg.gamma,
+                                       method=cfg.perturbation, **extra))
 
 
 def fit_logistic(X, y, bounds: list[Bounds], cfg: ErmConfig,
                  add_bias: bool = False,
                  rng: RandomSource | None = None,
                  reg: RegularizerSpec | None = None) -> TrainedModel:
-    X = _as_matrix(X)
-    y = _check_binary_labels(y)
-    _check_in_bounds(X, bounds)
-    scaler = _classification_scaler(bounds, add_bias)
-    Xs = scaler.scale(_with_bias(X, add_bias))
-    theta = erm_cms(Xs, 2.0 * y - 1.0, logistic_loss(),
-                    reg or l2_regularizer(), cfg, None, rng)
-    return TrainedModel("logistic", scaler.unscale_coefficients(theta),
-                        scaler, add_bias,
-                        config={"epsilon": cfg.budget.epsilon,
-                                "delta": cfg.budget.delta,
-                                "gamma": cfg.gamma,
-                                "method": cfg.perturbation})
-
-
-def predict_logistic(model: TrainedModel, X, add_bias: bool | None = None,
-                     raw_value: bool = False) -> np.ndarray:
-    add_bias = model.add_bias if add_bias is None else add_bias
-    Xb = _with_bias(_as_matrix(X), add_bias)
-    if Xb.shape[1] != model.coefficients.shape[0]:
-        raise ValueError("column count does not match the trained model")
-    scores = Xb @ model.coefficients
-    if raw_value:
-        from scipy.special import expit
-        return expit(scores)
-    return (scores >= 0.0).astype(float)  # score 0.5 rounds up to label 1
+    return _fit_scaled_classifier("logistic", _as_matrix(X), _pm_labels(y),
+                                  bounds, cfg, logistic_loss(), reg, None,
+                                  add_bias, rng)
 
 
 def fit_svm(X, y, bounds: list[Bounds] | None, cfg: ErmConfig,
@@ -253,27 +278,15 @@ def fit_svm(X, y, bounds: list[Bounds] | None, cfg: ErmConfig,
             rng: RandomSource | None = None,
             reg: RegularizerSpec | None = None) -> TrainedModel:
     X = _as_matrix(X)
-    y = _check_binary_labels(y)
-    y_pm = 2.0 * y - 1.0
+    y_pm = _pm_labels(y)
     loss = huber_loss(huber_h)
-    if rng is None:
-        rng = RandomSource()  # seeded from OS entropy
-    reg = reg or l2_regularizer()
 
     if kernel == "linear":
         if bounds is None:
             raise ValueError("the linear kernel requires column bounds")
-        _check_in_bounds(X, bounds)
-        scaler = _classification_scaler(bounds, add_bias)
-        Xs = scaler.scale(_with_bias(X, add_bias))
-        theta = erm_cms(Xs, y_pm, loss, reg, cfg, weights, rng)
-        return TrainedModel("svm_linear", scaler.unscale_coefficients(theta),
-                            scaler, add_bias, huber_h=huber_h,
-                            config={"epsilon": cfg.budget.epsilon,
-                                    "delta": cfg.budget.delta,
-                                    "gamma": cfg.gamma,
-                                    "method": cfg.perturbation,
-                                    "kernel": "linear"})
+        return _fit_scaled_classifier("svm_linear", X, y_pm, bounds, cfg,
+                                      loss, reg, weights, add_bias, rng,
+                                      huber_h, kernel="linear")
 
     if kernel != "gaussian":
         raise ValueError("kernel must be 'linear' or 'gaussian'")
@@ -286,37 +299,21 @@ def fit_svm(X, y, bounds: list[Bounds] | None, cfg: ErmConfig,
     if rff_dim is None:
         raise ValueError("the gaussian kernel requires a projection "
                          "dimension")
+    if rng is None:
+        rng = RandomSource()  # seeded from OS entropy
     p = X.shape[1]
     beta = kernel_param if kernel_param is not None else 1.0 / p
     # The projection seed comes from the fit's random stream so training is
     # replayable; releasing it is privacy-free (the features never see data).
     rff_seed = int(rng.uniform() * 2 ** 31)
     proj = RffProjection.create(p, rff_dim, beta, rff_seed)
-    V = proj.transform(X)
-    theta = erm_cms(V, y_pm, loss, reg, cfg, weights, rng)
+    theta = erm_cms(proj.transform(X), y_pm, loss, reg or l2_regularizer(),
+                    cfg, weights, rng)
     return TrainedModel("svm_gaussian", theta, None, False, rff=proj,
                         huber_h=huber_h,
-                        config={"epsilon": cfg.budget.epsilon,
-                                "delta": cfg.budget.delta,
-                                "gamma": cfg.gamma,
-                                "method": cfg.perturbation,
-                                "kernel": "gaussian"})
-
-
-def predict_svm(model: TrainedModel, X, add_bias: bool | None = None,
-                raw_value: bool = False) -> np.ndarray:
-    add_bias = model.add_bias if add_bias is None else add_bias
-    X = _as_matrix(X)
-    if model.rff is not None:
-        features = model.rff.transform(X)
-    else:
-        features = _with_bias(X, add_bias)
-    if features.shape[1] != model.coefficients.shape[0]:
-        raise ValueError("column count does not match the trained model")
-    margins = features @ model.coefficients
-    if raw_value:
-        return margins
-    return (margins >= 0.0).astype(float)
+                        config=_config(cfg.budget, cfg.gamma,
+                                       method=cfg.perturbation,
+                                       kernel="gaussian"))
 
 
 def fit_linreg(X, y, bounds: list[Bounds], budget: PrivacyBudget,
@@ -338,15 +335,11 @@ def fit_linreg(X, y, bounds: list[Bounds], budget: PrivacyBudget,
             y.max() > y_bounds.upper + _BOUNDS_TOL:
         raise ValueError("targets violate their declared bounds")
 
-    Xb = _with_bias(X, add_bias)
-    p = Xb.shape[1]
-    divisors = [max(abs(b.lower), abs(b.upper)) for b in x_bounds]
-    if add_bias:
-        divisors = [1.0] + divisors
     # Per-column scaling only: entries land in [-1, 1], row norms in the
     # sqrt(p) ball the regression path requires.
-    scaler = FeatureScaler(np.asarray(divisors), 1.0)
-    Xs = scaler.scale(Xb)
+    scaler = FeatureScaler(_column_divisors(x_bounds, add_bias), 1.0)
+    Xs = scaler.scale(_with_bias(X, add_bias))
+    p = Xs.shape[1]
 
     shift = 0.5 * (y_bounds.lower + y_bounds.upper) if add_bias else 0.0
     y_scale = max(abs(y_bounds.lower - shift), abs(y_bounds.upper - shift)) / p
@@ -359,27 +352,31 @@ def fit_linreg(X, y, bounds: list[Bounds], budget: PrivacyBudget,
         coeff = coeff.copy()
         coeff[0] += shift
     return TrainedModel("linear", coeff, scaler, add_bias,
-                        config={"epsilon": budget.epsilon,
-                                "delta": budget.delta,
-                                "gamma": gamma,
-                                "y_shift": shift, "y_scale": y_scale})
-
-
-def predict_linreg(model: TrainedModel, X,
-                   add_bias: bool | None = None) -> np.ndarray:
-    add_bias = model.add_bias if add_bias is None else add_bias
-    Xb = _with_bias(_as_matrix(X), add_bias)
-    if Xb.shape[1] != model.coefficients.shape[0]:
-        raise ValueError("column count does not match the trained model")
-    return Xb @ model.coefficients
+                        config=_config(budget, gamma, y_shift=shift,
+                                       y_scale=y_scale))
 
 
 def predict(model: TrainedModel, X, raw_value: bool = False) -> np.ndarray:
-    """Dispatch prediction on the model kind. Pure post-processing."""
-    if model.kind == "logistic":
-        return predict_logistic(model, X, raw_value=raw_value)
-    if model.kind in ("svm_linear", "svm_gaussian"):
-        return predict_svm(model, X, raw_value=raw_value)
+    """Apply ``model`` to the rows of ``X``. Pure post-processing.
+
+    Classifiers give labels in {0, 1}, a score of exactly 0 rounding up to
+    1; with ``raw_value`` they give the probability (logistic) or the margin
+    (SVM) instead. Linear regression gives the fitted values.
+    """
+    if model.kind not in ("logistic", "svm_linear", "svm_gaussian",
+                          "linear"):
+        raise ValueError(f"unknown model kind: {model.kind!r}")
+    X = _as_matrix(X)
+    features = (model.rff.transform(X) if model.rff is not None
+                else _with_bias(X, model.add_bias))
+    if features.shape[1] != model.coefficients.shape[0]:
+        raise ValueError("column count does not match the trained model")
+    scores = features @ model.coefficients
     if model.kind == "linear":
-        return predict_linreg(model, X)
-    raise ValueError(f"unknown model kind: {model.kind!r}")
+        return scores
+    if not raw_value:
+        return (scores >= 0.0).astype(float)
+    if model.kind == "logistic":
+        from scipy.special import expit
+        return expit(scores)
+    return scores  # the SVM margin

@@ -107,14 +107,19 @@ def _privatize(values: np.ndarray, joint_sensitivity: float,
     return joint_mechanism(values, req.budget, norm, joint_sensitivity, rng)
 
 
-def _scalar_release(statistic: str, value: float, sensitivity: float,
-                    req: StatRequest, rng: RandomSource,
-                    detail: dict) -> StatResult:
-    if req.neighbor != BOUNDED:
+def require_bounded(statistic: str, neighbor: str) -> None:
+    """Refuse any neighbor model but bounded for a scalar statistic."""
+    if neighbor != BOUNDED:
         # Adding or removing a row changes n, and these sensitivities scale
         # with 1/n: the noise would depend on the private count.
         raise ValueError(f"{statistic} is released under bounded neighbors "
                          "only; unbounded neighbors apply to counts")
+
+
+def _scalar_release(statistic: str, value: float, sensitivity: float,
+                    req: StatRequest, rng: RandomSource,
+                    detail: dict) -> StatResult:
+    require_bounded(statistic, req.neighbor)
     noisy = _privatize(np.array([value]), sensitivity, req, rng)
     return StatResult(statistic, float(noisy[0]), sensitivity, req.mechanism,
                       BOUNDED, req.budget.epsilon, req.budget.delta, detail)

@@ -87,17 +87,6 @@ def test_jsonl_round_trip(tmp_path):
     assert loaded.sequential_total() == ledger.sequential_total()
 
 
-def test_append_to_file_matches_save(tmp_path):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    ledger = BudgetLedger()
-    e1 = ledger.record("x", 0.5)
-    e2 = ledger.record("y", 0.25, 0.001)
-    ledger.save(a)
-    ledger.append_to_file(b, e1)
-    ledger.append_to_file(b, e2)
-    assert a.read_text() == b.read_text()
-
-
 def test_load_applies_cap(tmp_path):
     path = tmp_path / "ledger.jsonl"
     ledger = BudgetLedger()

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from dpkit.accountant import BudgetLedger, exceeds_cap
-from dpkit.cli import main
+from dpkit.cli import build_parser, main
 
 from test_accountant import SPAWN, run_together
 
@@ -329,6 +330,8 @@ def test_refusal_message_reports_no_negative_remainder(capsys, tmp_path):
     ("mean", ["--column", "x", "--bounds", "5,10"]),
     ("pooled-var", ["--column", "x", "--group-column", "g",
                     "--bounds", "5,10"]),
+    ("median", ["--column", "x", "--bounds", "5,10"]),
+    ("quantile", ["--column", "x", "--bounds", "5,10", "--q", "0.25"]),
 ])
 def test_unbounded_scalar_statistic_exits_3_uncharged(capsys, data_csv,
                                                       tmp_path, statistic,
@@ -416,6 +419,118 @@ def test_missing_stat_flags_exit_3(capsys, data_csv, statistic, flags,
                              "--epsilon", "1", *flags)
     assert code == 3 and out == ""
     assert f"{missing} is required" in err
+    _one_line_error(err)
+
+
+@pytest.mark.parametrize("mechanism,flags,missing", [
+    ("laplace", ["--sensitivities", "1"], "--values"),
+    ("gaussian", ["--values", "1", "--delta", "0.1"], "--sensitivities"),
+    ("exponential", [], "--utility"),
+])
+def test_missing_mech_flags_exit_3(capsys, mechanism, flags, missing):
+    code, out, err = run_cli(capsys, "mech", mechanism, "--epsilon", "0.5",
+                             *flags)
+    assert code == 3 and out == ""
+    assert f"{missing} is required" in err
+    _one_line_error(err)
+
+
+def _sweep_cases():
+    """(command, positional choice or None, command parser) for every
+    command of the full parser and every choice of its positional."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        positionals = [a for a in parser._actions if not a.option_strings]
+        if not positionals:
+            yield name, None, parser
+        for action in positionals:
+            for choice in action.choices:
+                yield name, choice, parser
+
+
+@pytest.mark.parametrize("command,choice,parser", [
+    pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in _sweep_cases()
+])
+def test_required_flags_alone_exit_with_a_documented_code(
+        capsys, data_csv, tmp_path, command, choice, parser):
+    """Only the flags argparse requires: whatever else is missing, the run
+    ends with a documented exit code and at most a one-line error."""
+    values = {"--input": data_csv, "--output": str(tmp_path / "m.json"),
+              "--model": str(tmp_path / "m.json"),
+              "--ledger": str(tmp_path / "l.jsonl")}
+    argv = [command] + ([choice] if choice else [])
+    for action in parser._actions:
+        if action.option_strings and action.required:
+            flag = action.option_strings[-1]
+            argv += [flag, values.get(flag, "1")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), argv
+    if code == 0:
+        assert err == ""
+    elif code != 2:
+        _one_line_error(err)
+
+
+@pytest.mark.parametrize("cap", ["", "1,0.1,2", "one", "nan", "1,nan",
+                                 "-1"])
+def test_malformed_cap_exits_3_uncharged(capsys, data_csv, tmp_path, cap):
+    ledger = tmp_path / "led.jsonl"
+    code, out, err = run_cli(capsys, "stat", "mean", "--input", data_csv,
+                             "--column", "x", "--bounds", "5,10",
+                             "--epsilon", "1", "--ledger", str(ledger),
+                             "--cap", cap)
+    assert code == 3 and out == ""
+    _one_line_error(err)
+    assert not ledger.exists()
+    code, out, err = run_cli(capsys, "budget", "check", "--ledger",
+                             str(ledger), "--cap", cap)
+    assert code == 3 and out == ""
+    _one_line_error(err)
+
+
+@pytest.mark.parametrize("model", ["logit", "svm"])
+def test_classifier_fit_refuses_delta_uncharged(capsys, clf_csv, tmp_path,
+                                                model):
+    # Output and objective perturbation of a classifier are pure DP only.
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    code, out, err = run_cli(capsys, "fit", model, "--input", clf_csv,
+                             "--label-column", "label",
+                             "--feature-columns", "a,b",
+                             "--bounds=-1,1;-1,1", "--epsilon", "1",
+                             "--delta", "0.01", "--gamma", "1",
+                             "--ledger", str(ledger),
+                             "--output", str(model_path))
+    assert code == 3 and out == ""
+    assert "pure DP only" in err
+    _one_line_error(err)
+    assert not ledger.exists() and not model_path.exists()
+
+
+@pytest.mark.parametrize("statistic,extra", [
+    ("cov", []), ("pooled-cov", ["--group-column", "g"])])
+def test_two_column_statistic_needs_two_bounds_pairs(capsys, data_csv,
+                                                     statistic, extra):
+    code, out, err = run_cli(capsys, "stat", statistic, "--input", data_csv,
+                             "--columns", "x,y", "--bounds", "5,10",
+                             "--epsilon", "1", *extra)
+    assert code == 3 and out == ""
+    assert "--bounds needs 2 'lower,upper' pair(s)" in err
+    _one_line_error(err)
+
+
+@pytest.mark.parametrize("text", ["{}", '{"kind": "logistic"}', "[]",
+                                  "not json"])
+def test_malformed_model_file_exits_3(capsys, clf_csv, tmp_path, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "predict", "--model", str(path),
+                             "--input", clf_csv, "--feature-columns", "a,b")
+    assert code == 3 and out == ""
     _one_line_error(err)
 
 
@@ -521,7 +636,6 @@ def _parse_cases(command):
 
 @pytest.mark.parametrize("command", sorted(_VALID_ARGV))
 def test_command_parser_matches_full_parser(command):
-    from dpkit.cli import build_parser
     for case, argv in _parse_cases(command).items():
         alone = _parse(build_parser(command), argv)
         full = _parse(build_parser(), argv)

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -10,8 +11,7 @@ from dpkit.mechanisms import PrivacyBudget, RandomSource
 from dpkit.models import (FeatureScaler, RffProjection, TrainedModel,
                           fit_linreg, fit_logistic, fit_svm, huber_loss,
                           huber_loss_grad, huber_loss_value, logistic_loss,
-                          predict, predict_linreg, predict_logistic,
-                          predict_svm)
+                          predict)
 from dpkit.stats import Bounds
 
 from oracles import fit_logistic_unregularized
@@ -125,8 +125,6 @@ def test_scaler_round_trip_preserves_scores():
     scores_scaled = scaler.scale(X) @ theta_scaled
     scores_orig = X @ scaler.unscale_coefficients(theta_scaled)
     assert np.allclose(scores_scaled, scores_orig, atol=1e-12)
-    back = scaler.scale_coefficients(scaler.unscale_coefficients(theta_scaled))
-    assert np.allclose(back, theta_scaled, atol=1e-12)
 
 
 # -- logistic ----------------------------------------------------------------------
@@ -151,7 +149,7 @@ def test_fit_logistic_predict_accuracy_with_moderate_noise():
     cfg = ErmConfig(PrivacyBudget(5.0), 1.0, perturbation="objective")
     model = fit_logistic(X, y, bounds, cfg, add_bias=True,
                          rng=RandomSource(3))
-    acc = float(np.mean(predict_logistic(model, X) == y))
+    acc = float(np.mean(predict(model, X) == y))
     assert acc > 0.8
 
 
@@ -172,8 +170,8 @@ def test_fit_logistic_rejects_bad_labels():
 def test_predict_logistic_threshold_rounds_up():
     model = TrainedModel("logistic", np.zeros(2), None, add_bias=False)
     X = np.array([[1.0, 1.0]])
-    assert predict_logistic(model, X, raw_value=True)[0] == 0.5
-    assert predict_logistic(model, X)[0] == 1.0
+    assert predict(model, X, raw_value=True)[0] == 0.5
+    assert predict(model, X)[0] == 1.0
 
 
 def test_predict_logistic_raw_is_sigmoid_of_score():
@@ -181,7 +179,7 @@ def test_predict_logistic_raw_is_sigmoid_of_score():
                          add_bias=False)
     X = np.array([[0.5, 0.25]])
     want = expit(0.5 - 0.5)
-    assert predict_logistic(model, X, raw_value=True)[0] == \
+    assert predict(model, X, raw_value=True)[0] == \
         pytest.approx(want)
 
 
@@ -192,7 +190,7 @@ def test_fit_svm_linear_separates_clean_data():
     bounds = [Bounds(-2, 2), Bounds(-2, 2)]
     model = fit_svm(X, y, bounds, ErmConfig(PrivacyBudget(5.0), 0.1),
                     add_bias=True, rng=RandomSource(1))
-    acc = float(np.mean(predict_svm(model, X) == y))
+    acc = float(np.mean(predict(model, X) == y))
     assert acc > 0.8
     assert model.kind == "svm_linear"
 
@@ -213,7 +211,7 @@ def test_fit_svm_gaussian_ignores_bounds_with_warning():
         model = fit_svm(X, y, [Bounds(-2, 2), Bounds(-2, 2)], cfg,
                         kernel="gaussian", rff_dim=30, rng=RandomSource(6))
     assert model.kind == "svm_gaussian"
-    labels = predict_svm(model, X)
+    labels = predict(model, X)
     assert set(np.unique(labels)) <= {0.0, 1.0}
 
 
@@ -239,7 +237,7 @@ def test_fit_svm_gaussian_learns_radial_pattern():
     cfg = ErmConfig(PrivacyBudget(20.0), 0.5, perturbation="objective")
     model = fit_svm(X, y, None, cfg, kernel="gaussian", rff_dim=100,
                     kernel_param=4.0, rng=RandomSource(8))
-    acc = float(np.mean(predict_svm(model, X) == y))
+    acc = float(np.mean(predict(model, X) == y))
     assert acc > 0.75
 
 
@@ -298,7 +296,7 @@ def test_fit_linreg_huge_epsilon_recovers_line():
                        rng=RandomSource(0))
     assert model.coefficients[0] == pytest.approx(1.0, abs=1e-2)
     assert model.coefficients[1] == pytest.approx(0.5, abs=1e-2)
-    pred = predict_linreg(model, x[:, None])
+    pred = predict(model, x[:, None])
     assert np.max(np.abs(pred - y)) < 0.05
 
 
@@ -370,4 +368,35 @@ def test_predict_dispatch_and_validation():
     lin = TrainedModel("linear", np.array([2.0]), None, False)
     assert predict(lin, np.array([[3.0]]))[0] == 6.0
     with pytest.raises(ValueError):
-        predict_linreg(lin, np.zeros((1, 3)))
+        predict(lin, np.zeros((1, 3)))
+    assert predict(lin, np.array([[3.0]]), raw_value=True)[0] == 6.0
+
+
+def test_predict_svm_raw_is_the_margin():
+    model = TrainedModel("svm_linear", np.array([0.5, 1.0, -2.0]), None,
+                         add_bias=True)
+    X = np.array([[1.0, 0.5], [0.0, 1.0]])
+    assert np.array_equal(predict(model, X, raw_value=True), [0.5, -1.5])
+    assert np.array_equal(predict(model, X), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda d: d.clear(), "scaler"),
+    (lambda d: d.pop("coefficients"), "coefficients"),
+    (lambda d: d.update(coefficients="0.1,0.2"), "coefficients"),
+    (lambda d: d.update(coefficients=[0.1, "x", 0.3]), "coefficients"),
+    (lambda d: d.update(add_bias=1), "add_bias"),
+    (lambda d: d.update(kind=None), "kind"),
+    (lambda d: d.update(config=[]), "config"),
+    (lambda d: d.update(huber_h=True), "huber_h"),
+    (lambda d: d["scaler"].pop("global_divisor"), "global_divisor"),
+    (lambda d: d.update(rff={"dim": 2, "beta": 1.0, "seed": 1.5, "p": 2}),
+     "seed"),
+])
+def test_malformed_model_file_names_the_key(edit, key):
+    model = TrainedModel("logistic", np.array([0.1, 0.2, 0.3]),
+                         FeatureScaler(np.ones(3), 1.0), add_bias=True)
+    doc = json.loads(model.to_json())
+    edit(doc)
+    with pytest.raises(ValueError, match=repr(key)):
+        TrainedModel.from_json(json.dumps(doc))
