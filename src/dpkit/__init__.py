@@ -1,9 +1,8 @@
 """Differentially private statistics and machine learning toolkit."""
 
 from .accountant import BudgetExhaustedError, BudgetLedger, LedgerEntry
-from .erm import (Domain, ErmConfig, LossSpec, RegularizerSpec,
-                  SolverNotConvergedError, erm_cms, erm_kst, l2_regularizer,
-                  minimize)
+from .erm import (Domain, ErmConfig, LossSpec, SolverNotConvergedError,
+                  erm_cms, erm_kst, minimize)
 from .mechanisms import (APPROXIMATE, PROBABILISTIC, PURE, BudgetAllocation,
                          PrivacyBudget, RandomSource, SensitivitySpec,
                          exponential_mechanism, gaussian_mechanism,
@@ -22,14 +21,12 @@ __all__ = [
     "APPROXIMATE", "PROBABILISTIC", "PURE",
     "Bounds", "BudgetAllocation", "BudgetExhaustedError", "BudgetLedger",
     "Candidate", "Domain", "ErmConfig", "HistogramSpec", "LedgerEntry",
-    "LossSpec", "PrivacyBudget", "RandomSource", "RegularizerSpec",
-    "SensitivitySpec", "SolverNotConvergedError", "StatRequest",
-    "StatResult", "TrainedModel", "TuningResult", "cov_dp", "erm_cms",
-    "erm_kst", "exponential_mechanism",
+    "LossSpec", "PrivacyBudget", "RandomSource", "SensitivitySpec",
+    "SolverNotConvergedError", "StatRequest", "StatResult", "TrainedModel",
+    "TuningResult", "cov_dp", "erm_cms", "erm_kst", "exponential_mechanism",
     "fit_linreg", "fit_logistic", "fit_svm", "gaussian_mechanism",
-    "gaussian_sigma", "histogram_dp", "huber_loss", "l2_regularizer",
-    "laplace_mechanism", "logistic_loss", "mean_dp", "median_dp", "minimize",
-    "pooled_cov_dp", "pooled_var_dp", "predict", "quantile_dp", "sd_dp",
-    "split_folds", "table_dp", "tune_classification", "tune_linreg",
-    "var_dp",
+    "gaussian_sigma", "histogram_dp", "huber_loss", "laplace_mechanism",
+    "logistic_loss", "mean_dp", "median_dp", "minimize", "pooled_cov_dp",
+    "pooled_var_dp", "predict", "quantile_dp", "sd_dp", "split_folds",
+    "table_dp", "tune_classification", "tune_linreg", "var_dp",
 ]

@@ -241,12 +241,21 @@ def _features(columns, args) -> np.ndarray:
                             for c in args.feature_columns.split(",")])
 
 
+# Flags that only ``fit svm`` reads, with their defaults.
+_SVM_FLAGS = {"weights-column": None, "kernel": "linear", "rff-dim": None,
+              "kernel-param": None}
+
+
 def _cmd_fit(args) -> dict:
+    kind = args.model
+    if kind != "svm":
+        for flag, default in _SVM_FLAGS.items():
+            if getattr(args, flag.replace("-", "_")) != default:
+                raise ValueError(f"--{flag} applies to fit svm only")
     columns = _read_csv(args.input)
     X = _features(columns, args)
     y = _numeric_column(columns, args.label_column)
     rng = RandomSource(args.seed)
-    kind = args.model
     budget = _budget(args)
 
     if kind == "linreg":
@@ -337,10 +346,10 @@ def _cmd_tune(args) -> dict:
 def _cmd_mech(args) -> dict:
     budget = _budget(args)
     rng = RandomSource(args.seed)
-    alloc = (BudgetAllocation(_parse_floats(args.alloc))
-             if getattr(args, "alloc", None) else None)
 
     if args.mechanism == "exponential":
+        if args.alloc is not None:
+            raise ValueError("--alloc applies to laplace and gaussian only")
         utility = _parse_floats(_required(args, "utility"))
         measure = (_parse_floats(args.measure)
                    if args.measure else None)
@@ -348,6 +357,8 @@ def _cmd_mech(args) -> dict:
                                     measure, rng)
         result = {"index": idx}
     else:
+        alloc = (BudgetAllocation(_parse_floats(args.alloc))
+                 if args.alloc else None)
         values = _parse_floats(_required(args, "values"))
         sens_vec = _parse_floats(_required(args, "sensitivities"))
         if args.mechanism == "laplace":

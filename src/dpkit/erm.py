@@ -11,6 +11,11 @@ few objective values. The empirical objective evaluates each point's linear
 scores once and shares them between its value and its gradient. The whole
 module is scipy-free and deterministic given a RandomSource.
 
+The regularizer is fixed to (1/2)||theta||^2: both privacy proofs need it
+1-strongly convex and twice differentiable, which a caller-supplied function
+could only claim. With it the objective (1/n) sum(loss) + (gamma/n) R is
+gamma/n-strongly convex.
+
 Output perturbation is private only at the exact minimizer, so neither
 framework releases a point at which the solver did not converge.
 """
@@ -41,19 +46,6 @@ class LossSpec:
     curvature: float | None = None
     grad_norm_bound: float | None = None
     eigen_bound: float | None = None
-
-
-@dataclass(frozen=True)
-class RegularizerSpec:
-    value: Callable
-    grad: Callable
-    strongly_convex: bool = False
-
-
-def l2_regularizer() -> RegularizerSpec:
-    return RegularizerSpec(value=lambda theta: 0.5 * float(theta @ theta),
-                           grad=lambda theta: theta,
-                           strongly_convex=True)
 
 
 @dataclass(frozen=True)
@@ -178,18 +170,12 @@ def sample_sphere_gamma(p: int, scale: float, rng: RandomSource,
     if scale == 0.0:
         out = np.zeros((n, p))
         return out[0] if size is None else out
-    direction = np.asarray(
-        np.reshape(_normals(rng, n * p), (n, p)), dtype=np.float64)
+    direction = np.reshape(rng.normal(n * p), (n, p))
     norms = np.linalg.norm(direction, axis=1, keepdims=True)
     direction = direction / norms
     magnitude = -scale * np.log(rng.uniform((n, p))).sum(axis=1)
     out = direction * magnitude[:, None]
     return out[0] if size is None else out
-
-
-def _normals(rng: RandomSource, count: int) -> np.ndarray:
-    from . import _kernels
-    return _kernels.normal_quantile(rng.uniform(count))
 
 
 def cms_output_noise(p: int, beta: float, rng: RandomSource,
@@ -205,10 +191,12 @@ def _check_rows(X: np.ndarray, limit: float, tol: float = 1e-9):
                          f"(max observed {norms.max():.6g})")
 
 
-def _empirical_objective(X, y, loss: LossSpec, reg: RegularizerSpec,
-                         gamma: float, weights: np.ndarray,
-                         slack: float = 0.0, b: np.ndarray | None = None):
-    """Objective value and gradient closures over one data set.
+def _empirical_objective(X, y, loss: LossSpec, gamma: float,
+                         weights: np.ndarray, slack: float = 0.0,
+                         b: np.ndarray | None = None):
+    """Value and gradient closures of the regularized objective over one
+    data set: mean weighted loss + (gamma/n)(1/2)||theta||^2, plus the
+    perturbation terms (slack/2n)||theta||^2 and b.theta/n.
 
     Both read the linear scores X @ theta through a one-point cache keyed on
     a copy of theta, so the gradient at a point whose value the solver just
@@ -226,7 +214,7 @@ def _empirical_objective(X, y, loss: LossSpec, reg: RegularizerSpec,
 
     def fun(theta):
         val = float(weights @ loss.value(scores_at(theta), y)) / n
-        val += gamma / n * float(reg.value(theta))
+        val += gamma / n * (0.5 * float(theta @ theta))
         if slack:
             val += slack / (2.0 * n) * float(theta @ theta)
         if b is not None:
@@ -235,7 +223,7 @@ def _empirical_objective(X, y, loss: LossSpec, reg: RegularizerSpec,
 
     def grad(theta):
         g = X.T @ (weights * loss.grad(scores_at(theta), y)) / n
-        g = g + gamma / n * np.asarray(reg.grad(theta), dtype=np.float64)
+        g = g + gamma / n * theta
         if slack:
             g = g + slack / n * theta
         if b is not None:
@@ -255,16 +243,16 @@ def _converged_minimizer(fun, grad, p: int, domain: Domain | None = None,
     return res.x
 
 
-def erm_cms(X, y, loss: LossSpec, reg: RegularizerSpec, cfg: ErmConfig,
-            weights=None, rng: RandomSource | None = None,
-            tol: float = 1e-8) -> np.ndarray:
+def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
+            rng: RandomSource | None = None, tol: float = 1e-8) -> np.ndarray:
     """Classification-path private ERM (output or objective perturbation).
 
-    Requires row norms <= 1, labels in {-1, +1}, |dloss/dscore| <= 1, and a
-    1-strongly-convex differentiable regularizer. The objective path
-    additionally needs the loss curvature bound and rejects non-uniform
-    weights. Raises SolverNotConvergedError instead of releasing a point at
-    which the solver did not converge.
+    Requires row norms <= 1, labels in {-1, +1} and |dloss/dscore| <= 1;
+    the fixed regularizer makes the objective gamma/n-strongly convex, as
+    both paths' sensitivity bounds assume. The objective path additionally
+    needs the loss curvature bound and rejects non-uniform weights. Raises
+    SolverNotConvergedError instead of releasing a point at which the solver
+    did not converge.
     """
     if rng is None:
         rng = RandomSource()  # seeded from OS entropy
@@ -278,8 +266,6 @@ def erm_cms(X, y, loss: LossSpec, reg: RegularizerSpec, cfg: ErmConfig,
     _check_rows(X, 1.0)
     if cfg.budget.variant != PURE:
         raise ValueError("classification-path ERM provides pure DP only")
-    if not reg.strongly_convex:
-        raise ValueError("the regularizer must be 1-strongly convex")
 
     if weights is None:
         weights = np.ones(n)
@@ -294,7 +280,7 @@ def erm_cms(X, y, loss: LossSpec, reg: RegularizerSpec, cfg: ErmConfig,
     eps = cfg.budget.epsilon
 
     if cfg.perturbation == "output":
-        fun, grad = _empirical_objective(X, y, loss, reg, cfg.gamma, weights)
+        fun, grad = _empirical_objective(X, y, loss, cfg.gamma, weights)
         theta = _converged_minimizer(fun, grad, p, tol=tol)
         beta = cfg.gamma * eps / (2.0 * cfg.weight_upper_bound)
         return theta + cms_output_noise(p, beta, rng)
@@ -314,7 +300,7 @@ def erm_cms(X, y, loss: LossSpec, reg: RegularizerSpec, cfg: ErmConfig,
         slack = c / (math.exp(eps / 4.0) - 1.0) - cfg.gamma
         eps_prime = eps / 2.0
     b = sample_sphere_gamma(p, 2.0 / eps_prime, rng)
-    fun, grad = _empirical_objective(X, y, loss, reg, cfg.gamma, weights,
+    fun, grad = _empirical_objective(X, y, loss, cfg.gamma, weights,
                                      slack=slack, b=b)
     return _converged_minimizer(fun, grad, p, tol=tol)
 
@@ -338,13 +324,13 @@ def kst_noise(p: int, loss: LossSpec, budget: PrivacyBudget,
         return sample_sphere_gamma(p, 2.0 * zeta / budget.epsilon, rng, size)
     sigma = kst_gaussian_sigma(zeta, budget)
     n = 1 if size is None else size
-    out = sigma * np.reshape(_normals(rng, n * p), (n, p))
+    out = sigma * np.reshape(rng.normal(n * p), (n, p))
     return out[0] if size is None else out
 
 
-def erm_kst(X, y, loss: LossSpec, reg: RegularizerSpec,
-            budget: PrivacyBudget, gamma: float, domain: Domain,
-            rng: RandomSource | None = None, tol: float = 1e-8) -> np.ndarray:
+def erm_kst(X, y, loss: LossSpec, budget: PrivacyBudget, gamma: float,
+            domain: Domain, rng: RandomSource | None = None,
+            tol: float = 1e-8) -> np.ndarray:
     """Regression-path private ERM over a closed convex coefficient domain.
 
     The loss must supply its gradient-norm bound and Hessian eigenvalue
@@ -368,6 +354,6 @@ def erm_kst(X, y, loss: LossSpec, reg: RegularizerSpec,
     slack = kst_slack(loss.eigen_bound, budget.epsilon)
     b = kst_noise(p, loss, budget, rng)
     weights = np.ones(n)
-    fun, grad = _empirical_objective(X, y, loss, reg, gamma, weights,
+    fun, grad = _empirical_objective(X, y, loss, gamma, weights,
                                      slack=slack, b=b)
     return _converged_minimizer(fun, grad, p, domain, tol)

@@ -44,7 +44,8 @@ class RandomSource:
         return (ints + 0.5) * 2.0 ** -53
 
     def normal(self, size=None):
-        """Standard normals via the inverse CDF of one uniform each."""
+        """Standard normals via the inverse CDF of one uniform each: the one
+        place dpkit turns uniforms into Normal variates."""
         u = np.atleast_1d(self.uniform(size=size))
         z = _kernels.normal_quantile(u)
         return z if size is not None else float(z[0])
@@ -125,8 +126,7 @@ def joint_mechanism(values, budget: PrivacyBudget, norm: str,
     if norm != "l2":
         raise ValueError("norm must be 'l1' or 'l2'")
     sigma = gaussian_sigma(budget, sensitivity)
-    return values + sigma * _kernels.normal_quantile(
-        rng.uniform(values.shape[0]))
+    return values + sigma * rng.normal(values.shape[0])
 
 
 def laplace_mechanism(values, budget: PrivacyBudget,
@@ -207,8 +207,7 @@ def gaussian_mechanism(values, budget: PrivacyBudget,
         sub = PrivacyBudget(budget.epsilon * prop, budget.delta * prop,
                             budget.variant)
         sigmas[i] = gaussian_sigma(sub, float(delta[i]))
-    z = _kernels.normal_quantile(rng.uniform(values.shape[0]))
-    return values + sigmas * z
+    return values + sigmas * rng.normal(values.shape[0])
 
 
 def exponential_mechanism(utility, budget: PrivacyBudget, sens_u: float,

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .erm import (Domain, ErmConfig, LossSpec, RegularizerSpec, erm_cms,
-                  erm_kst, l2_regularizer)
+from .erm import Domain, ErmConfig, LossSpec, erm_cms, erm_kst
 from .mechanisms import PrivacyBudget, RandomSource
 from .stats import Bounds
 
@@ -107,8 +106,8 @@ class RffProjection:
         if beta <= 0.0:
             raise ValueError("kernel parameter must be positive")
         rng = RandomSource(seed)
-        freqs = math.sqrt(2.0 * beta) * np.reshape(
-            _kernels.normal_quantile(rng.uniform(dim * p)), (dim, p))
+        freqs = math.sqrt(2.0 * beta) * np.reshape(rng.normal(dim * p),
+                                                   (dim, p))
         phases = 2.0 * math.pi * rng.uniform(dim)
         return cls(dim, beta, int(seed), freqs, phases)
 
@@ -245,8 +244,8 @@ def _config(budget: PrivacyBudget, gamma: float, **extra) -> dict:
 
 def _fit_scaled_classifier(kind: str, X: np.ndarray, y_pm: np.ndarray,
                            bounds: list[Bounds], cfg: ErmConfig,
-                           loss: LossSpec, reg: RegularizerSpec | None,
-                           weights, add_bias: bool, rng: RandomSource | None,
+                           loss: LossSpec, weights, add_bias: bool,
+                           rng: RandomSource | None,
                            huber_h: float | None = None, **extra
                            ) -> TrainedModel:
     """Scale the rows into the unit ball by their declared bounds, fit by
@@ -254,8 +253,8 @@ def _fit_scaled_classifier(kind: str, X: np.ndarray, y_pm: np.ndarray,
     _check_in_bounds(X, bounds)
     divisors = _column_divisors(bounds, add_bias)
     scaler = FeatureScaler(divisors, math.sqrt(divisors.size))
-    theta = erm_cms(scaler.scale(_with_bias(X, add_bias)), y_pm, loss,
-                    reg or l2_regularizer(), cfg, weights, rng)
+    theta = erm_cms(scaler.scale(_with_bias(X, add_bias)), y_pm, loss, cfg,
+                    weights, rng)
     return TrainedModel(kind, scaler.unscale_coefficients(theta), scaler,
                         add_bias, huber_h=huber_h,
                         config=_config(cfg.budget, cfg.gamma,
@@ -264,10 +263,9 @@ def _fit_scaled_classifier(kind: str, X: np.ndarray, y_pm: np.ndarray,
 
 def fit_logistic(X, y, bounds: list[Bounds], cfg: ErmConfig,
                  add_bias: bool = False,
-                 rng: RandomSource | None = None,
-                 reg: RegularizerSpec | None = None) -> TrainedModel:
+                 rng: RandomSource | None = None) -> TrainedModel:
     return _fit_scaled_classifier("logistic", _as_matrix(X), _pm_labels(y),
-                                  bounds, cfg, logistic_loss(), reg, None,
+                                  bounds, cfg, logistic_loss(), None,
                                   add_bias, rng)
 
 
@@ -275,8 +273,7 @@ def fit_svm(X, y, bounds: list[Bounds] | None, cfg: ErmConfig,
             kernel: str = "linear", rff_dim: int | None = None,
             kernel_param: float | None = None, huber_h: float = 0.5,
             weights=None, add_bias: bool = False,
-            rng: RandomSource | None = None,
-            reg: RegularizerSpec | None = None) -> TrainedModel:
+            rng: RandomSource | None = None) -> TrainedModel:
     X = _as_matrix(X)
     y_pm = _pm_labels(y)
     loss = huber_loss(huber_h)
@@ -285,7 +282,7 @@ def fit_svm(X, y, bounds: list[Bounds] | None, cfg: ErmConfig,
         if bounds is None:
             raise ValueError("the linear kernel requires column bounds")
         return _fit_scaled_classifier("svm_linear", X, y_pm, bounds, cfg,
-                                      loss, reg, weights, add_bias, rng,
+                                      loss, weights, add_bias, rng,
                                       huber_h, kernel="linear")
 
     if kernel != "gaussian":
@@ -307,8 +304,7 @@ def fit_svm(X, y, bounds: list[Bounds] | None, cfg: ErmConfig,
     # replayable; releasing it is privacy-free (the features never see data).
     rff_seed = int(rng.uniform() * 2 ** 31)
     proj = RffProjection.create(p, rff_dim, beta, rff_seed)
-    theta = erm_cms(proj.transform(X), y_pm, loss, reg or l2_regularizer(),
-                    cfg, weights, rng)
+    theta = erm_cms(proj.transform(X), y_pm, loss, cfg, weights, rng)
     return TrainedModel("svm_gaussian", theta, None, False, rff=proj,
                         huber_h=huber_h,
                         config=_config(cfg.budget, cfg.gamma,
@@ -318,8 +314,7 @@ def fit_svm(X, y, bounds: list[Bounds] | None, cfg: ErmConfig,
 
 def fit_linreg(X, y, bounds: list[Bounds], budget: PrivacyBudget,
                gamma: float, add_bias: bool = False,
-               rng: RandomSource | None = None,
-               reg: RegularizerSpec | None = None) -> TrainedModel:
+               rng: RandomSource | None = None) -> TrainedModel:
     """Private linear regression over the sqrt(p)-ball of coefficients.
 
     ``bounds`` covers the feature columns plus, as its last element, the
@@ -345,8 +340,8 @@ def fit_linreg(X, y, bounds: list[Bounds], budget: PrivacyBudget,
     y_scale = max(abs(y_bounds.lower - shift), abs(y_bounds.upper - shift)) / p
     ys = (y - shift) / y_scale
 
-    theta = erm_kst(Xs, ys, squared_loss(p), reg or l2_regularizer(),
-                    budget, gamma, Domain(math.sqrt(p)), rng)
+    theta = erm_kst(Xs, ys, squared_loss(p), budget, gamma,
+                    Domain(math.sqrt(p)), rng)
     coeff = scaler.unscale_coefficients(theta) * y_scale
     if add_bias:
         coeff = coeff.copy()

@@ -19,9 +19,8 @@ from dpkit import _kernels
 from dpkit.accountant import BudgetLedger
 from dpkit.cli import main as cli_main
 from dpkit.erm import (Domain, ErmConfig, erm_cms, erm_kst, kst_gaussian_sigma,
-                       kst_noise, kst_slack, l2_regularizer, minimize,
-                       sample_sphere_gamma, cms_output_noise,
-                       _empirical_objective)
+                       kst_noise, kst_slack, minimize, sample_sphere_gamma,
+                       cms_output_noise, _empirical_objective)
 from dpkit.mechanisms import (APPROXIMATE, PROBABILISTIC, PrivacyBudget,
                               RandomSource, gaussian_sigma)
 from dpkit.models import (RffProjection, TrainedModel, fit_linreg,
@@ -313,8 +312,8 @@ def _cms_datasets():
 
 
 def _noiseless_cms(X, y, gamma):
-    fun, grad = _empirical_objective(X, y, logistic_loss(), l2_regularizer(),
-                                     gamma, np.ones(len(y)))
+    fun, grad = _empirical_objective(X, y, logistic_loss(), gamma,
+                                     np.ones(len(y)))
     return minimize(fun, grad, np.zeros(1)).x[0]
 
 
@@ -327,7 +326,7 @@ def test_criterion_03e_cms_output_empirical_dp():
     base2 = _noiseless_cms(x2, y2, gamma)
     # Fast path = base + vectorized noise; validate draw-for-draw first.
     for seed in range(50):
-        real = erm_cms(x1, y1, logistic_loss(), l2_regularizer(), cfg,
+        real = erm_cms(x1, y1, logistic_loss(), cfg,
                        rng=RandomSource(seed))[0]
         fast = base1 + cms_output_noise(1, beta, RandomSource(seed))[0]
         assert fast == pytest.approx(real, abs=1e-6)
@@ -360,7 +359,7 @@ def test_criterion_03f_cms_objective_empirical_dp():
     eps_prime = eps - 2.0 * math.log1p(0.25 / gamma)
     cfg = ErmConfig(PrivacyBudget(eps), gamma, perturbation="objective")
     for seed in range(50):
-        real = erm_cms(x1, y1, logistic_loss(), l2_regularizer(), cfg,
+        real = erm_cms(x1, y1, logistic_loss(), cfg,
                        rng=RandomSource(seed))[0]
         b = sample_sphere_gamma(1, 2.0 / eps_prime, RandomSource(seed))
         fast = _objective_theta_vectorized(x1[:, 0], y1, gamma, b)[0]
@@ -395,7 +394,7 @@ def _kst_path(budget, seed1, seed2, validate_seed_count=50):
     gamma = 1.0
     slack = kst_slack(loss.eigen_bound, budget.epsilon)
     for seed in range(validate_seed_count):
-        real = erm_kst(x1[:, None], y1, loss, l2_regularizer(), budget,
+        real = erm_kst(x1[:, None], y1, loss, budget,
                        gamma, Domain(1.0), RandomSource(seed))[0]
         b = kst_noise(1, loss, budget, RandomSource(seed))[0]
         fast = _kst_closed_form(x1, y1, gamma, slack, np.array([b]))[0]
@@ -543,14 +542,20 @@ def test_criterion_05_gradient_checks():
         fd = (loss.value(scores + h, y) - loss.value(scores - h, y)) / (2 * h)
         denom = np.maximum(np.abs(fd), 1.0)
         ok &= np.max(np.abs(g - fd) / denom) < 1e-5
-    reg = l2_regularizer()
+    # The objective holds the fixed regularizer; gamma = n weighs it as
+    # (1/2)||t||^2 next to the mean loss.
+    n = 20
+    X = rng.uniform(-1, 1, (n, 4)) / 2.0
+    y = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+    fun, grad = _empirical_objective(X, y, logistic_loss(), float(n),
+                                     np.ones(n))
     for _ in range(100):
         t = rng.normal(size=4)
-        g = reg.grad(t)
+        g = grad(t)
         for j in range(4):
             e = np.zeros(4)
             e[j] = 1e-6
-            fd = (reg.value(t + e) - reg.value(t - e)) / 2e-6
+            fd = (fun(t + e) - fun(t - e)) / 2e-6
             ok &= abs(g[j] - fd) / max(abs(fd), 1.0) < 1e-5
     _verdict(5, "gradient-checks", bool(ok))
 

@@ -196,6 +196,74 @@ def test_tune_cli_selects_and_saves(capsys, clf_csv, tmp_path):
     assert json.load(open(model_path))["kind"] == "logistic"
 
 
+@pytest.mark.parametrize("model,bounds,kind", [
+    ("linreg", "-1,1;-1,1;0,1", "linear"),
+    ("svm", "-1,1;-1,1", "svm_linear"),
+])
+def test_tune_cli_charges_training_plus_selection(capsys, clf_csv, tmp_path,
+                                                  model, bounds, kind):
+    model_path, ledger = str(tmp_path / "tuned.json"), tmp_path / "led.jsonl"
+    code, out, _ = run_cli(capsys, "tune", model, "--input", clf_csv,
+                           "--label-column", "label",
+                           "--feature-columns", "a,b", f"--bounds={bounds}",
+                           "--gammas", "0.1,1,10", "--epsilon-train", "2",
+                           "--epsilon-select", "0.5", "--seed", "5",
+                           "--output", model_path, "--ledger", str(ledger))
+    assert code == 0
+    report = json.loads(out)
+    assert report["epsilon_used"] == 2.5  # parallel training + selection
+    entries = BudgetLedger.load(ledger).entries
+    assert [(e.operation_name, e.epsilon) for e in entries] == [
+        (f"tune {model}", 2.5)]
+    assert json.load(open(model_path))["kind"] == kind
+    code, out, _ = run_cli(capsys, "predict", "--model", model_path,
+                           "--input", clf_csv, "--feature-columns", "a,b")
+    assert code == 0
+    assert len(json.loads(out)["result"]["predictions"]) == 120
+
+
+@pytest.mark.parametrize("model", ["logit", "linreg"])
+@pytest.mark.parametrize("flags", [
+    ["--weights-column", "w"], ["--kernel", "gaussian"],
+    ["--rff-dim", "20"], ["--kernel-param", "0.5"]], ids=lambda f: f[0])
+def test_fit_refuses_svm_flags_uncharged(capsys, tmp_path, model, flags):
+    """A flag only ``fit svm`` reads would otherwise be dropped unseen."""
+    rng = np.random.default_rng(2)
+    path = tmp_path / "weighted.csv"
+    rows = [f"{u:.4f},{v:.4f},{int(u + v > 0)},{rng.uniform(0, 1):.3f}"
+            for u, v in rng.uniform(-1, 1, (60, 2))]
+    path.write_text("a,b,label,w\n" + "\n".join(rows) + "\n")
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    bounds = "-1,1;-1,1" + (";0,1" if model == "linreg" else "")
+    code, out, err = run_cli(capsys, "fit", model, "--input", str(path),
+                             "--label-column", "label",
+                             "--feature-columns", "a,b",
+                             f"--bounds={bounds}", "--epsilon", "1",
+                             "--gamma", "1", *flags, "--ledger", str(ledger),
+                             "--output", str(model_path))
+    assert code == 3 and out == ""
+    assert f"{flags[0]} applies to fit svm only" in err
+    _one_line_error(err)
+    assert not ledger.exists() and not model_path.exists()
+
+
+@pytest.mark.parametrize("alloc", ["0.5,0.5", "7"])
+def test_exponential_mechanism_refuses_alloc_uncharged(capsys, tmp_path,
+                                                       alloc):
+    ledger = tmp_path / "led.jsonl"
+    code, out, err = run_cli(capsys, "mech", "exponential", "--utility",
+                             "0,1", "--alloc", alloc, "--epsilon", "1",
+                             "--ledger", str(ledger))
+    assert code == 3 and out == ""
+    assert "--alloc applies to laplace and gaussian only" in err
+    _one_line_error(err)
+    assert not ledger.exists()
+    code, out, _ = run_cli(capsys, "mech", "laplace", "--values", "0,1",
+                           "--sensitivities", "1,1", "--alloc", "0.5,0.5",
+                           "--epsilon", "1", "--ledger", str(ledger))
+    assert code == 0 and len(json.loads(out)["result"]["values"]) == 2
+
+
 def test_mech_subcommands(capsys):
     code, out, _ = run_cli(capsys, "mech", "laplace", "--values", "1,2,3",
                            "--sensitivities", "1,1,1", "--epsilon", "1000",

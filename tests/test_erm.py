@@ -4,10 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from dpkit.erm import (Domain, ErmConfig, LossSpec, RegularizerSpec,
-                       SolverNotConvergedError, cms_output_noise, erm_cms,
-                       erm_kst, kst_gaussian_sigma, kst_noise, kst_slack,
-                       l2_regularizer, minimize, sample_sphere_gamma,
+from dpkit.erm import (Domain, ErmConfig, LossSpec, SolverNotConvergedError,
+                       cms_output_noise, erm_cms, erm_kst, kst_gaussian_sigma,
+                       kst_noise, kst_slack, minimize, sample_sphere_gamma,
                        _empirical_objective)
 from dpkit.mechanisms import APPROXIMATE, PrivacyBudget, RandomSource
 from dpkit.models import huber_loss, logistic_loss, squared_loss
@@ -87,8 +86,8 @@ def test_minimize_nonmonotone_search_rarely_backtracks():
     logits = 4.0 * (0.5 + Z @ np.array([1.5, -2.0, 4.0, 10.0]))
     y = np.where(rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-logits)),
                  1.0, -1.0)
-    fun, grad = _empirical_objective(X, y, logistic_loss(), l2_regularizer(),
-                                     gamma=1.0, weights=np.ones(n))
+    fun, grad = _empirical_objective(X, y, logistic_loss(), gamma=1.0,
+                                     weights=np.ones(n))
     calls = []
 
     def counted(theta):
@@ -104,7 +103,7 @@ def test_minimize_nonmonotone_search_rarely_backtracks():
 
 def test_empirical_objective_cache_keys_on_a_copy():
     X, y = _toy_classification(40, 3, seed=8)
-    args = (X, y, logistic_loss(), l2_regularizer(), 0.5, np.ones(40))
+    args = (X, y, logistic_loss(), 0.5, np.ones(40))
     fun, grad = _empirical_objective(*args)
     theta = np.array([0.4, -0.1, 0.7])
     fun(theta)
@@ -117,8 +116,8 @@ def test_empirical_objective_gradient_finite_difference():
     X, y = _toy_classification(30, 3, seed=5)
     w = np.linspace(0.2, 1.0, 30)
     b = np.array([0.1, -0.2, 0.3])
-    fun, grad = _empirical_objective(X, y, logistic_loss(), l2_regularizer(),
-                                     gamma=0.7, weights=w, slack=0.4, b=b)
+    fun, grad = _empirical_objective(X, y, logistic_loss(), gamma=0.7,
+                                     weights=w, slack=0.4, b=b)
     theta = np.array([0.3, -0.5, 0.2])
     g = grad(theta)
     eps = 1e-6
@@ -163,7 +162,7 @@ def test_cms_output_reduces_to_regularized_fit_at_huge_epsilon():
     X, y = _toy_classification(100, 2, seed=1)
     gamma = 1.0
     cfg = ErmConfig(HUGE, gamma)
-    theta = erm_cms(X, y, logistic_loss(), l2_regularizer(), cfg,
+    theta = erm_cms(X, y, logistic_loss(), cfg,
                     rng=RandomSource(0))
     ref = fit_logistic_unregularized(X, (y + 1) / 2, l2=gamma / X.shape[0])
     assert np.allclose(theta, ref, atol=1e-5)
@@ -173,7 +172,7 @@ def test_cms_objective_reduces_to_regularized_fit_at_huge_epsilon():
     X, y = _toy_classification(100, 2, seed=1)
     gamma = 1.0
     cfg = ErmConfig(HUGE, gamma, perturbation="objective")
-    theta = erm_cms(X, y, logistic_loss(), l2_regularizer(), cfg,
+    theta = erm_cms(X, y, logistic_loss(), cfg,
                     rng=RandomSource(0))
     ref = fit_logistic_unregularized(X, (y + 1) / 2, l2=gamma / X.shape[0])
     assert np.allclose(theta, ref, atol=1e-5)
@@ -182,11 +181,11 @@ def test_cms_objective_reduces_to_regularized_fit_at_huge_epsilon():
 def test_cms_output_noise_is_replayable():
     X, y = _toy_classification(60, 2, seed=2)
     cfg = ErmConfig(PrivacyBudget(1.0), 0.5)
-    theta = erm_cms(X, y, huber_loss(), l2_regularizer(), cfg,
+    theta = erm_cms(X, y, huber_loss(), cfg,
                     rng=RandomSource(9))
     # Reconstruct: noiseless fit plus the noise the same seed generates.
-    base = erm_cms(X, y, huber_loss(), l2_regularizer(),
-                   ErmConfig(HUGE, 0.5), rng=RandomSource(99))
+    base = erm_cms(X, y, huber_loss(), ErmConfig(HUGE, 0.5),
+                   rng=RandomSource(99))
     beta = 0.5 * 1.0 / (2.0 * 1.0)
     noise = cms_output_noise(2, beta, RandomSource(9))
     assert np.allclose(theta, base + noise, atol=1e-6)
@@ -195,9 +194,9 @@ def test_cms_output_noise_is_replayable():
 def test_cms_unit_weights_match_unweighted_draw_for_draw():
     X, y = _toy_classification(50, 2, seed=3)
     cfg = ErmConfig(PrivacyBudget(2.0), 1.0)
-    a = erm_cms(X, y, logistic_loss(), l2_regularizer(), cfg,
+    a = erm_cms(X, y, logistic_loss(), cfg,
                 rng=RandomSource(4))
-    b = erm_cms(X, y, logistic_loss(), l2_regularizer(), cfg,
+    b = erm_cms(X, y, logistic_loss(), cfg,
                 weights=np.ones(50), rng=RandomSource(4))
     assert np.allclose(a, b, atol=1e-9)
 
@@ -208,9 +207,9 @@ def test_cms_weight_bound_shrinks_noise_via_beta():
     norms = {}
     for ub in (1.0, 4.0):
         cfg = ErmConfig(PrivacyBudget(1.0), 1.0, weight_upper_bound=ub)
-        base = erm_cms(X, y, logistic_loss(), l2_regularizer(),
-                       ErmConfig(HUGE, 1.0), rng=RandomSource(0))
-        draws = [erm_cms(X, y, logistic_loss(), l2_regularizer(), cfg,
+        base = erm_cms(X, y, logistic_loss(), ErmConfig(HUGE, 1.0),
+                       rng=RandomSource(0))
+        draws = [erm_cms(X, y, logistic_loss(), cfg,
                          weights=np.minimum(np.ones(50), ub),
                          rng=RandomSource(s)) for s in range(40)]
         norms[ub] = np.mean([np.linalg.norm(d - base) for d in draws])
@@ -223,7 +222,7 @@ def test_cms_objective_slack_branch():
     gamma, eps, c = 1e-4, 1.0, 0.25
     assert eps - 2.0 * math.log1p(c / gamma) <= 0.0
     cfg = ErmConfig(PrivacyBudget(eps), gamma, perturbation="objective")
-    theta = erm_cms(X, y, logistic_loss(), l2_regularizer(), cfg,
+    theta = erm_cms(X, y, logistic_loss(), cfg,
                     rng=RandomSource(7))
     assert np.all(np.isfinite(theta))
     # The implied slack keeps the regularized problem strongly convex.
@@ -235,12 +234,12 @@ def test_cms_objective_replayable_no_slack_branch():
     X, y = _toy_classification(60, 2, seed=6)
     gamma, eps = 1.0, 2.0
     cfg = ErmConfig(PrivacyBudget(eps), gamma, perturbation="objective")
-    theta = erm_cms(X, y, logistic_loss(), l2_regularizer(), cfg,
+    theta = erm_cms(X, y, logistic_loss(), cfg,
                     rng=RandomSource(11))
     eps_prime = eps - 2.0 * math.log1p(0.25 / gamma)
     b = sample_sphere_gamma(2, 2.0 / eps_prime, RandomSource(11))
-    fun, grad = _empirical_objective(X, y, logistic_loss(), l2_regularizer(),
-                                     gamma, np.ones(60), slack=0.0, b=b)
+    fun, grad = _empirical_objective(X, y, logistic_loss(), gamma,
+                                     np.ones(60), slack=0.0, b=b)
     ref = scipy_constrained_min(fun, grad, 2)
     assert np.allclose(theta, ref, atol=1e-5)
 
@@ -249,29 +248,25 @@ def test_cms_validation():
     X, y = _toy_classification(20, 2)
     cfg = ErmConfig(PrivacyBudget(1.0), 1.0)
     loss = logistic_loss()
-    reg = l2_regularizer()
     with pytest.raises(ValueError):
-        erm_cms(X, np.zeros(20), loss, reg, cfg, rng=RandomSource(0))
+        erm_cms(X, np.zeros(20), loss, cfg, rng=RandomSource(0))
     with pytest.raises(ValueError):
-        erm_cms(3.0 * X, y, loss, reg, cfg, rng=RandomSource(0))
+        erm_cms(3.0 * X, y, loss, cfg, rng=RandomSource(0))
     with pytest.raises(ValueError):
-        erm_cms(X, y, loss, reg,
+        erm_cms(X, y, loss,
                 ErmConfig(PrivacyBudget(1.0, 0.1, APPROXIMATE), 1.0),
                 rng=RandomSource(0))
-    weak = RegularizerSpec(reg.value, reg.grad, strongly_convex=False)
-    with pytest.raises(ValueError):
-        erm_cms(X, y, loss, weak, cfg, rng=RandomSource(0))
     no_curv = LossSpec(loss.value, loss.grad)
     with pytest.raises(ValueError):
-        erm_cms(X, y, no_curv, reg,
+        erm_cms(X, y, no_curv,
                 ErmConfig(PrivacyBudget(1.0), 1.0, "objective"),
                 rng=RandomSource(0))
     with pytest.raises(ValueError):
-        erm_cms(X, y, loss, reg,
+        erm_cms(X, y, loss,
                 ErmConfig(PrivacyBudget(1.0), 1.0, "objective"),
                 weights=np.full(20, 0.5), rng=RandomSource(0))
     with pytest.raises(ValueError):
-        erm_cms(X, y, loss, reg, cfg, weights=np.full(20, 2.0),
+        erm_cms(X, y, loss, cfg, weights=np.full(20, 2.0),
                 rng=RandomSource(0))
 
 
@@ -284,8 +279,8 @@ def test_cms_refuses_unconverged_minimizer(one_solver_iteration,
     released = []
     with pytest.raises(SolverNotConvergedError,
                        match="projected-gradient norm") as exc:
-        released.append(erm_cms(X, y, logistic_loss(), l2_regularizer(),
-                                cfg, rng=RandomSource(0)))
+        released.append(erm_cms(X, y, logistic_loss(), cfg,
+                                rng=RandomSource(0)))
     assert released == []
     assert isinstance(exc.value, ValueError) and exc.value.pg_norm > 1e-8
 
@@ -298,8 +293,7 @@ def test_kst_refuses_unconverged_minimizer(one_solver_iteration):
     released = []
     with pytest.raises(SolverNotConvergedError,
                        match="projected-gradient norm"):
-        released.append(erm_kst(X, y, squared_loss(2), l2_regularizer(),
-                                PrivacyBudget(1.0), 1.0,
+        released.append(erm_kst(X, y, squared_loss(2), PrivacyBudget(1.0), 1.0,
                                 Domain(math.sqrt(2)), RandomSource(0)))
     assert released == []
 
@@ -344,7 +338,7 @@ def test_kst_p1_matches_closed_form():
     budget = PrivacyBudget(1.0)
     gamma = 0.5
     for seed in range(5):
-        theta = erm_kst(x[:, None], y, loss, l2_regularizer(), budget,
+        theta = erm_kst(x[:, None], y, loss, budget,
                         gamma, Domain(1.0), RandomSource(seed))
         b = float(kst_noise(1, loss, budget, RandomSource(seed))[0])
         want = _closed_form_kst_p1(x, y, gamma, kst_slack(1.0, 1.0), b, 1.0)
@@ -359,11 +353,11 @@ def test_kst_p2_matches_scipy_oracle():
     budget = PrivacyBudget(1.0, 0.01, APPROXIMATE)
     gamma = 1.0
     seed = 8
-    theta = erm_kst(X, y, loss, l2_regularizer(), budget, gamma,
+    theta = erm_kst(X, y, loss, budget, gamma,
                     Domain(math.sqrt(2)), RandomSource(seed))
     b = kst_noise(2, loss, budget, RandomSource(seed))
     slack = kst_slack(loss.eigen_bound, budget.epsilon)
-    fun, grad = _empirical_objective(X, y, loss, l2_regularizer(), gamma,
+    fun, grad = _empirical_objective(X, y, loss, gamma,
                                      np.ones(60), slack=slack, b=b)
     ref = scipy_constrained_min(fun, grad, 2, radius=math.sqrt(2))
     assert np.allclose(theta, ref, atol=1e-5)
@@ -375,7 +369,7 @@ def test_kst_huge_epsilon_approaches_ridge():
     y = X @ np.array([0.6, -0.3])
     loss = squared_loss(2)
     gamma = 1.0
-    theta = erm_kst(X, y, loss, l2_regularizer(), HUGE, gamma,
+    theta = erm_kst(X, y, loss, HUGE, gamma,
                     Domain(math.sqrt(2)), RandomSource(0))
     # Slack 2*lambda/eps vanishes, so the solution approaches plain ridge.
     ref = fit_ridge(X, y, gamma / 200)
@@ -388,7 +382,7 @@ def test_kst_result_stays_in_domain():
     y = np.clip(X.sum(axis=1), -3, 3)
     loss = squared_loss(3)
     for seed in range(10):
-        theta = erm_kst(X, y, loss, l2_regularizer(), PrivacyBudget(0.1),
+        theta = erm_kst(X, y, loss, PrivacyBudget(0.1),
                         1.0, Domain(math.sqrt(3)), RandomSource(seed))
         assert np.linalg.norm(theta) <= math.sqrt(3) + 1e-9
 
@@ -397,13 +391,13 @@ def test_kst_validation():
     X = np.full((10, 2), 2.0)  # row norms exceed sqrt(2)
     y = np.zeros(10)
     with pytest.raises(ValueError):
-        erm_kst(X, y, squared_loss(2), l2_regularizer(), PrivacyBudget(1.0),
+        erm_kst(X, y, squared_loss(2), PrivacyBudget(1.0),
                 1.0, Domain(1.0), RandomSource(0))
     ok = np.zeros((10, 2))
     bare = LossSpec(lambda s, t: (s - t) ** 2, lambda s, t: 2 * (s - t))
     with pytest.raises(ValueError):
-        erm_kst(ok, y, bare, l2_regularizer(), PrivacyBudget(1.0), 1.0,
+        erm_kst(ok, y, bare, PrivacyBudget(1.0), 1.0,
                 Domain(1.0), RandomSource(0))
     with pytest.raises(ValueError):
-        erm_kst(ok, y, squared_loss(2), l2_regularizer(), PrivacyBudget(1.0),
+        erm_kst(ok, y, squared_loss(2), PrivacyBudget(1.0),
                 -1.0, Domain(1.0), RandomSource(0))
