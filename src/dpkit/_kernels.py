@@ -44,10 +44,17 @@ def laplace_noise(u: np.ndarray, scale) -> np.ndarray:
 
 def rff_features(x: np.ndarray, freqs: np.ndarray,
                  phases: np.ndarray) -> np.ndarray:
-    """Features D^{-1/2} cos(w_j . x_i + psi_j); rows have l2 norm <= 1."""
+    """Features D^{-1/2} cos(w_j . x_i + psi_j); rows have l2 norm <= 1.
+
+    The result is column-major (the transpose of a row-major D x n
+    product), which the solver's products read faster; the phase, the
+    cosine and the division run in place on it."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != freqs.shape[1]:
         raise ValueError("input dimension does not match projection frequencies")
-    proj = x @ freqs.T + np.asarray(phases, dtype=np.float64)
-    return np.cos(proj) / math.sqrt(freqs.shape[0])
+    features = (freqs @ x.T).T
+    features += np.asarray(phases, dtype=np.float64)
+    np.cos(features, out=features)
+    features /= math.sqrt(freqs.shape[0])
+    return features

@@ -241,17 +241,42 @@ def _features(columns, args) -> np.ndarray:
                             for c in args.feature_columns.split(",")])
 
 
-# Flags that only ``fit svm`` reads, with their defaults.
-_SVM_FLAGS = {"weights-column": None, "kernel": "linear", "rff-dim": None,
-              "kernel-param": None}
+# The flags that not every model reads: flag -> (default, the models that
+# read it). Their parser default is None, so a flag given to a model that
+# does not read it is refused rather than dropped. The svm reads the
+# _GAUSSIAN_FLAGS only with --kernel gaussian.
+_MODEL_FLAGS = {
+    "method": ("output", ("logit", "svm")),
+    "weight-upper-bound": (1.0, ("logit", "svm")),
+    "huber-h": (0.5, ("svm",)),
+    "kernel": ("linear", ("svm",)),
+    "weights-column": (None, ("svm",)),
+    "rff-dim": (None, ("svm",)),
+    "kernel-param": (None, ("svm",)),
+}
+_GAUSSIAN_FLAGS = ("rff-dim", "kernel-param")
+
+
+def _model_flags(args) -> None:
+    """Refuse each model flag of ``args`` that its model does not read, and
+    give the flags it does read but were left out their defaults."""
+    gaussian = getattr(args, "kernel", None) == "gaussian"
+    for flag, (default, readers) in _MODEL_FLAGS.items():
+        dest = flag.replace("-", "_")
+        if not hasattr(args, dest):  # not a flag of this command
+            continue
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.model not in readers or (flag in _GAUSSIAN_FLAGS
+                                           and not gaussian):
+            kernel = ", with --kernel gaussian" * (flag in _GAUSSIAN_FLAGS)
+            raise ValueError(f"--{flag} applies to {args.cmd} "
+                             f"{'|'.join(readers)} only{kernel}")
 
 
 def _cmd_fit(args) -> dict:
     kind = args.model
-    if kind != "svm":
-        for flag, default in _SVM_FLAGS.items():
-            if getattr(args, flag.replace("-", "_")) != default:
-                raise ValueError(f"--{flag} applies to fit svm only")
+    _model_flags(args)
     columns = _read_csv(args.input)
     X = _features(columns, args)
     y = _numeric_column(columns, args.label_column)
@@ -298,6 +323,7 @@ def _cmd_predict(args) -> dict:
 
 
 def _cmd_tune(args) -> dict:
+    _model_flags(args)
     columns = _read_csv(args.input)
     X = _features(columns, args)
     y = _numeric_column(columns, args.label_column)
@@ -468,15 +494,19 @@ def _add_fit(sub):
                     default=None)
     ft.add_argument("--gamma", type=float, required=True)
     ft.add_argument("--method", choices=["output", "objective"],
-                    default="output")
+                    default=None, help="logit and svm; default output")
     ft.add_argument("--add-bias", action="store_true")
     ft.add_argument("--kernel", choices=["linear", "gaussian"],
-                    default="linear")
-    ft.add_argument("--rff-dim", type=int, default=None)
-    ft.add_argument("--kernel-param", type=float, default=None)
-    ft.add_argument("--huber-h", type=float, default=0.5)
-    ft.add_argument("--weights-column", default=None)
-    ft.add_argument("--weight-upper-bound", type=float, default=1.0)
+                    default=None, help="svm; default linear")
+    ft.add_argument("--rff-dim", type=int, default=None,
+                    help="svm with --kernel gaussian")
+    ft.add_argument("--kernel-param", type=float, default=None,
+                    help="svm with --kernel gaussian; default 1/p")
+    ft.add_argument("--huber-h", type=float, default=None,
+                    help="svm; default 0.5")
+    ft.add_argument("--weights-column", default=None, help="svm")
+    ft.add_argument("--weight-upper-bound", type=float, default=None,
+                    help="logit and svm; default 1")
     ft.add_argument("--output", required=True, help="model JSON path")
     _add_common(ft)
     ft.set_defaults(handler=_cmd_fit)
@@ -502,8 +532,9 @@ def _add_tune(sub):
     tn.add_argument("--epsilon-train", type=float, required=True)
     tn.add_argument("--epsilon-select", type=float, required=True)
     tn.add_argument("--method", choices=["output", "objective"],
-                    default="output")
-    tn.add_argument("--huber-h", type=float, default=0.5)
+                    default=None, help="logit and svm; default output")
+    tn.add_argument("--huber-h", type=float, default=None,
+                    help="svm; default 0.5")
     tn.add_argument("--add-bias", action="store_true")
     tn.add_argument("--output", required=True)
     _add_common(tn)

@@ -7,9 +7,11 @@ coefficient domain. Both sit on one minimizer: the nonmonotone spectral
 projected-gradient method of Birgin, Martinez and Raydan (SIAM J. Optim.
 10(4), 2000), a Barzilai-Borwein step projected onto the domain and accepted
 by the Grippo-Lampariello-Lucidi (GLL) test against the largest of the last
-few objective values. The empirical objective evaluates each point's linear
-scores once and shares them between its value and its gradient. The whole
-module is scipy-free and deterministic given a RandomSource.
+few objective values. The empirical objective makes one pass per point: the
+linear scores, the loss sum and the per-sample derivative all come from one
+product X theta and one call of the loss's ``evaluate``, so the gradient at
+a point whose value was just computed costs only X^T d. The whole module is
+scipy-free and deterministic given a RandomSource.
 
 The regularizer is fixed to (1/2)||theta||^2: both privacy proofs need it
 1-strongly convex and twice differentiable, which a caller-supplied function
@@ -37,15 +39,22 @@ from .mechanisms import PURE, PrivacyBudget, RandomSource
 class LossSpec:
     """Per-sample loss on a linear score.
 
-    value/grad map (scores, labels) -> per-sample losses / dloss-dscore.
+    evaluate maps (scores, labels) -> (per-sample losses, dloss/dscore),
+    both from one pass over the scores; the two arrays are new and the
+    caller may overwrite them. value and grad return one of the pair.
     curvature bounds the second derivative (classification path);
     grad_norm_bound / eigen_bound are the regression-path constants.
     """
-    value: Callable
-    grad: Callable
+    evaluate: Callable
     curvature: float | None = None
     grad_norm_bound: float | None = None
     eigen_bound: float | None = None
+
+    def value(self, scores, y) -> np.ndarray:
+        return self.evaluate(scores, y)[0]
+
+    def grad(self, scores, y) -> np.ndarray:
+        return self.evaluate(scores, y)[1]
 
 
 @dataclass(frozen=True)
@@ -192,28 +201,35 @@ def _check_rows(X: np.ndarray, limit: float, tol: float = 1e-9):
 
 
 def _empirical_objective(X, y, loss: LossSpec, gamma: float,
-                         weights: np.ndarray, slack: float = 0.0,
-                         b: np.ndarray | None = None):
+                         weights: np.ndarray | None = None,
+                         slack: float = 0.0, b: np.ndarray | None = None):
     """Value and gradient closures of the regularized objective over one
     data set: mean weighted loss + (gamma/n)(1/2)||theta||^2, plus the
-    perturbation terms (slack/2n)||theta||^2 and b.theta/n.
+    perturbation terms (slack/2n)||theta||^2 and b.theta/n. ``weights`` of
+    None means uniform weights 1 and costs no multiply.
 
-    Both read the linear scores X @ theta through a one-point cache keyed on
-    a copy of theta, so the gradient at a point whose value the solver just
-    computed costs only the per-sample derivative and X^T r.
+    Both read one cache keyed on a copy of theta: the loss sum and the
+    weighted derivative d from one product X @ theta and one
+    ``loss.evaluate``, so the gradient at a point whose value the solver
+    just computed costs only X^T d.
     """
     n = X.shape[0]
-    last_theta, last_scores = None, None
+    last_theta, loss_sum, dscores = None, 0.0, None
 
-    def scores_at(theta):
-        nonlocal last_theta, last_scores
+    def evaluate_at(theta):
+        nonlocal last_theta, loss_sum, dscores
         if last_theta is None or not np.array_equal(last_theta, theta):
+            losses, dscores = loss.evaluate(X @ theta, y)
+            if weights is None:
+                loss_sum = float(losses.sum())
+            else:
+                loss_sum = float(weights @ losses)
+                dscores *= weights
             last_theta = np.array(theta, dtype=np.float64)
-            last_scores = X @ theta
-        return last_scores
+        return loss_sum, dscores
 
     def fun(theta):
-        val = float(weights @ loss.value(scores_at(theta), y)) / n
+        val = evaluate_at(theta)[0] / n
         val += gamma / n * (0.5 * float(theta @ theta))
         if slack:
             val += slack / (2.0 * n) * float(theta @ theta)
@@ -222,7 +238,7 @@ def _empirical_objective(X, y, loss: LossSpec, gamma: float,
         return val
 
     def grad(theta):
-        g = X.T @ (weights * loss.grad(scores_at(theta), y)) / n
+        g = X.T @ evaluate_at(theta)[1] / n
         g = g + gamma / n * theta
         if slack:
             g = g + slack / n * theta
@@ -267,15 +283,15 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
     if cfg.budget.variant != PURE:
         raise ValueError("classification-path ERM provides pure DP only")
 
-    if weights is None:
-        weights = np.ones(n)
-    else:
+    if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n,):
             raise ValueError("weights must match the number of rows")
         if np.any(weights < 0.0) or np.any(weights >
                                            cfg.weight_upper_bound + 1e-12):
             raise ValueError("weights must lie in [0, weight_upper_bound]")
+        if np.all(weights == 1.0):
+            weights = None  # uniform: the objective skips the multiplies
 
     eps = cfg.budget.epsilon
 
@@ -289,7 +305,7 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
     if loss.curvature is None:
         raise ValueError("objective perturbation needs a loss curvature "
                          "bound")
-    if not np.all(weights == 1.0):
+    if weights is not None:
         raise ValueError("objective perturbation does not support "
                          "non-uniform weights; use the output path")
     c = loss.curvature
@@ -300,8 +316,8 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
         slack = c / (math.exp(eps / 4.0) - 1.0) - cfg.gamma
         eps_prime = eps / 2.0
     b = sample_sphere_gamma(p, 2.0 / eps_prime, rng)
-    fun, grad = _empirical_objective(X, y, loss, cfg.gamma, weights,
-                                     slack=slack, b=b)
+    fun, grad = _empirical_objective(X, y, loss, cfg.gamma, slack=slack,
+                                     b=b)
     return _converged_minimizer(fun, grad, p, tol=tol)
 
 
@@ -353,7 +369,5 @@ def erm_kst(X, y, loss: LossSpec, budget: PrivacyBudget, gamma: float,
 
     slack = kst_slack(loss.eigen_bound, budget.epsilon)
     b = kst_noise(p, loss, budget, rng)
-    weights = np.ones(n)
-    fun, grad = _empirical_objective(X, y, loss, gamma, weights,
-                                     slack=slack, b=b)
+    fun, grad = _empirical_objective(X, y, loss, gamma, slack=slack, b=b)
     return _converged_minimizer(fun, grad, p, domain, tol)

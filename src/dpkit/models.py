@@ -25,57 +25,88 @@ _BOUNDS_TOL = 1e-9
 
 
 def logistic_loss() -> LossSpec:
-    """Cross-entropy on the margin z = y * score, labels in {-1, +1}."""
-    from scipy.special import expit  # scipy loads only when a model needs it
+    """Cross-entropy on the margin m = y * score, labels in {-1, +1}."""
 
-    def value(scores, y):
-        # log(1 + exp(-m)) without overflow, cheaper than np.logaddexp.
+    def evaluate(scores, y):
+        # One e = exp(-|m|) serves the loss, log1p(e) + max(-m, 0), and the
+        # sigmoid(-m) of the derivative, where(m > 0, e, 1) / (1 + e); both
+        # stay finite and accurate for large |m|, unlike -log1p(-sigmoid). The
+        # numerator is exp(min(-m, 0)), the same bits as the masked select
+        # at a fraction of its cost, and the denominator -(1 + e) carries the
+        # sign of the derivative -y sigmoid(-m).
         margins = y * scores
-        return np.log1p(np.exp(-np.abs(margins))) + np.maximum(-margins, 0.0)
+        d = np.negative(margins)
+        e = np.minimum(margins, d)
+        np.exp(e, out=e)
+        np.minimum(d, 0.0, out=margins)
+        np.exp(margins, out=margins)
+        losses = np.log1p(e)
+        np.maximum(d, 0.0, out=d)
+        losses += d
+        np.subtract(-1.0, e, out=d)
+        np.divide(margins, d, out=d)
+        d *= y
+        return losses, d
 
-    def grad(scores, y):
-        return -y * expit(-y * scores)
-
-    return LossSpec(value=value, grad=grad, curvature=0.25)
-
-
-def huber_loss_value(z, h: float):
-    """Smooth three-branch approximation of the hinge loss: 0 above 1 + h,
-    1 - z below 1 - h, and (1 + h - z)^2 / (4h) in between."""
-    if h <= 0.0:
-        raise ValueError("huber smoothing width must be positive")
-    z = np.asarray(z, dtype=np.float64)
-    u = np.clip(1.0 + h - z, 0.0, 2.0 * h)  # one expression, three branches
-    return u * u / (4.0 * h) + np.maximum(1.0 - h - z, 0.0)
-
-
-def huber_loss_grad(z, h: float):
-    z = np.asarray(z, dtype=np.float64)
-    return -np.clip(1.0 + h - z, 0.0, 2.0 * h) / (2.0 * h)
+    return LossSpec(evaluate, curvature=0.25)
 
 
 def huber_loss(h: float = 0.5) -> LossSpec:
-    def value(scores, y):
-        return huber_loss_value(y * scores, h)
+    """Smooth three-branch approximation of the hinge loss on the margin
+    z = y * score: 0 above 1 + h, 1 - z below 1 - h, and (1 + h - z)^2 / (4h)
+    in between. The width h must be finite and positive."""
+    if not (math.isfinite(h) and h > 0.0):
+        raise ValueError("huber smoothing width must be finite and positive, "
+                         f"got {h!r}")
 
-    def grad(scores, y):
-        return y * huber_loss_grad(y * scores, h)
+    def evaluate(scores, y):
+        # The clipped u = 1 + h - z is one expression for all three branches
+        # of the value and of the derivative -u / (2h).
+        z = y * scores
+        u = np.subtract(1.0 + h, z)
+        np.clip(u, 0.0, 2.0 * h, out=u)
+        np.subtract(1.0 - h, z, out=z)
+        np.maximum(z, 0.0, out=z)
+        losses = u * u
+        losses /= 4.0 * h
+        losses += z
+        np.divide(u, -2.0 * h, out=u)
+        u *= y
+        return losses, u
 
-    return LossSpec(value=value, grad=grad, curvature=1.0 / (2.0 * h))
+    return LossSpec(evaluate, curvature=1.0 / (2.0 * h))
+
+
+def _on_margins(loss: LossSpec, z) -> tuple[np.ndarray, np.ndarray]:
+    """``loss.evaluate`` at the margins ``z`` (label +1), in the shape of z:
+    a number for a number."""
+    z = np.asarray(z, dtype=np.float64)
+    value, grad = loss.evaluate(np.atleast_1d(z), 1.0)
+    return value.reshape(z.shape)[()], grad.reshape(z.shape)[()]
+
+
+def huber_loss_value(z, h: float):
+    """The Huber loss of ``huber_loss(h)`` at the margins ``z``."""
+    return _on_margins(huber_loss(h), z)[0]
+
+
+def huber_loss_grad(z, h: float):
+    """dloss/dz of ``huber_loss(h)`` at the margins ``z``."""
+    return _on_margins(huber_loss(h), z)[1]
 
 
 def squared_loss(p: int) -> LossSpec:
     """Half squared error with the regression-path constants for row norms
     <= sqrt(p), |y| <= p, and coefficients inside the sqrt(p) ball."""
 
-    def value(scores, y):
-        return 0.5 * (scores - y) ** 2
+    def evaluate(scores, y):
+        residuals = scores - y
+        losses = np.square(residuals)
+        losses *= 0.5
+        return losses, residuals
 
-    def grad(scores, y):
-        return scores - y
-
-    return LossSpec(value=value, grad=grad,
-                    grad_norm_bound=2.0 * p ** 1.5, eigen_bound=float(p))
+    return LossSpec(evaluate, grad_norm_bound=2.0 * p ** 1.5,
+                    eigen_bound=float(p))
 
 
 @dataclass(frozen=True)
@@ -84,7 +115,11 @@ class FeatureScaler:
     global_divisor: float = 1.0
 
     def scale(self, X: np.ndarray) -> np.ndarray:
-        return X / self.column_divisors / self.global_divisor
+        """X / column_divisors / global_divisor, column-major: the solver's
+        products X @ theta and X^T d run faster on it."""
+        scaled = np.divide(X, self.column_divisors, order="F")
+        scaled /= self.global_divisor
+        return scaled
 
     def unscale_coefficients(self, theta: np.ndarray) -> np.ndarray:
         return theta / self.column_divisors / self.global_divisor
@@ -216,9 +251,13 @@ def _check_in_bounds(X: np.ndarray, bounds: list[Bounds]):
 
 
 def _with_bias(X: np.ndarray, add_bias: bool) -> np.ndarray:
+    """X with a leading column of ones when add_bias, column-major."""
     if not add_bias:
         return X
-    return np.column_stack([np.ones(X.shape[0]), X])
+    out = np.empty((X.shape[0], X.shape[1] + 1), order="F")
+    out[:, 0] = 1.0
+    out[:, 1:] = X
+    return out
 
 
 def _column_divisors(bounds: list[Bounds], add_bias: bool) -> np.ndarray:

@@ -247,6 +247,86 @@ def test_fit_refuses_svm_flags_uncharged(capsys, tmp_path, model, flags):
     assert not ledger.exists() and not model_path.exists()
 
 
+# Flags a model never reads: (command, model, flags, message).
+_UNREAD_FLAGS = [
+    ("fit", "linreg", ["--method", "objective"],
+     "--method applies to fit logit|svm only"),
+    ("fit", "linreg", ["--huber-h", "3"], "--huber-h applies to fit svm only"),
+    ("fit", "linreg", ["--weight-upper-bound", "9"],
+     "--weight-upper-bound applies to fit logit|svm only"),
+    ("fit", "logit", ["--huber-h", "3"], "--huber-h applies to fit svm only"),
+    ("fit", "svm", ["--rff-dim", "20"],
+     "--rff-dim applies to fit svm only, with --kernel gaussian"),
+    ("fit", "svm", ["--kernel", "linear", "--kernel-param", "3"],
+     "--kernel-param applies to fit svm only, with --kernel gaussian"),
+    ("tune", "linreg", ["--method", "objective"],
+     "--method applies to tune logit|svm only"),
+    ("tune", "logit", ["--huber-h", "3"], "--huber-h applies to tune svm only"),
+    ("tune", "linreg", ["--huber-h", "3"],
+     "--huber-h applies to tune svm only"),
+]
+
+
+def _model_command(command, model, path, *flags):
+    """argv of a ``fit`` or ``tune`` run of ``model`` on the a,b,label CSV;
+    a Gaussian-kernel fit takes no bounds."""
+    argv = [command, model, "--input", str(path), "--label-column", "label",
+            "--feature-columns", "a,b"]
+    if "gaussian" not in flags:
+        argv.append("--bounds=-1,1;-1,1" + (";0,1" if model == "linreg"
+                                            else ""))
+    if command == "fit":
+        argv += ["--epsilon", "1", "--gamma", "1"]
+    else:
+        argv += ["--gammas", "0.1,1", "--epsilon-train", "1",
+                 "--epsilon-select", "0.5"]
+    return argv + [*flags, "--seed", "3"]
+
+
+@pytest.mark.parametrize("command,model,flags,message", _UNREAD_FLAGS,
+                         ids=[f"{c}-{m}{f[-2]}" for c, m, f, _ in
+                              _UNREAD_FLAGS])
+def test_model_flags_a_model_does_not_read_exit_3_uncharged(
+        capsys, clf_csv, tmp_path, command, model, flags, message):
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    code, out, err = run_cli(capsys, *_model_command(
+        command, model, clf_csv, *flags), "--ledger", str(ledger),
+        "--output", str(model_path))
+    assert code == 3 and out == ""
+    assert message in err
+    _one_line_error(err)
+    assert not ledger.exists() and not model_path.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "tune"])
+@pytest.mark.parametrize("width", ["0", "nan"])
+def test_bad_huber_width_exits_3_uncharged(capsys, clf_csv, tmp_path,
+                                           command, width):
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    code, out, err = run_cli(capsys, *_model_command(
+        command, "svm", clf_csv, "--huber-h", width), "--ledger",
+        str(ledger), "--output", str(model_path))
+    assert code == 3 and out == ""
+    assert "huber smoothing width must be finite and positive" in err
+    _one_line_error(err)
+    assert not ledger.exists() and not model_path.exists()
+
+
+def test_model_flags_a_model_reads_are_accepted(capsys, clf_csv, tmp_path):
+    model_path = str(tmp_path / "m.json")
+    for argv in (
+            _model_command("fit", "logit", clf_csv, "--method", "objective",
+                           "--weight-upper-bound", "2"),
+            _model_command("fit", "svm", clf_csv, "--method", "objective",
+                           "--huber-h", "0.3", "--kernel", "linear"),
+            _model_command("fit", "svm", clf_csv, "--kernel", "gaussian",
+                           "--rff-dim", "20", "--kernel-param", "0.5"),
+            _model_command("tune", "svm", clf_csv, "--method", "objective",
+                           "--huber-h", "0.3")):
+        code, _, err = run_cli(capsys, *argv, "--output", model_path)
+        assert code == 0, (argv, err)
+
+
 @pytest.mark.parametrize("alloc", ["0.5,0.5", "7"])
 def test_exponential_mechanism_refuses_alloc_uncharged(capsys, tmp_path,
                                                        alloc):

@@ -112,6 +112,39 @@ def test_empirical_objective_cache_keys_on_a_copy():
     assert np.array_equal(grad(theta), fresh_grad(theta.copy()))
 
 
+def test_empirical_objective_evaluates_the_loss_once_per_point():
+    X, y = _toy_classification(40, 3, seed=9)
+    logistic = logistic_loss()
+    calls = []
+
+    def evaluate(scores, labels):
+        calls.append(1)
+        return logistic.evaluate(scores, labels)
+
+    fun, grad = _empirical_objective(X, y, LossSpec(evaluate), 0.5)
+    theta = np.array([0.2, -0.3, 0.1])
+    fun(theta)
+    grad(theta)
+    fun(theta)
+    assert len(calls) == 1
+    other = theta + 0.5
+    fun(other)
+    grad(other)
+    assert len(calls) == 2
+    grad(theta)
+    assert len(calls) == 3
+
+
+def test_empirical_objective_none_weights_match_unit_weights():
+    X, y = _toy_classification(60, 3, seed=10)
+    theta = np.array([0.5, 0.1, -0.4])
+    fun, grad = _empirical_objective(X, y, logistic_loss(), 0.5)
+    fun1, grad1 = _empirical_objective(X, y, logistic_loss(), 0.5,
+                                       np.ones(60))
+    assert fun(theta) == pytest.approx(fun1(theta), rel=1e-14)
+    assert np.array_equal(grad(theta), grad1(theta))
+
+
 def test_empirical_objective_gradient_finite_difference():
     X, y = _toy_classification(30, 3, seed=5)
     w = np.linspace(0.2, 1.0, 30)
@@ -201,6 +234,16 @@ def test_cms_unit_weights_match_unweighted_draw_for_draw():
     assert np.allclose(a, b, atol=1e-9)
 
 
+@pytest.mark.parametrize("perturbation", ["output", "objective"])
+def test_cms_unit_weights_give_the_unweighted_fit(perturbation):
+    X, y = _toy_classification(300, 3, seed=12)
+    cfg = ErmConfig(PrivacyBudget(2.0), 1.0, perturbation)
+    a = erm_cms(X, y, huber_loss(), cfg, rng=RandomSource(4))
+    b = erm_cms(X, y, huber_loss(), cfg, weights=np.ones(300),
+                rng=RandomSource(4))
+    assert np.array_equal(a, b)
+
+
 def test_cms_weight_bound_shrinks_noise_via_beta():
     # Smaller weight bound means larger beta, hence less noise on average.
     X, y = _toy_classification(50, 2, seed=3)
@@ -256,7 +299,7 @@ def test_cms_validation():
         erm_cms(X, y, loss,
                 ErmConfig(PrivacyBudget(1.0, 0.1, APPROXIMATE), 1.0),
                 rng=RandomSource(0))
-    no_curv = LossSpec(loss.value, loss.grad)
+    no_curv = LossSpec(loss.evaluate)
     with pytest.raises(ValueError):
         erm_cms(X, y, no_curv,
                 ErmConfig(PrivacyBudget(1.0), 1.0, "objective"),
@@ -394,7 +437,7 @@ def test_kst_validation():
         erm_kst(X, y, squared_loss(2), PrivacyBudget(1.0),
                 1.0, Domain(1.0), RandomSource(0))
     ok = np.zeros((10, 2))
-    bare = LossSpec(lambda s, t: (s - t) ** 2, lambda s, t: 2 * (s - t))
+    bare = LossSpec(lambda s, t: ((s - t) ** 2, 2 * (s - t)))
     with pytest.raises(ValueError):
         erm_kst(ok, y, bare, PrivacyBudget(1.0), 1.0,
                 Domain(1.0), RandomSource(0))

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from dpkit import _kernels
 from dpkit.erm import ErmConfig
 from dpkit.mechanisms import PrivacyBudget, RandomSource
 from dpkit.models import (FeatureScaler, RffProjection, TrainedModel,
-                          fit_linreg, fit_logistic, fit_svm, huber_loss,
-                          huber_loss_grad, huber_loss_value, logistic_loss,
-                          predict)
+                          _with_bias, fit_linreg, fit_logistic, fit_svm,
+                          huber_loss, huber_loss_grad, huber_loss_value,
+                          logistic_loss, predict, squared_loss)
 from dpkit.stats import Bounds
 
 from oracles import fit_logistic_unregularized
@@ -105,6 +106,85 @@ def test_logistic_loss_gradient_and_curvature_bounds():
     assert np.all(curv <= 0.25 + 1e-6)
 
 
+def _margin_grid(h):
+    """Margins from -1e3 to 1e3, with 0, -0 and the Huber seams 1 +- h."""
+    seams = np.array([1.0 - h, 1.0 + h])
+    return np.concatenate([np.linspace(-40.0, 40.0, 801),
+                           [-1e3, -30.0, -0.0, 0.0, 30.0, 1e3], seams,
+                           np.nextafter(seams, -np.inf),
+                           np.nextafter(seams, np.inf)])
+
+
+def _labelled_scores(margins):
+    """(scores, labels) with labels alternating in sign and the given
+    margins y * score."""
+    y = np.where(np.arange(margins.size) % 2, 1.0, -1.0)
+    return y * margins, y
+
+
+def test_logistic_evaluate_matches_separate_formulas():
+    scores, y = _labelled_scores(_margin_grid(0.5))
+    value, grad = logistic_loss().evaluate(scores, y)
+    margins = y * scores
+    np.testing.assert_allclose(
+        value, np.log1p(np.exp(-np.abs(margins))) + np.maximum(-margins, 0.0),
+        rtol=1e-14, atol=0)
+    np.testing.assert_allclose(grad, -y * expit(-y * scores), rtol=1e-14,
+                               atol=0)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.5, 2.0])
+def test_huber_evaluate_matches_separate_formulas(h):
+    scores, y = _labelled_scores(_margin_grid(h))
+    value, grad = huber_loss(h).evaluate(scores, y)
+    u = np.clip(1.0 + h - y * scores, 0.0, 2.0 * h)
+    np.testing.assert_allclose(
+        value, u * u / (4.0 * h) + np.maximum(1.0 - h - y * scores, 0.0),
+        rtol=1e-14, atol=0)
+    np.testing.assert_allclose(grad, y * (-u / (2.0 * h)), rtol=1e-14,
+                               atol=0)
+
+
+def test_squared_evaluate_matches_separate_formulas():
+    scores, y = _labelled_scores(_margin_grid(0.5))
+    y = 0.3 * y
+    value, grad = squared_loss(2).evaluate(scores, y)
+    np.testing.assert_allclose(value, 0.5 * (scores - y) ** 2, rtol=1e-14,
+                               atol=0)
+    np.testing.assert_allclose(grad, scores - y, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("loss", [logistic_loss(), huber_loss(0.5)],
+                         ids=["logistic", "huber"])
+def test_classification_losses_stay_nan_free_at_extremes(loss):
+    margins = np.array([-np.inf, -1e308, -1e300, -745.0, -740.0, 740.0,
+                        745.0, 1e300, 1e308, np.inf])
+    scores, y = _labelled_scores(margins)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        value, grad = loss.evaluate(scores, y)
+    assert not np.any(np.isnan(value)) and not np.any(np.isnan(grad))
+    assert np.all(value >= 0.0) and np.all(np.abs(grad) <= 1.0)
+    assert np.all(value[margins > 0] < 1e-300)
+
+
+@pytest.mark.parametrize("loss", [logistic_loss(), huber_loss(0.5),
+                                  squared_loss(2)],
+                         ids=["logistic", "huber", "squared"])
+def test_value_and_grad_are_the_halves_of_evaluate(loss):
+    scores, y = _labelled_scores(_margin_grid(0.5))
+    before = scores.copy()
+    value, grad = loss.evaluate(scores, y)
+    assert np.array_equal(scores, before)  # the scores are not overwritten
+    assert np.array_equal(loss.value(scores, y), value)
+    assert np.array_equal(loss.grad(scores, y), grad)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.5, float("nan"), float("inf")])
+def test_huber_width_is_checked_when_the_loss_is_built(h):
+    with pytest.raises(ValueError, match="finite and positive"):
+        huber_loss(h)
+
+
 # -- scaling -----------------------------------------------------------------------
 
 def test_classification_scaling_bounds_row_norms():
@@ -125,6 +205,32 @@ def test_scaler_round_trip_preserves_scores():
     scores_scaled = scaler.scale(X) @ theta_scaled
     scores_orig = X @ scaler.unscale_coefficients(theta_scaled)
     assert np.allclose(scores_scaled, scores_orig, atol=1e-12)
+
+
+def test_design_matrices_are_column_major_and_unchanged():
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-3.0, 3.0, size=(200, 3))
+    Xb = _with_bias(X, True)
+    assert Xb.flags.f_contiguous
+    assert np.array_equal(Xb, np.column_stack([np.ones(200), X]))
+    scaler = FeatureScaler(np.array([1.0, 3.0, 2.0, 0.5]), math.sqrt(4))
+    Xs = scaler.scale(Xb)
+    assert Xs.flags.f_contiguous
+    assert np.array_equal(
+        Xs, np.column_stack([np.ones(200), X]) / scaler.column_divisors
+        / scaler.global_divisor)
+
+
+def test_rff_features_are_column_major():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, size=(300, 4))
+    freqs = rng.normal(size=(40, 4))
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=40)
+    features = _kernels.rff_features(x, freqs, phases)
+    assert features.flags.f_contiguous
+    np.testing.assert_allclose(
+        features, np.cos(x @ freqs.T + phases) / math.sqrt(40),
+        rtol=0, atol=1e-12)
 
 
 # -- logistic ----------------------------------------------------------------------
