@@ -11,8 +11,9 @@ the seed: without ``--seed`` each run draws fresh noise. Exit codes:
 
   0  success
   2  bad flags or arguments (argparse)
-  3  invalid input (bounds, labels, CSV values, missing or unreadable
-     files, a solver that did not converge)
+  3  invalid input (bounds, labels, CSV values including NaN cells,
+     missing or unreadable files, --cap without --ledger, a classifier fit
+     whose solver did not converge)
   4  privacy budget exhausted
 """
 
@@ -145,9 +146,13 @@ def _release(args, command: str, epsilon: float, delta: float,
     """Charge (epsilon, delta) to --ledger under --cap, then build the report.
 
     The one path by which a command that spends budget reports: a refused
-    charge raises before anything is printed or written.
+    charge raises before anything is printed or written, and so does a
+    --cap without a --ledger to hold it to.
     """
     cap = None if args.cap is None else _parse_cap(args.cap)
+    if cap is not None and not args.ledger:
+        raise ValueError("--cap needs --ledger; without a ledger no cap "
+                         "can be enforced")
     if args.ledger:
         BudgetLedger.charge(args.ledger, command, epsilon, delta, args.tag,
                             cap)

@@ -2,24 +2,30 @@
 
 Two frameworks: output/objective perturbation for binary classification
 (with per-observation weights supported on the output path), and
-Gamma/Gaussian objective perturbation for regression over a closed convex
-coefficient domain. Both sit on one minimizer: the nonmonotone spectral
-projected-gradient method of Birgin, Martinez and Raydan (SIAM J. Optim.
-10(4), 2000), a Barzilai-Borwein step projected onto the domain and accepted
-by the Grippo-Lampariello-Lucidi (GLL) test against the largest of the last
-few objective values. The empirical objective makes one pass per point: the
-linear scores, the loss sum and the per-sample derivative all come from one
-product X theta and one call of the loss's ``evaluate``, so the gradient at
-a point whose value was just computed costs only X^T d. The whole module is
-scipy-free and deterministic given a RandomSource.
+Gamma/Gaussian objective perturbation for regression over an l2 ball of
+coefficients.
+
+Classification runs the nonmonotone spectral gradient method of Birgin,
+Martinez and Raydan (SIAM J. Optim. 10(4), 2000): a Barzilai-Borwein step
+accepted by the Grippo-Lampariello-Lucidi (GLL) test against the largest of
+the last few objective values. The empirical objective makes one pass per
+point: the linear scores, the loss sum and the per-sample derivative all
+come from one product X theta and one call of the loss's ``evaluate``, so
+the gradient at a point whose value was just computed costs only X^T d.
+
+Regression does not iterate: its objective is a quadratic, whose minimizer
+over the ball is a trust-region subproblem with an exact solution (More and
+Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983): one ``eigh``, then a
+fixed number of bisection steps on the multiplier of the ball constraint.
 
 The regularizer is fixed to (1/2)||theta||^2: both privacy proofs need it
 1-strongly convex and twice differentiable, which a caller-supplied function
 could only claim. With it the objective (1/n) sum(loss) + (gamma/n) R is
-gamma/n-strongly convex.
+gamma/n-strongly convex. The whole module is scipy-free and deterministic
+given a RandomSource.
 
-Output perturbation is private only at the exact minimizer, so neither
-framework releases a point at which the solver did not converge.
+Output perturbation is private only at the exact minimizer, so the
+classification path releases no point at which the solver did not converge.
 """
 
 from __future__ import annotations
@@ -75,20 +81,12 @@ class ErmConfig:
 
 @dataclass(frozen=True)
 class Domain:
-    """l2 ball of the given radius, or unconstrained when radius is None."""
-    radius: float | None = None
+    """The regression path's coefficients: the l2 ball of this radius."""
+    radius: float
 
     def __post_init__(self):
-        if self.radius is not None and self.radius <= 0.0:
+        if not self.radius > 0.0:
             raise ValueError("ball radius must be positive")
-
-    def project(self, theta: np.ndarray) -> np.ndarray:
-        if self.radius is None:
-            return theta
-        norm = float(np.linalg.norm(theta))
-        if norm <= self.radius:
-            return theta
-        return theta * (self.radius / norm)
 
 
 @dataclass
@@ -116,20 +114,19 @@ class SolverNotConvergedError(ValueError):
 _NONMONOTONE_MEMORY = 10
 
 
-def minimize(fun, grad, x0, domain: Domain | None = None, tol: float = 1e-8,
+def minimize(fun, grad, x0, tol: float = 1e-8,
              max_iters: int = 10_000) -> MinimizeResult:
-    """Nonmonotone spectral projected gradient (Birgin, Martinez, Raydan,
-    SIAM J. Optim. 2000).
+    """Nonmonotone spectral gradient (Birgin, Martinez, Raydan, SIAM J.
+    Optim. 2000), unconstrained.
 
-    Each iteration projects a Barzilai-Borwein (BB1) step onto the domain and
-    halves the step until the trial value passes the Grippo-Lampariello-
-    Lucidi (GLL) test: sufficient decrease relative to the largest of the
-    last _NONMONOTONE_MEMORY accepted values rather than the current one, so
-    the long BB steps are rarely cut back. Converged when the
-    projected-gradient norm drops to tol; warns when max_iters ends the run.
+    Each iteration takes a Barzilai-Borwein (BB1) step and halves it until
+    the trial value passes the Grippo-Lampariello-Lucidi (GLL) test:
+    sufficient decrease relative to the largest of the last
+    _NONMONOTONE_MEMORY accepted values rather than the current one, so the
+    long BB steps are rarely cut back. Converged when the gradient norm
+    drops to tol; warns when max_iters ends the run.
     """
-    domain = domain or Domain()
-    x = domain.project(np.asarray(x0, dtype=np.float64).copy())
+    x = np.asarray(x0, dtype=np.float64).copy()
     f = float(fun(x))
     if not math.isfinite(f):
         raise ValueError("objective is not finite at the starting point")
@@ -137,14 +134,14 @@ def minimize(fun, grad, x0, domain: Domain | None = None, tol: float = 1e-8,
     step = 1.0 / max(1.0, float(np.linalg.norm(g)))
     recent = deque([f], maxlen=_NONMONOTONE_MEMORY)
 
-    pg_norm = float(np.linalg.norm(x - domain.project(x - g)))
+    pg_norm = float(np.linalg.norm(g))
     it = 0
     while it < max_iters and pg_norm > tol:
         it += 1
         f_ref = max(recent)
-        # Backtrack until sufficient decrease along the projected step.
+        # Backtrack until sufficient decrease along the step.
         for _ in range(60):
-            x_new = domain.project(x - step * g)
+            x_new = x - step * g
             d = x_new - x
             f_new = float(fun(x_new))
             if f_new <= f_ref + 1e-4 * float(g @ d) or not np.any(d):
@@ -159,7 +156,7 @@ def minimize(fun, grad, x0, domain: Domain | None = None, tol: float = 1e-8,
             step = min(max(step, 1e-12), 1e12)
         x, g = x_new, g_new
         recent.append(f_new)
-        pg_norm = float(np.linalg.norm(x - domain.project(x - g)))
+        pg_norm = float(np.linalg.norm(g))
 
     converged = pg_norm <= tol
     if not converged:
@@ -194,10 +191,12 @@ def cms_output_noise(p: int, beta: float, rng: RandomSource,
 
 
 def _check_rows(X: np.ndarray, limit: float, tol: float = 1e-9):
+    """Refuse a row whose l2 norm is not finite or exceeds ``limit``. The
+    message states the limit only, never a norm of the data."""
     norms = np.linalg.norm(X, axis=1)
-    if norms.size and norms.max() > limit + tol:
-        raise ValueError(f"row l2 norms must not exceed {limit:.6g} "
-                         f"(max observed {norms.max():.6g})")
+    if norms.size and not norms.max() <= limit + tol:  # NaN fails too
+        raise ValueError(f"row l2 norms must be finite and at most "
+                         f"{limit:.6g}")
 
 
 def _empirical_objective(X, y, loss: LossSpec, gamma: float,
@@ -249,18 +248,17 @@ def _empirical_objective(X, y, loss: LossSpec, gamma: float,
     return fun, grad
 
 
-def _converged_minimizer(fun, grad, p: int, domain: Domain | None = None,
-                         tol: float = 1e-8) -> np.ndarray:
+def _converged_minimizer(fun, grad, p: int) -> np.ndarray:
     """Minimize from the origin; raise rather than return an unconverged
     point, which no privacy argument covers."""
-    res = minimize(fun, grad, np.zeros(p), domain, tol)
+    res = minimize(fun, grad, np.zeros(p))
     if not res.converged:
         raise SolverNotConvergedError(res.pg_norm, res.iterations)
     return res.x
 
 
 def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
-            rng: RandomSource | None = None, tol: float = 1e-8) -> np.ndarray:
+            rng: RandomSource | None = None) -> np.ndarray:
     """Classification-path private ERM (output or objective perturbation).
 
     Requires row norms <= 1, labels in {-1, +1} and |dloss/dscore| <= 1;
@@ -287,8 +285,8 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n,):
             raise ValueError("weights must match the number of rows")
-        if np.any(weights < 0.0) or np.any(weights >
-                                           cfg.weight_upper_bound + 1e-12):
+        ub = cfg.weight_upper_bound
+        if not np.all((weights >= 0.0) & (weights <= ub + 1e-12)):
             raise ValueError("weights must lie in [0, weight_upper_bound]")
         if np.all(weights == 1.0):
             weights = None  # uniform: the objective skips the multiplies
@@ -297,7 +295,7 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
 
     if cfg.perturbation == "output":
         fun, grad = _empirical_objective(X, y, loss, cfg.gamma, weights)
-        theta = _converged_minimizer(fun, grad, p, tol=tol)
+        theta = _converged_minimizer(fun, grad, p)
         beta = cfg.gamma * eps / (2.0 * cfg.weight_upper_bound)
         return theta + cms_output_noise(p, beta, rng)
 
@@ -318,7 +316,7 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
     b = sample_sphere_gamma(p, 2.0 / eps_prime, rng)
     fun, grad = _empirical_objective(X, y, loss, cfg.gamma, slack=slack,
                                      b=b)
-    return _converged_minimizer(fun, grad, p, tol=tol)
+    return _converged_minimizer(fun, grad, p)
 
 
 def kst_slack(eigen_bound: float, epsilon: float) -> float:
@@ -345,13 +343,15 @@ def kst_noise(p: int, loss: LossSpec, budget: PrivacyBudget,
 
 
 def erm_kst(X, y, loss: LossSpec, budget: PrivacyBudget, gamma: float,
-            domain: Domain, rng: RandomSource | None = None,
-            tol: float = 1e-8) -> np.ndarray:
-    """Regression-path private ERM over a closed convex coefficient domain.
+            domain: Domain, rng: RandomSource | None = None) -> np.ndarray:
+    """Regression-path private ERM over the l2 ball ``domain``.
 
-    The loss must supply its gradient-norm bound and Hessian eigenvalue
-    bound; the returned coefficients always lie inside the domain. Raises
-    SolverNotConvergedError instead of releasing an unconverged point.
+    The loss is half squared error, (1/2)(x.theta - y)^2; ``loss`` is read
+    for its gradient-norm and Hessian eigenvalue bounds only. The perturbed
+    objective is (1/2n) theta^T A theta - c^T theta / n with
+    A = X^T X + (gamma + slack) I and c = X^T y - b. Its minimizer over the
+    ball is computed exactly, so the result lies inside the domain and the
+    fit is never refused.
     """
     if rng is None:
         rng = RandomSource()  # seeded from OS entropy
@@ -360,6 +360,8 @@ def erm_kst(X, y, loss: LossSpec, budget: PrivacyBudget, gamma: float,
     n, p = X.shape
     if y.shape != (n,):
         raise ValueError("targets must be a vector matching the rows of X")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("targets must be finite")
     if loss.grad_norm_bound is None or loss.eigen_bound is None:
         raise ValueError("regression-path ERM needs grad_norm_bound and "
                          "eigen_bound on the loss")
@@ -369,5 +371,43 @@ def erm_kst(X, y, loss: LossSpec, budget: PrivacyBudget, gamma: float,
 
     slack = kst_slack(loss.eigen_bound, budget.epsilon)
     b = kst_noise(p, loss, budget, rng)
-    fun, grad = _empirical_objective(X, y, loss, gamma, slack=slack, b=b)
-    return _converged_minimizer(fun, grad, p, domain, tol)
+    A = X.T @ X
+    A[np.diag_indices(p)] += gamma + slack
+    c = X.T @ y
+    c -= b
+    return _ball_quadratic_min(A, c, domain.radius)
+
+
+# Bisection steps on the ball multiplier: the bracket [0, ||c||/radius]
+# shrinks to adjacent floats long before this many halvings.
+_BISECTION_STEPS = 100
+
+
+def _ball_quadratic_min(A: np.ndarray, c: np.ndarray,
+                        radius: float) -> np.ndarray:
+    """argmin of (1/2) theta^T A theta - c^T theta over ||theta|| <= radius,
+    for a symmetric positive definite A (More and Sorensen, 1983).
+
+    With A = Q diag(w) Q^T, theta(lam) = Q (Q^T c / (w + lam)), whose norm
+    falls as lam grows. theta(0) is the answer when it lies in the ball;
+    otherwise the answer is theta(lam) at the lam where the norm equals the
+    radius, below ||c|| / radius. Bisection tests the norm of the very
+    vector it would return and keeps the feasible upper end, so the result
+    never leaves the ball, rounding included. A positive definite A rules
+    out the "hard case".
+    """
+    w, Q = np.linalg.eigh(A)
+    z = Q.T @ c
+    theta = Q @ (z / w)
+    if np.linalg.norm(theta) <= radius:
+        return theta
+    lo, hi = 0.0, float(np.linalg.norm(c)) / radius
+    theta = Q @ (z / (w + hi))
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        trial = Q @ (z / (w + mid))
+        if np.linalg.norm(trial) > radius:
+            lo = mid
+        else:
+            hi, theta = mid, trial
+    return theta

@@ -97,7 +97,10 @@ def huber_loss_grad(z, h: float):
 
 def squared_loss(p: int) -> LossSpec:
     """Half squared error with the regression-path constants for row norms
-    <= sqrt(p), |y| <= p, and coefficients inside the sqrt(p) ball."""
+    <= sqrt(p), |y| <= p, and coefficients inside the sqrt(p) ball.
+
+    ``erm_kst`` solves this loss's quadratic objective exactly and reads
+    only the two constants; ``evaluate`` states the loss it assumes."""
 
     def evaluate(scores, y):
         residuals = scores - y
@@ -244,8 +247,9 @@ def _check_in_bounds(X: np.ndarray, bounds: list[Bounds]):
         raise ValueError("one bounds pair per column is required")
     for j, b in enumerate(bounds):
         col = X[:, j]
-        if col.min() < b.lower - _BOUNDS_TOL or \
-                col.max() > b.upper + _BOUNDS_TOL:
+        # Written so that a NaN cell, which fails every comparison, fails.
+        if not (b.lower - _BOUNDS_TOL <= col.min() and
+                col.max() <= b.upper + _BOUNDS_TOL):
             raise ValueError(f"column {j} violates its declared bounds "
                              f"[{b.lower}, {b.upper}]")
 
@@ -365,8 +369,8 @@ def fit_linreg(X, y, bounds: list[Bounds], budget: PrivacyBudget,
         raise ValueError("bounds must cover every column of X plus y")
     x_bounds, y_bounds = list(bounds[:-1]), bounds[-1]
     _check_in_bounds(X, x_bounds)
-    if y.min() < y_bounds.lower - _BOUNDS_TOL or \
-            y.max() > y_bounds.upper + _BOUNDS_TOL:
+    if not (y_bounds.lower - _BOUNDS_TOL <= y.min() and
+            y.max() <= y_bounds.upper + _BOUNDS_TOL):
         raise ValueError("targets violate their declared bounds")
 
     # Per-column scaling only: entries land in [-1, 1], row norms in the

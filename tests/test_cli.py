@@ -440,6 +440,69 @@ def _one_line_error(err):
     assert "Traceback" not in err
 
 
+def test_linreg_fit_and_tune_never_call_the_iterative_solver(
+        capsys, clf_csv, tmp_path, monkeypatch):
+    import dpkit.erm
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the regression path called minimize")
+
+    monkeypatch.setattr(dpkit.erm, "minimize", refuse)
+    for command in ("fit", "tune"):
+        code, out, err = run_cli(capsys, *_model_command(
+            command, "linreg", clf_csv), "--output",
+            str(tmp_path / f"{command}.json"))
+        assert code == 0 and err == ""
+        assert json.loads(out)["command"] == f"{command} linreg"
+
+
+@pytest.mark.parametrize("model,column,message", [
+    ("linreg", "a", "column 0 violates its declared bounds"),
+    ("linreg", "label", "targets violate their declared bounds"),
+    ("svm", "w", "weights must lie in [0, weight_upper_bound]")],
+    ids=["feature", "target", "weight"])
+def test_nan_cell_exits_3_uncharged(capsys, tmp_path, model, column,
+                                    message):
+    rng = np.random.default_rng(3)
+    rows = [[f"{u:.4f}", f"{v:.4f}", str(int(u + v > 0)),
+             f"{rng.uniform(0, 1):.3f}"] for u, v in rng.uniform(-1, 1,
+                                                                (60, 2))]
+    rows[7]["a,b,label,w".split(",").index(column)] = "nan"
+    path = tmp_path / "nan.csv"
+    path.write_text("a,b,label,w\n" + "\n".join(map(",".join, rows)) + "\n")
+    flags = ["--weights-column", "w"] if model == "svm" else []
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    code, out, err = run_cli(capsys, *_model_command(
+        "fit", model, path, *flags), "--ledger", str(ledger),
+        "--output", str(model_path))
+    assert code == 3 and out == ""
+    assert message in err
+    _one_line_error(err)
+    assert "nan" not in err.lower()
+    assert not ledger.exists() and not model_path.exists()
+
+
+@pytest.mark.parametrize("command", ["stat", "fit", "tune", "mech"])
+def test_cap_without_ledger_exits_3_uncharged(capsys, data_csv, clf_csv,
+                                              tmp_path, command):
+    model_path = tmp_path / "m.json"
+    argv = {
+        "stat": ["stat", "mean", "--input", data_csv, "--column", "x",
+                 "--bounds", "5,10", "--epsilon", "5"],
+        "fit": _model_command("fit", "logit", clf_csv),
+        "tune": _model_command("tune", "logit", clf_csv),
+        "mech": ["mech", "laplace", "--values", "1,2,3",
+                 "--sensitivities", "1,1,1", "--epsilon", "5"],
+    }[command]
+    if command in ("fit", "tune"):
+        argv += ["--output", str(model_path)]
+    code, out, err = run_cli(capsys, *argv, "--cap", "1")
+    assert code == 3 and out == ""
+    assert "--cap needs --ledger" in err
+    _one_line_error(err)
+    assert not model_path.exists()
+
+
 def test_missing_files_exit_3(capsys, clf_csv, tmp_path):
     missing = str(tmp_path / "missing.csv")
     code, out, err = run_cli(capsys, "stat", "mean", "--input", missing,

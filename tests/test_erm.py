@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+import dpkit.erm
 from dpkit.erm import (Domain, ErmConfig, LossSpec, SolverNotConvergedError,
                        cms_output_noise, erm_cms, erm_kst, kst_gaussian_sigma,
                        kst_noise, kst_slack, minimize, sample_sphere_gamma,
-                       _empirical_objective)
+                       _ball_quadratic_min, _empirical_objective)
 from dpkit.mechanisms import APPROXIMATE, PrivacyBudget, RandomSource
 from dpkit.models import huber_loss, logistic_loss, squared_loss
 
@@ -33,31 +34,6 @@ def test_minimize_quadratic():
                    lambda x: 2.0 * (x - a), np.zeros(3))
     assert res.converged
     assert np.allclose(res.x, a, atol=1e-7)
-
-
-def test_minimize_projects_onto_ball():
-    a = np.array([3.0, 4.0])  # unconstrained optimum has norm 5
-    res = minimize(lambda x: float((x - a) @ (x - a)),
-                   lambda x: 2.0 * (x - a), np.zeros(2), Domain(1.0))
-    assert np.linalg.norm(res.x) <= 1.0 + 1e-9
-    assert np.allclose(res.x, a / 5.0, atol=1e-6)
-
-
-def test_minimize_matches_scipy_on_constrained_quadratic():
-    rng = np.random.default_rng(2)
-    A = rng.normal(size=(5, 3))
-    H = A.T @ A + 0.1 * np.eye(3)
-    c = rng.normal(size=3)
-
-    def fun(x):
-        return 0.5 * float(x @ H @ x) + float(c @ x)
-
-    def grad(x):
-        return H @ x + c
-
-    ours = minimize(fun, grad, np.zeros(3), Domain(0.5)).x
-    ref = scipy_constrained_min(fun, grad, 3, radius=0.5)
-    assert np.allclose(ours, ref, atol=1e-5)
 
 
 def test_minimize_rejects_nonfinite_start():
@@ -311,6 +287,11 @@ def test_cms_validation():
     with pytest.raises(ValueError):
         erm_cms(X, y, loss, cfg, weights=np.full(20, 2.0),
                 rng=RandomSource(0))
+    nan_weight = np.ones(20)
+    nan_weight[3] = np.nan
+    with pytest.raises(ValueError, match="weights must lie"):
+        erm_cms(X, y, huber_loss(), cfg, weights=nan_weight,
+                rng=RandomSource(0))
 
 
 @pytest.mark.filterwarnings("ignore:minimize hit max_iters")
@@ -328,20 +309,55 @@ def test_cms_refuses_unconverged_minimizer(one_solver_iteration,
     assert isinstance(exc.value, ValueError) and exc.value.pg_norm > 1e-8
 
 
-@pytest.mark.filterwarnings("ignore:minimize hit max_iters")
-def test_kst_refuses_unconverged_minimizer(one_solver_iteration):
+# -- regression path -----------------------------------------------------------
+
+def test_ball_quadratic_min_projects_onto_ball():
+    # ||x - a||^2 is (1/2) x^T (2I) x - (2a)^T x plus a constant.
+    a = np.array([3.0, 4.0])  # unconstrained optimum has norm 5
+    x = _ball_quadratic_min(2.0 * np.eye(2), 2.0 * a, 1.0)
+    assert np.linalg.norm(x) <= 1.0 + 1e-9
+    assert np.allclose(x, a / 5.0, atol=1e-6)
+
+
+def test_ball_quadratic_min_matches_scipy_on_constrained_quadratic():
+    rng = np.random.default_rng(2)
+    A = rng.normal(size=(5, 3))
+    H = A.T @ A + 0.1 * np.eye(3)
+    c = rng.normal(size=3)
+
+    def fun(x):
+        return 0.5 * float(x @ H @ x) + float(c @ x)
+
+    def grad(x):
+        return H @ x + c
+
+    ours = _ball_quadratic_min(H, -c, 0.5)
+    ref = scipy_constrained_min(fun, grad, 3, radius=0.5)
+    assert np.allclose(ours, ref, atol=1e-5)
+
+
+def _kst_oracle(X, y, loss, budget, gamma, seed, radius):
+    b = kst_noise(X.shape[1], loss, budget, RandomSource(seed))
+    slack = kst_slack(loss.eigen_bound, budget.epsilon)
+    fun, grad = _empirical_objective(X, y, loss, gamma,
+                                     np.ones(len(y)), slack=slack, b=b)
+    return scipy_constrained_min(fun, grad, X.shape[1], radius=radius)
+
+
+def test_kst_never_calls_the_iterative_minimizer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("erm_kst called minimize")
+
+    monkeypatch.setattr(dpkit.erm, "minimize", refuse)
     rng = np.random.default_rng(9)
     X = rng.uniform(-1, 1, size=(60, 2))
     y = np.clip(X @ np.array([1.0, -0.5]), -2, 2)
-    released = []
-    with pytest.raises(SolverNotConvergedError,
-                       match="projected-gradient norm"):
-        released.append(erm_kst(X, y, squared_loss(2), PrivacyBudget(1.0), 1.0,
-                                Domain(math.sqrt(2)), RandomSource(0)))
-    assert released == []
+    budget = PrivacyBudget(1.0)
+    theta = erm_kst(X, y, squared_loss(2), budget, 1.0,
+                    Domain(math.sqrt(2)), RandomSource(0))
+    ref = _kst_oracle(X, y, squared_loss(2), budget, 1.0, 0, math.sqrt(2))
+    assert np.allclose(theta, ref, atol=1e-5)
 
-
-# -- regression path -----------------------------------------------------------
 
 def test_kst_slack_and_sigma_formulas():
     assert kst_slack(3.0, 1.5) == pytest.approx(4.0)
@@ -393,17 +409,18 @@ def test_kst_p2_matches_scipy_oracle():
     X = rng.uniform(-1, 1, size=(60, 2))
     y = np.clip(X @ np.array([1.0, -0.5]), -2, 2)
     loss = squared_loss(2)
-    budget = PrivacyBudget(1.0, 0.01, APPROXIMATE)
     gamma = 1.0
-    seed = 8
-    theta = erm_kst(X, y, loss, budget, gamma,
-                    Domain(math.sqrt(2)), RandomSource(seed))
-    b = kst_noise(2, loss, budget, RandomSource(seed))
-    slack = kst_slack(loss.eigen_bound, budget.epsilon)
-    fun, grad = _empirical_objective(X, y, loss, gamma,
-                                     np.ones(60), slack=slack, b=b)
-    ref = scipy_constrained_min(fun, grad, 2, radius=math.sqrt(2))
-    assert np.allclose(theta, ref, atol=1e-5)
+    radius = math.sqrt(2)
+    budget = PrivacyBudget(1.0, 0.01, APPROXIMATE)
+    # Seed 8 draws noise that puts the minimizer on the sphere, so the ball
+    # constraint is active; seed 0 leaves it inside.
+    for seed, active in ((8, True), (0, False)):
+        theta = erm_kst(X, y, loss, budget, gamma,
+                        Domain(radius), RandomSource(seed))
+        ref = _kst_oracle(X, y, loss, budget, gamma, seed, radius)
+        assert np.allclose(theta, ref, atol=1e-5)
+        assert np.linalg.norm(theta) <= radius
+        assert (np.linalg.norm(theta) > radius - 1e-9) == active
 
 
 def test_kst_huge_epsilon_approaches_ridge():
@@ -431,11 +448,13 @@ def test_kst_result_stays_in_domain():
 
 
 def test_kst_validation():
-    X = np.full((10, 2), 2.0)  # row norms exceed sqrt(2)
+    X = np.full((10, 2), 2.0)  # row norms 2.828... exceed sqrt(2)
     y = np.zeros(10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         erm_kst(X, y, squared_loss(2), PrivacyBudget(1.0),
                 1.0, Domain(1.0), RandomSource(0))
+    # The message states the limit only, never a norm of the data.
+    assert "1.41421" in str(exc.value) and "2.8" not in str(exc.value)
     ok = np.zeros((10, 2))
     bare = LossSpec(lambda s, t: ((s - t) ** 2, 2 * (s - t)))
     with pytest.raises(ValueError):
@@ -444,3 +463,19 @@ def test_kst_validation():
     with pytest.raises(ValueError):
         erm_kst(ok, y, squared_loss(2), PrivacyBudget(1.0),
                 -1.0, Domain(1.0), RandomSource(0))
+    nan_row, nan_target = ok.copy(), y.copy()
+    nan_row[3, 1] = nan_target[3] = np.nan
+    with pytest.raises(ValueError, match="row l2 norms must be finite"):
+        erm_kst(nan_row, y, squared_loss(2), PrivacyBudget(1.0),
+                1.0, Domain(1.0), RandomSource(0))
+    with pytest.raises(ValueError, match="targets must be finite"):
+        erm_kst(ok, nan_target, squared_loss(2), PrivacyBudget(1.0),
+                1.0, Domain(1.0), RandomSource(0))
+
+
+def test_domain_needs_a_positive_radius():
+    for radius in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            Domain(radius)
+    with pytest.raises(TypeError):
+        Domain()
