@@ -2,7 +2,7 @@
 
 from .accountant import BudgetExhaustedError, BudgetLedger, LedgerEntry
 from .erm import (Domain, ErmConfig, LossSpec, SolverNotConvergedError,
-                  erm_cms, erm_kst, minimize)
+                  erm_cms, erm_kst)
 from .mechanisms import (APPROXIMATE, PROBABILISTIC, PURE, BudgetAllocation,
                          PrivacyBudget, RandomSource, SensitivitySpec,
                          exponential_mechanism, gaussian_mechanism,
@@ -26,7 +26,7 @@ __all__ = [
     "TuningResult", "cov_dp", "erm_cms", "erm_kst", "exponential_mechanism",
     "fit_linreg", "fit_logistic", "fit_svm", "gaussian_mechanism",
     "gaussian_sigma", "histogram_dp", "huber_loss", "laplace_mechanism",
-    "logistic_loss", "mean_dp", "median_dp", "minimize", "pooled_cov_dp",
+    "logistic_loss", "mean_dp", "median_dp", "pooled_cov_dp",
     "pooled_var_dp", "predict", "quantile_dp", "sd_dp", "split_folds",
     "table_dp", "tune_classification", "tune_linreg", "var_dp",
 ]

@@ -12,8 +12,9 @@ the seed: without ``--seed`` each run draws fresh noise. Exit codes:
   0  success
   2  bad flags or arguments (argparse)
   3  invalid input (bounds, labels, CSV values including NaN cells,
-     missing or unreadable files, --cap without --ledger, a classifier fit
-     whose solver did not converge)
+     undeclared category labels, missing or unreadable files, --cap
+     without --ledger, a classifier fit whose solver did not converge, a
+     report value that is not finite)
   4  privacy budget exhausted
 """
 
@@ -120,11 +121,16 @@ def _column(columns: dict, name: str) -> list[str]:
 
 
 def _numeric_column(columns: dict, name: str) -> np.ndarray:
-    values = _column(columns, name)
+    """The column ``name`` as floats. A cell that is not a number, NaN
+    included, refuses the column by a message that names it only."""
+    cells = _column(columns, name)
     try:
-        return np.array([float(v) for v in values])
+        values = np.array([float(v) for v in cells])
     except ValueError:
+        values = None
+    if values is None or np.isnan(values).any():
         raise ValueError(f"column {name!r} contains non-numeric values")
+    return values
 
 
 def _budget(args) -> PrivacyBudget:
@@ -225,12 +231,11 @@ def _cmd_stat(args) -> dict:
                              args.normalize, args.allow_negative)
         released = histogram_dp(x, spec, req, rng)
     elif name == "table":
-        factors = [_column(columns, c)
-                   for c in _required(args, "columns").split(",")]
+        names = _required(args, "columns").split(",")
         categories = [part.split(",")
                       for part in _required(args, "categories").split(";")]
-        released = table_dp(factors, categories, req, rng,
-                            args.allow_negative)
+        released = table_dp([_column(columns, c) for c in names],
+                            categories, req, rng, args.allow_negative, names)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown statistic {name!r}")
 
@@ -602,14 +607,16 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        report = args.handler(args)
+        # Strict JSON: a non-finite value is refused, not printed as NaN.
+        text = json.dumps(args.handler(args), sort_keys=True, indent=2,
+                          allow_nan=False)
     except BudgetExhaustedError as exc:
         print(f"dpkit: {exc}", file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:
         print(f"dpkit: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(text)
     return 0
 
 

@@ -5,13 +5,12 @@ Two frameworks: output/objective perturbation for binary classification
 Gamma/Gaussian objective perturbation for regression over an l2 ball of
 coefficients.
 
-Classification runs the nonmonotone spectral gradient method of Birgin,
-Martinez and Raydan (SIAM J. Optim. 10(4), 2000): a Barzilai-Borwein step
-accepted by the Grippo-Lampariello-Lucidi (GLL) test against the largest of
-the last few objective values. The empirical objective makes one pass per
-point: the linear scores, the loss sum and the per-sample derivative all
-come from one product X theta and one call of the loss's ``evaluate``, so
-the gradient at a point whose value was just computed costs only X^T d.
+Classification runs truncated Newton (Dembo and Steihaug, Math. Prog. 26,
+1983): conjugate gradients on Hessian-vector products choose each step and
+an Armijo search accepts it. The loss sum and the per-sample first and
+second derivatives d and w come from one product X theta and one call of
+the loss's ``evaluate``, so the gradient at a point whose value was just
+computed costs only X^T d, and a Hessian-vector product X^T (w * X v).
 
 Regression does not iterate: its objective is a quadratic, whose minimizer
 over the ball is a trust-region subproblem with an exact solution (More and
@@ -31,8 +30,6 @@ classification path releases no point at which the solver did not converge.
 from __future__ import annotations
 
 import math
-import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,9 +42,9 @@ from .mechanisms import PURE, PrivacyBudget, RandomSource
 class LossSpec:
     """Per-sample loss on a linear score.
 
-    evaluate maps (scores, labels) -> (per-sample losses, dloss/dscore),
-    both from one pass over the scores; the two arrays are new and the
-    caller may overwrite them. value and grad return one of the pair.
+    evaluate maps (scores, labels) -> (per-sample losses, dloss/dscore,
+    d2loss/dscore2), all from one pass over the scores; the arrays are new
+    and the caller may overwrite them. value and grad return the first two.
     curvature bounds the second derivative (classification path);
     grad_norm_bound / eigen_bound are the regression-path constants.
     """
@@ -94,75 +91,63 @@ class MinimizeResult:
     x: np.ndarray
     converged: bool
     iterations: int
-    pg_norm: float
+    grad_norm: float
+
+
+# Converged at this gradient norm; refused after this many Newton steps.
+_GRAD_TOL = 1e-8
+_MAX_ITERS = 10_000
 
 
 class SolverNotConvergedError(ValueError):
-    """The minimizer stopped short of tol; releasing its point would void
-    the privacy guarantee, so nothing is released."""
-
-    def __init__(self, pg_norm: float, iterations: int):
-        self.pg_norm = pg_norm
-        self.iterations = iterations
-        super().__init__(
-            f"the solver did not converge in {iterations} iterations "
-            f"(projected-gradient norm {pg_norm:.3e}); nothing was released")
+    """The minimizer stopped short of convergence; releasing its point would
+    void the privacy guarantee, so nothing is released. The message names
+    the public iteration cap only, never a norm of the data."""
 
 
-# How many accepted objective values the nonmonotone line search compares a
-# trial value with.
-_NONMONOTONE_MEMORY = 10
+def minimize(fun, grad, hessp, x0) -> MinimizeResult:
+    """Truncated Newton (Dembo and Steihaug, Math. Prog. 26, 1983),
+    unconstrained, for a strongly convex objective.
 
-
-def minimize(fun, grad, x0, tol: float = 1e-8,
-             max_iters: int = 10_000) -> MinimizeResult:
-    """Nonmonotone spectral gradient (Birgin, Martinez, Raydan, SIAM J.
-    Optim. 2000), unconstrained.
-
-    Each iteration takes a Barzilai-Borwein (BB1) step and halves it until
-    the trial value passes the Grippo-Lampariello-Lucidi (GLL) test:
-    sufficient decrease relative to the largest of the last
-    _NONMONOTONE_MEMORY accepted values rather than the current one, so the
-    long BB steps are rarely cut back. Converged when the gradient norm
-    drops to tol; warns when max_iters ends the run.
+    Each step runs conjugate gradients on H s = -g from s = 0, with the
+    Hessian-vector product ``hessp(x, v)``: at most len(x) steps, stopping
+    once the residual is at most min(1/2, sqrt(||g||)) ||g||. An Armijo
+    search then halves t from 1 until x + t s decreases the objective
+    enough. Converged when the gradient norm drops to _GRAD_TOL.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     f = float(fun(x))
     if not math.isfinite(f):
         raise ValueError("objective is not finite at the starting point")
-    g = np.asarray(grad(x), dtype=np.float64)
-    step = 1.0 / max(1.0, float(np.linalg.norm(g)))
-    recent = deque([f], maxlen=_NONMONOTONE_MEMORY)
-
-    pg_norm = float(np.linalg.norm(g))
+    g = grad(x)
+    g_norm = float(np.linalg.norm(g))
     it = 0
-    while it < max_iters and pg_norm > tol:
+    while it < _MAX_ITERS and g_norm > _GRAD_TOL:
         it += 1
-        f_ref = max(recent)
-        # Backtrack until sufficient decrease along the step.
-        for _ in range(60):
-            x_new = x - step * g
-            d = x_new - x
-            f_new = float(fun(x_new))
-            if f_new <= f_ref + 1e-4 * float(g @ d) or not np.any(d):
+        s, r, d = np.zeros_like(x), -g, -g
+        rr = g_norm * g_norm
+        r_tol = min(0.5, math.sqrt(g_norm)) * g_norm
+        for _ in range(x.size):
+            hd = hessp(x, d)
+            alpha = rr / float(d @ hd)
+            s += alpha * d
+            r -= alpha * hd
+            rr, rr_old = float(r @ r), rr
+            if math.sqrt(rr) <= r_tol:
                 break
-            step *= 0.5
-        g_new = np.asarray(grad(x_new), dtype=np.float64)
-        s = x_new - x
-        ydiff = g_new - g
-        sy = float(s @ ydiff)
-        if sy > 0.0:
-            step = float(s @ s) / sy  # BB1 step
-            step = min(max(step, 1e-12), 1e12)
-        x, g = x_new, g_new
-        recent.append(f_new)
-        pg_norm = float(np.linalg.norm(g))
-
-    converged = pg_norm <= tol
-    if not converged:
-        warnings.warn(f"minimize hit max_iters={max_iters} with projected-"
-                      f"gradient norm {pg_norm:.3e}", RuntimeWarning)
-    return MinimizeResult(x, converged, it, pg_norm)
+            d = r + (rr / rr_old) * d
+        # Backtrack until sufficient decrease along the step.
+        t = 1.0
+        for _ in range(60):
+            x_new = x + t * s
+            step = x_new - x
+            f_new = float(fun(x_new))
+            if f_new <= f + 1e-4 * float(g @ step) or not np.any(step):
+                break
+            t *= 0.5
+        x, f, g = x_new, f_new, grad(x_new)
+        g_norm = float(np.linalg.norm(g))
+    return MinimizeResult(x, g_norm <= _GRAD_TOL, it, g_norm)
 
 
 def sample_sphere_gamma(p: int, scale: float, rng: RandomSource,
@@ -190,11 +175,14 @@ def cms_output_noise(p: int, beta: float, rng: RandomSource,
     return sample_sphere_gamma(p, 1.0 / beta, rng, size)
 
 
-def _check_rows(X: np.ndarray, limit: float, tol: float = 1e-9):
+_ROW_NORM_TOL = 1e-9  # allowance for the rounding of the row scaling
+
+
+def _check_rows(X: np.ndarray, limit: float):
     """Refuse a row whose l2 norm is not finite or exceeds ``limit``. The
     message states the limit only, never a norm of the data."""
     norms = np.linalg.norm(X, axis=1)
-    if norms.size and not norms.max() <= limit + tol:  # NaN fails too
+    if norms.size and not norms.max() <= limit + _ROW_NORM_TOL:  # NaN too
         raise ValueError(f"row l2 norms must be finite and at most "
                          f"{limit:.6g}")
 
@@ -202,58 +190,57 @@ def _check_rows(X: np.ndarray, limit: float, tol: float = 1e-9):
 def _empirical_objective(X, y, loss: LossSpec, gamma: float,
                          weights: np.ndarray | None = None,
                          slack: float = 0.0, b: np.ndarray | None = None):
-    """Value and gradient closures of the regularized objective over one
-    data set: mean weighted loss + (gamma/n)(1/2)||theta||^2, plus the
-    perturbation terms (slack/2n)||theta||^2 and b.theta/n. ``weights`` of
-    None means uniform weights 1 and costs no multiply.
+    """Value, gradient and Hessian-vector product closures of the
+    regularized objective over one data set: mean weighted loss +
+    (gamma/n)(1/2)||theta||^2, plus the perturbation terms
+    (slack/2n)||theta||^2 and b.theta/n. ``weights`` of None means uniform
+    weights 1 and costs no multiply.
 
-    Both read one cache keyed on a copy of theta: the loss sum and the
-    weighted derivative d from one product X @ theta and one
-    ``loss.evaluate``, so the gradient at a point whose value the solver
-    just computed costs only X^T d.
+    All three read one cache keyed on a copy of theta and filled by one
+    X @ theta and one ``loss.evaluate``; ``hessp(theta, v)`` costs
+    X^T (w * X v) and forms no n x p matrix.
     """
     n = X.shape[0]
-    last_theta, loss_sum, dscores = None, 0.0, None
+    reg = gamma + slack
+    b = np.zeros(X.shape[1]) if b is None else b
+    last_theta, loss_sum, dscores, curvatures = None, 0.0, None, None
 
     def evaluate_at(theta):
-        nonlocal last_theta, loss_sum, dscores
+        nonlocal last_theta, loss_sum, dscores, curvatures
         if last_theta is None or not np.array_equal(last_theta, theta):
-            losses, dscores = loss.evaluate(X @ theta, y)
+            losses, dscores, curvatures = loss.evaluate(X @ theta, y)
             if weights is None:
                 loss_sum = float(losses.sum())
             else:
                 loss_sum = float(weights @ losses)
                 dscores *= weights
+                curvatures *= weights
             last_theta = np.array(theta, dtype=np.float64)
-        return loss_sum, dscores
+        return loss_sum, dscores, curvatures
 
     def fun(theta):
-        val = evaluate_at(theta)[0] / n
-        val += gamma / n * (0.5 * float(theta @ theta))
-        if slack:
-            val += slack / (2.0 * n) * float(theta @ theta)
-        if b is not None:
-            val += float(b @ theta) / n
-        return val
+        return (evaluate_at(theta)[0] + 0.5 * reg * float(theta @ theta)
+                + float(b @ theta)) / n
 
     def grad(theta):
-        g = X.T @ evaluate_at(theta)[1] / n
-        g = g + gamma / n * theta
-        if slack:
-            g = g + slack / n * theta
-        if b is not None:
-            g = g + b / n
-        return g
+        return (X.T @ evaluate_at(theta)[1] + reg * theta + b) / n
 
-    return fun, grad
+    def hessp(theta, v):
+        xv = X @ v
+        xv *= evaluate_at(theta)[2]
+        return (X.T @ xv + reg * v) / n
+
+    return fun, grad, hessp
 
 
-def _converged_minimizer(fun, grad, p: int) -> np.ndarray:
+def _converged_minimizer(fun, grad, hessp, p: int) -> np.ndarray:
     """Minimize from the origin; raise rather than return an unconverged
     point, which no privacy argument covers."""
-    res = minimize(fun, grad, np.zeros(p))
+    res = minimize(fun, grad, hessp, np.zeros(p))
     if not res.converged:
-        raise SolverNotConvergedError(res.pg_norm, res.iterations)
+        raise SolverNotConvergedError(f"the solver did not converge in "
+                                      f"{_MAX_ITERS} iterations; nothing was "
+                                      "released")
     return res.x
 
 
@@ -294,8 +281,8 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
     eps = cfg.budget.epsilon
 
     if cfg.perturbation == "output":
-        fun, grad = _empirical_objective(X, y, loss, cfg.gamma, weights)
-        theta = _converged_minimizer(fun, grad, p)
+        theta = _converged_minimizer(
+            *_empirical_objective(X, y, loss, cfg.gamma, weights), p)
         beta = cfg.gamma * eps / (2.0 * cfg.weight_upper_bound)
         return theta + cms_output_noise(p, beta, rng)
 
@@ -314,9 +301,8 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
         slack = c / (math.exp(eps / 4.0) - 1.0) - cfg.gamma
         eps_prime = eps / 2.0
     b = sample_sphere_gamma(p, 2.0 / eps_prime, rng)
-    fun, grad = _empirical_objective(X, y, loss, cfg.gamma, slack=slack,
-                                     b=b)
-    return _converged_minimizer(fun, grad, p)
+    return _converged_minimizer(
+        *_empirical_objective(X, y, loss, cfg.gamma, slack=slack, b=b), p)
 
 
 def kst_slack(eigen_bound: float, epsilon: float) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,12 +27,12 @@ def logistic_loss() -> LossSpec:
     """Cross-entropy on the margin m = y * score, labels in {-1, +1}."""
 
     def evaluate(scores, y):
-        # One e = exp(-|m|) serves the loss, log1p(e) + max(-m, 0), and the
-        # sigmoid(-m) of the derivative, where(m > 0, e, 1) / (1 + e); both
+        # One e = exp(-|m|) serves the loss, log1p(e) + max(-m, 0), the
+        # sigmoid(-m) of the derivative, where(m > 0, e, 1) / (1 + e), and
+        # the second derivative sigmoid(m) sigmoid(-m) = e / (1 + e)^2; all
         # stay finite and accurate for large |m|, unlike -log1p(-sigmoid). The
         # numerator is exp(min(-m, 0)), the same bits as the masked select
-        # at a fraction of its cost, and the denominator -(1 + e) carries the
-        # sign of the derivative -y sigmoid(-m).
+        # at a fraction of its cost.
         margins = y * scores
         d = np.negative(margins)
         e = np.minimum(margins, d)
@@ -43,10 +42,13 @@ def logistic_loss() -> LossSpec:
         losses = np.log1p(e)
         np.maximum(d, 0.0, out=d)
         losses += d
-        np.subtract(-1.0, e, out=d)
-        np.divide(margins, d, out=d)
-        d *= y
-        return losses, d
+        np.add(1.0, e, out=d)
+        np.divide(margins, d, out=margins)
+        e /= d
+        e /= d
+        np.multiply(margins, y, out=d)
+        np.negative(d, out=d)
+        return losses, d, e
 
     return LossSpec(evaluate, curvature=0.25)
 
@@ -60,11 +62,12 @@ def huber_loss(h: float = 0.5) -> LossSpec:
                          f"got {h!r}")
 
     def evaluate(scores, y):
-        # The clipped u = 1 + h - z is one expression for all three branches
-        # of the value and of the derivative -u / (2h).
+        # The clipped u = 1 + h - z gives every branch of the value, of the
+        # derivative -u / (2h) and of the second, 1 / (2h) where 0 < u < 2h.
         z = y * scores
         u = np.subtract(1.0 + h, z)
         np.clip(u, 0.0, 2.0 * h, out=u)
+        curvatures = np.logical_and(0.0 < u, u < 2.0 * h) / (2.0 * h)
         np.subtract(1.0 - h, z, out=z)
         np.maximum(z, 0.0, out=z)
         losses = u * u
@@ -72,7 +75,7 @@ def huber_loss(h: float = 0.5) -> LossSpec:
         losses += z
         np.divide(u, -2.0 * h, out=u)
         u *= y
-        return losses, u
+        return losses, u, curvatures
 
     return LossSpec(evaluate, curvature=1.0 / (2.0 * h))
 
@@ -81,7 +84,7 @@ def _on_margins(loss: LossSpec, z) -> tuple[np.ndarray, np.ndarray]:
     """``loss.evaluate`` at the margins ``z`` (label +1), in the shape of z:
     a number for a number."""
     z = np.asarray(z, dtype=np.float64)
-    value, grad = loss.evaluate(np.atleast_1d(z), 1.0)
+    value, grad, _ = loss.evaluate(np.atleast_1d(z), 1.0)
     return value.reshape(z.shape)[()], grad.reshape(z.shape)[()]
 
 
@@ -106,7 +109,7 @@ def squared_loss(p: int) -> LossSpec:
         residuals = scores - y
         losses = np.square(residuals)
         losses *= 0.5
-        return losses, residuals
+        return losses, residuals, np.ones_like(residuals)
 
     return LossSpec(evaluate, grad_norm_bound=2.0 * p ** 1.5,
                     eigen_bound=float(p))
@@ -331,8 +334,8 @@ def fit_svm(X, y, bounds: list[Bounds] | None, cfg: ErmConfig,
     if kernel != "gaussian":
         raise ValueError("kernel must be 'linear' or 'gaussian'")
     if bounds is not None:
-        warnings.warn("bounds are unnecessary for the gaussian kernel and "
-                      "are ignored", UserWarning)
+        raise ValueError("the gaussian kernel reads no column bounds; fit "
+                         "without them")
     if add_bias:
         raise ValueError("a bias column would break the unit-norm guarantee "
                          "of the random-feature map; fit without bias")

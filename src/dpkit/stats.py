@@ -93,6 +93,8 @@ def clip(x, bounds: Bounds) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if x.size == 0:
         raise ValueError("cannot clip an empty vector")
+    if np.isnan(x).any():
+        raise ValueError("cannot clip NaN; it lies outside every domain")
     return np.clip(x, bounds.lower, bounds.upper)
 
 
@@ -263,9 +265,10 @@ def histogram_dp(x, spec: HistogramSpec, req: StatRequest, rng: RandomSource):
                            spec.allow_negative, {"edges": edges}, postprocess)
 
 
-def table_dp(factors, categories, req: StatRequest,
-             rng: RandomSource, allow_negative: bool = False):
-    """Multiway contingency table over declared category sets."""
+def table_dp(factors, categories, req: StatRequest, rng: RandomSource,
+             allow_negative: bool = False, names=None):
+    """Multiway contingency table over declared category sets. A label
+    outside them is refused naming its factor or its column in ``names``."""
     if len(factors) != len(categories):
         raise ValueError("one category set per factor is required")
     lengths = {len(f) for f in factors}
@@ -274,14 +277,15 @@ def table_dp(factors, categories, req: StatRequest,
     shape = tuple(len(c) for c in categories)
     n = lengths.pop()
     index_arrays = []
-    for factor, cats in zip(factors, categories):
+    for k, (factor, cats) in enumerate(zip(factors, categories)):
         lookup = {c: i for i, c in enumerate(cats)}
         try:
             index_arrays.append(np.fromiter(map(lookup.__getitem__, factor),
                                             np.intp, count=n))
-        except KeyError as exc:
-            raise ValueError(
-                f"unknown category label: {exc.args[0]!r}") from None
+        except KeyError:
+            where = f"factor {k}" if names is None else f"column {names[k]!r}"
+            raise ValueError(f"{where} holds a label outside its declared "
+                             "categories") from None
     flat = np.bincount(np.ravel_multi_index(index_arrays, shape),
                        minlength=math.prod(shape))
     return _release_counts("table", flat, req, rng, allow_negative,

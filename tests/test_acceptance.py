@@ -312,9 +312,9 @@ def _cms_datasets():
 
 
 def _noiseless_cms(X, y, gamma):
-    fun, grad = _empirical_objective(X, y, logistic_loss(), gamma,
-                                     np.ones(len(y)))
-    return minimize(fun, grad, np.zeros(1)).x[0]
+    fun, grad, hessp = _empirical_objective(X, y, logistic_loss(), gamma,
+                                            np.ones(len(y)))
+    return minimize(fun, grad, hessp, np.zeros(1)).x[0]
 
 
 def test_criterion_03e_cms_output_empirical_dp():
@@ -547,8 +547,8 @@ def test_criterion_05_gradient_checks():
     n = 20
     X = rng.uniform(-1, 1, (n, 4)) / 2.0
     y = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
-    fun, grad = _empirical_objective(X, y, logistic_loss(), float(n),
-                                     np.ones(n))
+    fun, grad, _ = _empirical_objective(X, y, logistic_loss(), float(n),
+                                        np.ones(n))
     for _ in range(100):
         t = rng.normal(size=4)
         g = grad(t)

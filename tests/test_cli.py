@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def test_fit_predict_round_trip(capsys, clf_csv, tmp_path):
     assert fit_report["epsilon_used"] == 4.0
     assert len(fit_report["result"]["coefficients"]) == 3
 
-    ledger_before = open(ledger).read()
+    ledger_before = Path(ledger).read_text()
     code, out, _ = run_cli(capsys, "predict", "--model", model_path,
                            "--input", clf_csv, "--feature-columns", "a,b")
     assert code == 0
@@ -148,7 +149,7 @@ def test_fit_predict_round_trip(capsys, clf_csv, tmp_path):
     assert len(pred_report["result"]["predictions"]) == 120
     assert set(pred_report["result"]["predictions"]) <= {0.0, 1.0}
     # Prediction is post-processing: the ledger is untouched.
-    assert open(ledger).read() == ledger_before
+    assert Path(ledger).read_text() == ledger_before
 
 
 def test_fit_gaussian_svm_without_bounds(capsys, clf_csv, tmp_path):
@@ -193,7 +194,7 @@ def test_tune_cli_selects_and_saves(capsys, clf_csv, tmp_path):
     report = json.loads(out)
     assert report["result"]["selected"].startswith("gamma=")
     assert report["epsilon_used"] == 3.0  # parallel training + selection
-    assert json.load(open(model_path))["kind"] == "logistic"
+    assert json.loads(Path(model_path).read_text())["kind"] == "logistic"
 
 
 @pytest.mark.parametrize("model,bounds,kind", [
@@ -215,7 +216,7 @@ def test_tune_cli_charges_training_plus_selection(capsys, clf_csv, tmp_path,
     entries = BudgetLedger.load(ledger).entries
     assert [(e.operation_name, e.epsilon) for e in entries] == [
         (f"tune {model}", 2.5)]
-    assert json.load(open(model_path))["kind"] == kind
+    assert json.loads(Path(model_path).read_text())["kind"] == kind
     code, out, _ = run_cli(capsys, "predict", "--model", model_path,
                            "--input", clf_csv, "--feature-columns", "a,b")
     assert code == 0
@@ -421,7 +422,6 @@ def test_tune_over_cap_writes_no_model(capsys, clf_csv, tmp_path):
     assert not model_path.exists()
 
 
-@pytest.mark.filterwarnings("ignore:minimize hit max_iters")
 def test_fit_refuses_unconverged_solver(capsys, clf_csv, tmp_path,
                                         one_solver_iteration):
     model_path = tmp_path / "m.json"
@@ -431,7 +431,7 @@ def test_fit_refuses_unconverged_solver(capsys, clf_csv, tmp_path,
                              "--bounds=-1,1;-1,1", "--epsilon", "1",
                              "--gamma", "1", "--output", str(model_path))
     assert code == 3 and out == ""
-    assert "projected-gradient norm" in err
+    assert "did not converge in 1 iterations" in err
     assert not model_path.exists()
 
 
@@ -457,9 +457,9 @@ def test_linreg_fit_and_tune_never_call_the_iterative_solver(
 
 
 @pytest.mark.parametrize("model,column,message", [
-    ("linreg", "a", "column 0 violates its declared bounds"),
-    ("linreg", "label", "targets violate their declared bounds"),
-    ("svm", "w", "weights must lie in [0, weight_upper_bound]")],
+    ("linreg", "a", "column 'a' contains non-numeric values"),
+    ("linreg", "label", "column 'label' contains non-numeric values"),
+    ("svm", "w", "column 'w' contains non-numeric values")],
     ids=["feature", "target", "weight"])
 def test_nan_cell_exits_3_uncharged(capsys, tmp_path, model, column,
                                     message):
@@ -607,10 +607,64 @@ def test_report_differs_only_in_value_on_neighbors(capsys, tmp_path,
                                    str(path), "--epsilon", "1", "--seed",
                                    str(seed), *_AUDIT_FLAGS[statistic])
             assert code == 0
-            report = json.loads(out)
+            report = _strict_json(out)
             del report["result"]["value"]
             reports.append(report)
         assert reports[0] == reports[1], (statistic, seed)
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and the infinities."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} in a report")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("statistic", sorted(_AUDIT_FLAGS))
+def test_out_of_domain_cell_exits_3_uncharged(capsys, tmp_path, statistic):
+    """A NaN cell, or a label outside the declared categories, refuses the
+    release before any charge; stderr names the column, never the cell."""
+    template, rows = _AUDIT_ROWS
+    column, sentinel = (("h", "SECRET_NAME") if statistic == "table"
+                        else ("x", "nan"))
+    row = rows[0].split(",")
+    row["xygh".index(column)] = sentinel
+    path, ledger = tmp_path / "d.csv", tmp_path / "led.jsonl"
+    path.write_text(template.format(",".join(row)))
+    code, out, err = run_cli(capsys, "stat", statistic, "--input", str(path),
+                             "--epsilon", "1", "--seed", "1", "--ledger",
+                             str(ledger), *_AUDIT_FLAGS[statistic])
+    assert code == 3 and out == ""
+    assert f"column {column!r}" in err
+    _one_line_error(err)
+    assert sentinel.lower() not in err.lower()
+    assert not ledger.exists()
+
+
+def test_gaussian_svm_refuses_bounds_uncharged(capsys, clf_csv, tmp_path):
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    code, out, err = run_cli(capsys, "fit", "svm", "--input", clf_csv,
+                             "--label-column", "label",
+                             "--feature-columns", "a,b",
+                             "--bounds=-1,1;-1,1", "--epsilon", "4",
+                             "--gamma", "0.5", "--kernel", "gaussian",
+                             "--rff-dim", "20", "--seed", "3",
+                             "--ledger", str(ledger),
+                             "--output", str(model_path))
+    assert code == 3 and out == ""
+    assert "the gaussian kernel reads no column bounds" in err
+    _one_line_error(err)
+    assert not ledger.exists() and not model_path.exists()
+
+
+def test_non_finite_report_exits_3(capsys):
+    # An infinite input value stays infinite under any noise.
+    code, out, err = run_cli(capsys, "mech", "laplace", "--values", "1,inf",
+                             "--sensitivities", "1,1", "--epsilon", "1",
+                             "--seed", "1")
+    assert code == 3 and out == ""
+    assert "not JSON compliant" in err
+    _one_line_error(err)
 
 
 @pytest.mark.parametrize("statistic,flags,missing", [

@@ -1,6 +1,5 @@
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +103,24 @@ def test_logistic_loss_gradient_and_curvature_bounds():
     eps = 1e-5
     curv = (loss.grad(scores + eps, y) - loss.grad(scores - eps, y)) / (2 * eps)
     assert np.all(curv <= 0.25 + 1e-6)
+    second = loss.evaluate(scores, y)[2]
+    assert np.all((0.0 < second) & (second <= 0.25))
+
+
+@pytest.mark.parametrize("loss", [logistic_loss(), huber_loss(0.3),
+                                  squared_loss(2)],
+                         ids=["logistic", "huber", "squared"])
+def test_second_derivative_matches_central_difference(loss):
+    scores = np.linspace(-20, 20, 401)
+    # Off the Huber seams |margin| = 1 +- h, where the second derivative
+    # jumps.
+    scores = scores[np.minimum(np.abs(np.abs(scores) - 0.7),
+                               np.abs(np.abs(scores) - 1.3)) > 1e-3]
+    y = np.where(np.arange(scores.size) % 2, 1.0, -1.0)
+    second = loss.evaluate(scores, y)[2]
+    eps = 1e-5
+    fd = (loss.grad(scores + eps, y) - loss.grad(scores - eps, y)) / (2 * eps)
+    np.testing.assert_allclose(second, fd, rtol=0, atol=1e-6)
 
 
 def _margin_grid(h):
@@ -124,34 +141,39 @@ def _labelled_scores(margins):
 
 def test_logistic_evaluate_matches_separate_formulas():
     scores, y = _labelled_scores(_margin_grid(0.5))
-    value, grad = logistic_loss().evaluate(scores, y)
+    value, grad, curv = logistic_loss().evaluate(scores, y)
     margins = y * scores
     np.testing.assert_allclose(
         value, np.log1p(np.exp(-np.abs(margins))) + np.maximum(-margins, 0.0),
         rtol=1e-14, atol=0)
     np.testing.assert_allclose(grad, -y * expit(-y * scores), rtol=1e-14,
                                atol=0)
+    np.testing.assert_allclose(curv, expit(margins) * expit(-margins),
+                               rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("h", [0.05, 0.5, 2.0])
 def test_huber_evaluate_matches_separate_formulas(h):
     scores, y = _labelled_scores(_margin_grid(h))
-    value, grad = huber_loss(h).evaluate(scores, y)
+    value, grad, curv = huber_loss(h).evaluate(scores, y)
     u = np.clip(1.0 + h - y * scores, 0.0, 2.0 * h)
     np.testing.assert_allclose(
         value, u * u / (4.0 * h) + np.maximum(1.0 - h - y * scores, 0.0),
         rtol=1e-14, atol=0)
     np.testing.assert_allclose(grad, y * (-u / (2.0 * h)), rtol=1e-14,
                                atol=0)
+    inside = np.abs(1.0 - y * scores) < h
+    assert np.array_equal(curv, np.where(inside, 1.0 / (2.0 * h), 0.0))
 
 
 def test_squared_evaluate_matches_separate_formulas():
     scores, y = _labelled_scores(_margin_grid(0.5))
     y = 0.3 * y
-    value, grad = squared_loss(2).evaluate(scores, y)
+    value, grad, curv = squared_loss(2).evaluate(scores, y)
     np.testing.assert_allclose(value, 0.5 * (scores - y) ** 2, rtol=1e-14,
                                atol=0)
     np.testing.assert_allclose(grad, scores - y, rtol=1e-14, atol=0)
+    assert np.array_equal(curv, np.ones_like(scores))
 
 
 @pytest.mark.parametrize("loss", [logistic_loss(), huber_loss(0.5)],
@@ -161,8 +183,9 @@ def test_classification_losses_stay_nan_free_at_extremes(loss):
                         745.0, 1e300, 1e308, np.inf])
     scores, y = _labelled_scores(margins)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        value, grad = loss.evaluate(scores, y)
+        value, grad, curv = loss.evaluate(scores, y)
     assert not np.any(np.isnan(value)) and not np.any(np.isnan(grad))
+    assert not np.any(np.isnan(curv))
     assert np.all(value >= 0.0) and np.all(np.abs(grad) <= 1.0)
     assert np.all(value[margins > 0] < 1e-300)
 
@@ -173,7 +196,7 @@ def test_classification_losses_stay_nan_free_at_extremes(loss):
 def test_value_and_grad_are_the_halves_of_evaluate(loss):
     scores, y = _labelled_scores(_margin_grid(0.5))
     before = scores.copy()
-    value, grad = loss.evaluate(scores, y)
+    value, grad, _ = loss.evaluate(scores, y)
     assert np.array_equal(scores, before)  # the scores are not overwritten
     assert np.array_equal(loss.value(scores, y), value)
     assert np.array_equal(loss.grad(scores, y), grad)
@@ -310,15 +333,12 @@ def test_fit_svm_weighted_output_path():
     assert model.coefficients.shape == (2,)
 
 
-def test_fit_svm_gaussian_ignores_bounds_with_warning():
+def test_fit_svm_gaussian_refuses_bounds():
     X, y = _toy(n=100, seed=5)
     cfg = ErmConfig(PrivacyBudget(5.0), 0.1)
-    with pytest.warns(UserWarning):
-        model = fit_svm(X, y, [Bounds(-2, 2), Bounds(-2, 2)], cfg,
-                        kernel="gaussian", rff_dim=30, rng=RandomSource(6))
-    assert model.kind == "svm_gaussian"
-    labels = predict(model, X)
-    assert set(np.unique(labels)) <= {0.0, 1.0}
+    with pytest.raises(ValueError, match="reads no column bounds"):
+        fit_svm(X, y, [Bounds(-2, 2), Bounds(-2, 2)], cfg,
+                kernel="gaussian", rff_dim=30, rng=RandomSource(6))
 
 
 def test_fit_svm_gaussian_validation():

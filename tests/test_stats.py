@@ -38,6 +38,14 @@ def test_clip_idempotent_and_bounded(xs, lo, hi):
     assert once.min() >= lo and once.max() <= hi
 
 
+def test_clip_refuses_nan():
+    # NaN lies outside every domain; np.clip would pass it through.
+    with pytest.raises(ValueError, match="cannot clip NaN"):
+        clip([1.0, np.nan], Bounds(0.0, 5.0))
+    assert np.array_equal(clip([-np.inf, np.inf], Bounds(0.0, 5.0)),
+                          [0.0, 5.0])
+
+
 def test_clip_rejects_empty():
     with pytest.raises(ValueError):
         clip([], Bounds(0, 1))
@@ -250,11 +258,15 @@ def test_table_integer_labels():
     assert np.array_equal(res.value, [[0, 1], [2, 1]])
 
 
-def test_table_unknown_label_is_named():
-    with pytest.raises(ValueError, match="'zz'"):
-        noiseless(table_dp, [["a", "zz", "b"]], [["a", "b"]])
-    with pytest.raises(ValueError, match="label: 7"):
-        noiseless(table_dp, [[1, 7]], [[1, 2]])
+def test_table_unknown_label_names_the_factor_only():
+    with pytest.raises(ValueError, match="factor 1 holds a label outside "
+                       "its declared categories") as exc:
+        noiseless(table_dp, [["a", "b"], ["x", "SECRET_NAME"]],
+                  [["a", "b"], ["x", "y"]])
+    assert "SECRET" not in str(exc.value)
+    with pytest.raises(ValueError, match="^column 'k' holds a label") as exc:
+        table_dp([[1, 7]], [[1, 2]], PURE_REQ, NOISELESS, names=["k"])
+    assert "7" not in str(exc.value)
 
 
 def test_table_zero_length_factors_give_zero_table():
