@@ -1,8 +1,8 @@
 """Differentially private statistics and machine learning toolkit."""
 
 from .accountant import BudgetExhaustedError, BudgetLedger, LedgerEntry
-from .erm import (Domain, ErmConfig, LossSpec, SolverNotConvergedError,
-                  erm_cms, erm_kst)
+from .erm import (ErmConfig, LossSpec, SolverNotConvergedError, erm_cms,
+                  erm_kst)
 from .mechanisms import (APPROXIMATE, PROBABILISTIC, PURE, BudgetAllocation,
                          PrivacyBudget, RandomSource, SensitivitySpec,
                          exponential_mechanism, gaussian_mechanism,
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "APPROXIMATE", "PROBABILISTIC", "PURE",
     "Bounds", "BudgetAllocation", "BudgetExhaustedError", "BudgetLedger",
-    "Candidate", "Domain", "ErmConfig", "HistogramSpec", "LedgerEntry",
+    "Candidate", "ErmConfig", "HistogramSpec", "LedgerEntry",
     "LossSpec", "PrivacyBudget", "RandomSource", "SensitivitySpec",
     "SolverNotConvergedError", "StatRequest", "StatResult", "TrainedModel",
     "TuningResult", "cov_dp", "erm_cms", "erm_kst", "exponential_mechanism",

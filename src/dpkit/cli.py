@@ -88,8 +88,8 @@ def _read_csv(path: str) -> dict[str, list[str]]:
     """Columns of a CSV file (or stdin for ``-``) by header name.
 
     A header row is required and empty rows are skipped. A row with more or
-    fewer fields than the header is an error that names it, counting the
-    header as row 1. Of two columns with one name the last wins.
+    fewer fields than the header is an error, which names no row. Of two
+    columns with one name the last wins.
     """
     fh = sys.stdin if path == "-" else open(path, newline="",
                                             encoding="utf-8")
@@ -104,9 +104,9 @@ def _read_csv(path: str) -> dict[str, list[str]]:
             fh.close()
     width = len(header)
     if set(map(len, rows)) - {width}:
-        for i, row in enumerate(rows):
+        for row in rows:
             if row and len(row) != width:
-                raise ValueError(f"row {i + 2} of the input has {len(row)} "
+                raise ValueError(f"a row of the input has {len(row)} "
                                  f"fields; the header has {width}")
         rows = [row for row in rows if row]
     if not rows:
@@ -134,11 +134,14 @@ def _numeric_column(columns: dict, name: str) -> np.ndarray:
 
 
 def _budget(args) -> PrivacyBudget:
-    delta = getattr(args, "delta", 0.0) or 0.0
-    if delta == 0.0:
+    """The budget of --epsilon, --delta and --variant; a --variant with no
+    --delta is refused rather than dropped."""
+    if not args.delta:
+        if args.variant is not None:
+            raise ValueError("--variant applies only with a positive --delta")
         return PrivacyBudget(args.epsilon)
-    variant = getattr(args, "variant", None) or APPROXIMATE
-    return PrivacyBudget(args.epsilon, delta, variant)
+    return PrivacyBudget(args.epsilon, args.delta,
+                         args.variant or APPROXIMATE)
 
 
 def _report(command: str, result, epsilon: float, delta: float) -> dict:

@@ -35,29 +35,20 @@ from typing import Callable
 
 import numpy as np
 
-from .mechanisms import PURE, PrivacyBudget, RandomSource
+from .mechanisms import PROBABILISTIC, PURE, PrivacyBudget, RandomSource
 
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Per-sample loss on a linear score.
+    """Per-sample loss on a linear score, for the classification path.
 
     evaluate maps (scores, labels) -> (per-sample losses, dloss/dscore,
     d2loss/dscore2), all from one pass over the scores; the arrays are new
-    and the caller may overwrite them. value and grad return the first two.
-    curvature bounds the second derivative (classification path);
-    grad_norm_bound / eigen_bound are the regression-path constants.
+    and the caller may overwrite them. curvature bounds the second
+    derivative.
     """
     evaluate: Callable
-    curvature: float | None = None
-    grad_norm_bound: float | None = None
-    eigen_bound: float | None = None
-
-    def value(self, scores, y) -> np.ndarray:
-        return self.evaluate(scores, y)[0]
-
-    def grad(self, scores, y) -> np.ndarray:
-        return self.evaluate(scores, y)[1]
+    curvature: float
 
 
 @dataclass(frozen=True)
@@ -74,16 +65,6 @@ class ErmConfig:
             raise ValueError("perturbation must be 'output' or 'objective'")
         if self.weight_upper_bound <= 0.0:
             raise ValueError("weight upper bound must be positive")
-
-
-@dataclass(frozen=True)
-class Domain:
-    """The regression path's coefficients: the l2 ball of this radius."""
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("ball radius must be positive")
 
 
 @dataclass
@@ -169,13 +150,7 @@ def sample_sphere_gamma(p: int, scale: float, rng: RandomSource,
     return out[0] if size is None else out
 
 
-def cms_output_noise(p: int, beta: float, rng: RandomSource,
-                     size: int | None = None) -> np.ndarray:
-    """Noise with density proportional to exp(-beta * ||b||_2)."""
-    return sample_sphere_gamma(p, 1.0 / beta, rng, size)
-
-
-_ROW_NORM_TOL = 1e-9  # allowance for the rounding of the row scaling
+_ROW_NORM_TOL = 1e-9  # allowance for the rounding of row and target scaling
 
 
 def _check_rows(X: np.ndarray, limit: float):
@@ -250,8 +225,8 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
 
     Requires row norms <= 1, labels in {-1, +1} and |dloss/dscore| <= 1;
     the fixed regularizer makes the objective gamma/n-strongly convex, as
-    both paths' sensitivity bounds assume. The objective path additionally
-    needs the loss curvature bound and rejects non-uniform weights. Raises
+    both paths' sensitivity bounds assume. The objective path reads the
+    loss curvature bound and rejects non-uniform weights. Raises
     SolverNotConvergedError instead of releasing a point at which the solver
     did not converge.
     """
@@ -283,13 +258,11 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
     if cfg.perturbation == "output":
         theta = _converged_minimizer(
             *_empirical_objective(X, y, loss, cfg.gamma, weights), p)
+        # Noise with density proportional to exp(-beta * ||b||_2).
         beta = cfg.gamma * eps / (2.0 * cfg.weight_upper_bound)
-        return theta + cms_output_noise(p, beta, rng)
+        return theta + sample_sphere_gamma(p, 1.0 / beta, rng)
 
     # Objective perturbation.
-    if loss.curvature is None:
-        raise ValueError("objective perturbation needs a loss curvature "
-                         "bound")
     if weights is not None:
         raise ValueError("objective perturbation does not support "
                          "non-uniform weights; use the output path")
@@ -305,21 +278,25 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
         *_empirical_objective(X, y, loss, cfg.gamma, slack=slack, b=b), p)
 
 
-def kst_slack(eigen_bound: float, epsilon: float) -> float:
-    return 2.0 * eigen_bound / epsilon
+def kst_slack(lam: float, epsilon: float) -> float:
+    """Slack added to the regularizer for the Hessian eigenvalue bound
+    lam."""
+    return 2.0 * lam / epsilon
 
 
-def kst_gaussian_sigma(grad_norm_bound: float, budget: PrivacyBudget) -> float:
-    return grad_norm_bound * math.sqrt(
+def kst_gaussian_sigma(zeta: float, budget: PrivacyBudget) -> float:
+    """Gaussian noise scale for the gradient-norm bound zeta."""
+    return zeta * math.sqrt(
         8.0 * math.log(2.0 / budget.delta) + 4.0 * budget.epsilon
     ) / budget.epsilon
 
 
-def kst_noise(p: int, loss: LossSpec, budget: PrivacyBudget,
-              rng: RandomSource, size: int | None = None) -> np.ndarray:
-    """Objective-perturbation noise for the regression path: Gamma-radial
-    under a pure budget, spherical Gaussian otherwise."""
-    zeta = loss.grad_norm_bound
+def kst_noise(p: int, budget: PrivacyBudget, rng: RandomSource,
+              size: int | None = None) -> np.ndarray:
+    """Objective-perturbation noise for the regression path, calibrated to
+    the gradient-norm bound 2 p^(3/2): Gamma-radial under a pure budget,
+    spherical Gaussian otherwise."""
+    zeta = 2.0 * p ** 1.5
     if budget.delta == 0.0:
         return sample_sphere_gamma(p, 2.0 * zeta / budget.epsilon, rng, size)
     sigma = kst_gaussian_sigma(zeta, budget)
@@ -328,40 +305,46 @@ def kst_noise(p: int, loss: LossSpec, budget: PrivacyBudget,
     return out[0] if size is None else out
 
 
-def erm_kst(X, y, loss: LossSpec, budget: PrivacyBudget, gamma: float,
-            domain: Domain, rng: RandomSource | None = None) -> np.ndarray:
-    """Regression-path private ERM over the l2 ball ``domain``.
+def erm_kst(X, y, budget: PrivacyBudget, gamma: float,
+            rng: RandomSource | None = None) -> np.ndarray:
+    """Regression-path private ERM (Kifer, Smith and Thakurta, COLT 2012).
 
-    The loss is half squared error, (1/2)(x.theta - y)^2; ``loss`` is read
-    for its gradient-norm and Hessian eigenvalue bounds only. The perturbed
-    objective is (1/2n) theta^T A theta - c^T theta / n with
+    The loss is half squared error, (1/2)(x.theta - y)^2. With p the
+    columns of X, the release is private for row norms <= sqrt(p), targets
+    in [-p, p] and coefficients in the sqrt(p) ball: the first two are
+    refused otherwise, the third is where the minimizer is sought, and the
+    noise is calibrated to the gradient-norm bound 2 p^(3/2) and the
+    Hessian eigenvalue bound p that they imply. A probabilistic budget is
+    refused: the Gaussian calibration is proven for approximate DP only.
+
+    The perturbed objective is (1/2n) theta^T A theta - c^T theta / n with
     A = X^T X + (gamma + slack) I and c = X^T y - b. Its minimizer over the
-    ball is computed exactly, so the result lies inside the domain and the
-    fit is never refused.
+    ball is computed exactly: data that meet the contract are never
+    refused.
     """
     if rng is None:
         rng = RandomSource()  # seeded from OS entropy
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
+    if budget.variant == PROBABILISTIC:
+        raise ValueError("regression-path ERM provides pure or approximate "
+                         "DP only")
     if y.shape != (n,):
         raise ValueError("targets must be a vector matching the rows of X")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("targets must be finite")
-    if loss.grad_norm_bound is None or loss.eigen_bound is None:
-        raise ValueError("regression-path ERM needs grad_norm_bound and "
-                         "eigen_bound on the loss")
     if gamma <= 0.0:
         raise ValueError("regularization constant must be positive")
     _check_rows(X, math.sqrt(p))
+    if not np.all(np.abs(y) <= p + _ROW_NORM_TOL):  # NaN too
+        raise ValueError(f"targets must be finite and lie in [-{p}, {p}]")
 
-    slack = kst_slack(loss.eigen_bound, budget.epsilon)
-    b = kst_noise(p, loss, budget, rng)
+    slack = kst_slack(float(p), budget.epsilon)
+    b = kst_noise(p, budget, rng)
     A = X.T @ X
     A[np.diag_indices(p)] += gamma + slack
     c = X.T @ y
     c -= b
-    return _ball_quadratic_min(A, c, domain.radius)
+    return _ball_quadratic_min(A, c, math.sqrt(p))
 
 
 # Bisection steps on the ball multiplier: the bracket [0, ||c||/radius]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .erm import Domain, ErmConfig, LossSpec, erm_cms, erm_kst
+from .erm import ErmConfig, LossSpec, erm_cms, erm_kst
 from .mechanisms import PrivacyBudget, RandomSource
 from .stats import Bounds
 
@@ -78,41 +78,6 @@ def huber_loss(h: float = 0.5) -> LossSpec:
         return losses, u, curvatures
 
     return LossSpec(evaluate, curvature=1.0 / (2.0 * h))
-
-
-def _on_margins(loss: LossSpec, z) -> tuple[np.ndarray, np.ndarray]:
-    """``loss.evaluate`` at the margins ``z`` (label +1), in the shape of z:
-    a number for a number."""
-    z = np.asarray(z, dtype=np.float64)
-    value, grad, _ = loss.evaluate(np.atleast_1d(z), 1.0)
-    return value.reshape(z.shape)[()], grad.reshape(z.shape)[()]
-
-
-def huber_loss_value(z, h: float):
-    """The Huber loss of ``huber_loss(h)`` at the margins ``z``."""
-    return _on_margins(huber_loss(h), z)[0]
-
-
-def huber_loss_grad(z, h: float):
-    """dloss/dz of ``huber_loss(h)`` at the margins ``z``."""
-    return _on_margins(huber_loss(h), z)[1]
-
-
-def squared_loss(p: int) -> LossSpec:
-    """Half squared error with the regression-path constants for row norms
-    <= sqrt(p), |y| <= p, and coefficients inside the sqrt(p) ball.
-
-    ``erm_kst`` solves this loss's quadratic objective exactly and reads
-    only the two constants; ``evaluate`` states the loss it assumes."""
-
-    def evaluate(scores, y):
-        residuals = scores - y
-        losses = np.square(residuals)
-        losses *= 0.5
-        return losses, residuals, np.ones_like(residuals)
-
-    return LossSpec(evaluate, grad_norm_bound=2.0 * p ** 1.5,
-                    eigen_bound=float(p))
 
 
 @dataclass(frozen=True)
@@ -382,12 +347,14 @@ def fit_linreg(X, y, bounds: list[Bounds], budget: PrivacyBudget,
     Xs = scaler.scale(_with_bias(X, add_bias))
     p = Xs.shape[1]
 
+    # Targets land in [-p, p]. The clip moves only a target that the
+    # bounds tolerance let past its bound, and by no more than that.
     shift = 0.5 * (y_bounds.lower + y_bounds.upper) if add_bias else 0.0
     y_scale = max(abs(y_bounds.lower - shift), abs(y_bounds.upper - shift)) / p
     ys = (y - shift) / y_scale
+    np.clip(ys, -p, p, out=ys)
 
-    theta = erm_kst(Xs, ys, squared_loss(p), budget, gamma,
-                    Domain(math.sqrt(p)), rng)
+    theta = erm_kst(Xs, ys, budget, gamma, rng)
     coeff = scaler.unscale_coefficients(theta) * y_scale
     if add_bias:
         coeff = coeff.copy()

@@ -318,8 +318,7 @@ def quantile_dp(x, q: float, budget: PrivacyBudget, bounds: Bounds,
     lengths = np.diff(z)
     idx = np.arange(n + 1, dtype=np.float64)
     utility = -np.abs(idx - q * n)
-    measure = lengths if np.any(lengths > 0.0) else None
-    i = exponential_mechanism(utility, budget, 1.0, measure, rng)
+    i = exponential_mechanism(utility, budget, 1.0, lengths, rng)
     value = float(z[i] + rng.uniform() * (z[i + 1] - z[i]))
     return StatResult("quantile", value, 1.0, "exponential", BOUNDED,
                       budget.epsilon, budget.delta, {"q": q, "n": n})

@@ -31,10 +31,6 @@ class TuningResult:
     model: TrainedModel
     index: int
     name: str
-    # Validation scores of every candidate. Diagnostics only: they were not
-    # privatized, so releasing them alongside the model forfeits the
-    # selection step's privacy guarantee.
-    utilities: np.ndarray
     epsilon: float
     delta: float
 
@@ -73,9 +69,9 @@ def _tune(candidates, X, y, budget, rng, score, sensitivity) -> TuningResult:
     val = folds[-1]
     models = [c.fit(X[folds[i]], y[folds[i]], rng)
               for i, c in enumerate(candidates)]
-    utilities = np.array([score(mod, X[val], y[val]) for mod in models])
-    idx = exponential_mechanism(utilities, budget, sensitivity, None, rng)
-    return TuningResult(models[idx], idx, candidates[idx].name, utilities,
+    scores = np.array([score(mod, X[val], y[val]) for mod in models])
+    idx = exponential_mechanism(scores, budget, sensitivity, None, rng)
+    return TuningResult(models[idx], idx, candidates[idx].name,
                         budget.epsilon, budget.delta)
 
 

@@ -18,14 +18,13 @@ import dpkit
 from dpkit import _kernels
 from dpkit.accountant import BudgetLedger
 from dpkit.cli import main as cli_main
-from dpkit.erm import (Domain, ErmConfig, erm_cms, erm_kst, kst_gaussian_sigma,
-                       kst_noise, kst_slack, minimize, sample_sphere_gamma,
-                       cms_output_noise, _empirical_objective)
+from dpkit.erm import (ErmConfig, erm_cms, erm_kst, kst_noise, kst_slack,
+                       minimize, sample_sphere_gamma, _empirical_objective)
 from dpkit.mechanisms import (APPROXIMATE, PROBABILISTIC, PrivacyBudget,
                               RandomSource, gaussian_sigma)
 from dpkit.models import (RffProjection, TrainedModel, fit_linreg,
                           fit_logistic, fit_svm, huber_loss, logistic_loss,
-                          predict, squared_loss)
+                          predict)
 from dpkit.stats import (Bounds, HistogramSpec, StatRequest, cov_dp,
                          histogram_dp, mean_dp, pooled_cov_dp, pooled_var_dp,
                          quantile_dp, table_dp, var_dp)
@@ -328,10 +327,13 @@ def test_criterion_03e_cms_output_empirical_dp():
     for seed in range(50):
         real = erm_cms(x1, y1, logistic_loss(), cfg,
                        rng=RandomSource(seed))[0]
-        fast = base1 + cms_output_noise(1, beta, RandomSource(seed))[0]
+        fast = base1 + sample_sphere_gamma(1, 1.0 / beta,
+                                           RandomSource(seed))[0]
         assert fast == pytest.approx(real, abs=1e-6)
-    s1 = base1 + cms_output_noise(1, beta, RandomSource(9), size=N_RUNS)
-    s2 = base2 + cms_output_noise(1, beta, RandomSource(10), size=N_RUNS)
+    s1 = base1 + sample_sphere_gamma(1, 1.0 / beta, RandomSource(9),
+                                     size=N_RUNS)
+    s2 = base2 + sample_sphere_gamma(1, 1.0 / beta, RandomSource(10),
+                                     size=N_RUNS)
     _verdict(3, "empirical-dp erm-output",
              _empirical_dp_holds(s1, s2, eps, 0.0))
 
@@ -390,17 +392,15 @@ def _kst_closed_form(x, y, gamma, slack, b, radius=1.0):
 
 def _kst_path(budget, seed1, seed2, validate_seed_count=50):
     (x1, y1), (x2, y2) = _kst_datasets()
-    loss = squared_loss(1)
     gamma = 1.0
-    slack = kst_slack(loss.eigen_bound, budget.epsilon)
+    slack = kst_slack(1.0, budget.epsilon)  # Hessian eigenvalue bound p = 1
     for seed in range(validate_seed_count):
-        real = erm_kst(x1[:, None], y1, loss, budget,
-                       gamma, Domain(1.0), RandomSource(seed))[0]
-        b = kst_noise(1, loss, budget, RandomSource(seed))[0]
+        real = erm_kst(x1[:, None], y1, budget, gamma, RandomSource(seed))[0]
+        b = kst_noise(1, budget, RandomSource(seed))[0]
         fast = _kst_closed_form(x1, y1, gamma, slack, np.array([b]))[0]
         assert fast == pytest.approx(real, abs=1e-6)
-    b1 = kst_noise(1, loss, budget, RandomSource(seed1), size=N_RUNS)[:, 0]
-    b2 = kst_noise(1, loss, budget, RandomSource(seed2), size=N_RUNS)[:, 0]
+    b1 = kst_noise(1, budget, RandomSource(seed1), size=N_RUNS)[:, 0]
+    b2 = kst_noise(1, budget, RandomSource(seed2), size=N_RUNS)[:, 0]
     s1 = _kst_closed_form(x1, y1, gamma, slack, b1)
     s2 = _kst_closed_form(x2, y2, gamma, slack, b2)
     return s1, s2
@@ -489,10 +489,10 @@ def test_criterion_04_huge_epsilon_degeneration():
 
     svm = fit_svm(X, ycls, bounds, ErmConfig(HUGE, gamma), add_bias=True,
                   rng=RandomSource(43))
-    from dpkit.models import huber_loss_value
+    huber = huber_loss(0.5)
 
     def svm_obj(t):
-        return float(huber_loss_value(ypm * (Xs @ t), 0.5).mean()
+        return float(huber.evaluate(ypm * (Xs @ t), 1.0)[0].mean()
                      + gamma / 150 * 0.5 * t @ t)
 
     ref = scipy_minimize(svm_obj, np.zeros(3), method="BFGS",
@@ -533,13 +533,14 @@ def test_criterion_05_gradient_checks():
     rng = np.random.default_rng(50)
     ok = True
     losses = [logistic_loss(), huber_loss(0.1), huber_loss(0.5),
-              huber_loss(2.0), squared_loss(1)]
+              huber_loss(2.0)]
     for loss in losses:
         scores = rng.uniform(-3, 3, 100)
         y = np.where(rng.uniform(size=100) < 0.5, -1.0, 1.0)
-        g = loss.grad(scores, y)
+        g = loss.evaluate(scores, y)[1]
         h = 1e-6
-        fd = (loss.value(scores + h, y) - loss.value(scores - h, y)) / (2 * h)
+        fd = (loss.evaluate(scores + h, y)[0]
+              - loss.evaluate(scores - h, y)[0]) / (2 * h)
         denom = np.maximum(np.abs(fd), 1.0)
         ok &= np.max(np.abs(g - fd) / denom) < 1e-5
     # The objective holds the fixed regularizer; gamma = n weighs it as

@@ -440,6 +440,40 @@ def _one_line_error(err):
     assert "Traceback" not in err
 
 
+def test_linreg_probabilistic_variant_exits_3_uncharged(capsys, clf_csv,
+                                                        tmp_path):
+    # The regression path's Gaussian calibration is proven for approximate
+    # DP only; a probabilistic request is refused, not served as approximate.
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    code, out, err = run_cli(capsys, *_model_command(
+        "fit", "linreg", clf_csv, "--delta", "1e-5", "--variant",
+        "probabilistic"), "--ledger", str(ledger), "--output",
+        str(model_path))
+    assert code == 3 and out == ""
+    assert "pure or approximate DP only" in err
+    _one_line_error(err)
+    assert not ledger.exists() and not model_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("stat", "mean", "--column", "x", "--bounds", "5,10"),
+    ("fit", "linreg", "--label-column", "y", "--feature-columns", "x",
+     "--bounds", "5,10;0,1", "--gamma", "1"),
+], ids=["stat", "fit"])
+@pytest.mark.parametrize("variant", ["approximate", "probabilistic"])
+def test_variant_without_delta_exits_3_uncharged(capsys, data_csv, tmp_path,
+                                                 argv, variant):
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    output = ("--output", str(model_path)) if argv[0] == "fit" else ()
+    code, out, err = run_cli(capsys, *argv, "--input", data_csv,
+                             "--epsilon", "1", "--variant", variant,
+                             "--seed", "1", "--ledger", str(ledger), *output)
+    assert code == 3 and out == ""
+    assert "--variant applies only with a positive --delta" in err
+    _one_line_error(err)
+    assert not ledger.exists() and not model_path.exists()
+
+
 def test_linreg_fit_and_tune_never_call_the_iterative_solver(
         capsys, clf_csv, tmp_path, monkeypatch):
     import dpkit.erm
@@ -981,8 +1015,8 @@ def test_ragged_csv_rows_exit_3(capsys, tmp_path, text, row, fields):
                              "--column", "x", "--bounds", "0,5",
                              "--epsilon", "1", "--seed", "1")
     assert code == 3 and out == ""
-    assert f"row {row} of the input has {fields} fields; the header has 2" \
-        in err
+    assert f"a row of the input has {fields} fields; the header has 2" in err
+    assert f"row {row}" not in err  # no row number reaches stderr
     _one_line_error(err)
 
 

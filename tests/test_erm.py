@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import dpkit.erm
-from dpkit.erm import (Domain, ErmConfig, LossSpec, SolverNotConvergedError,
-                       cms_output_noise, erm_cms, erm_kst, kst_gaussian_sigma,
-                       kst_noise, kst_slack, minimize, sample_sphere_gamma,
+from dpkit.erm import (ErmConfig, LossSpec, SolverNotConvergedError, erm_cms,
+                       erm_kst, kst_gaussian_sigma, kst_noise, kst_slack,
+                       minimize, sample_sphere_gamma,
                        _ball_quadratic_min, _empirical_objective)
-from dpkit.mechanisms import APPROXIMATE, PrivacyBudget, RandomSource
-from dpkit.models import huber_loss, logistic_loss, squared_loss
+from dpkit.mechanisms import (APPROXIMATE, PROBABILISTIC, PrivacyBudget,
+                              RandomSource)
+from dpkit.models import huber_loss, logistic_loss
 
 from oracles import (fit_logistic_unregularized, fit_ridge,
                      scipy_constrained_min)
@@ -110,7 +111,8 @@ def test_empirical_objective_evaluates_the_loss_once_per_point():
         calls.append(1)
         return logistic.evaluate(scores, labels)
 
-    fun, grad, hessp = _empirical_objective(X, y, LossSpec(evaluate), 0.5)
+    fun, grad, hessp = _empirical_objective(
+        X, y, LossSpec(evaluate, logistic.curvature), 0.5)
     theta = np.array([0.2, -0.3, 0.1])
     fun(theta)
     grad(theta)
@@ -177,7 +179,7 @@ def test_sphere_gamma_direction_centered():
 
 def test_cms_output_noise_scale():
     # density prop to exp(-beta ||b||): mean norm is p / beta.
-    draws = cms_output_noise(2, beta=4.0, rng=RandomSource(2), size=20_000)
+    draws = sample_sphere_gamma(2, 1.0 / 4.0, RandomSource(2), size=20_000)
     norms = np.linalg.norm(draws, axis=1)
     assert norms.mean() == pytest.approx(2.0 / 4.0, rel=0.02)
 
@@ -218,7 +220,7 @@ def test_cms_output_noise_is_replayable():
     base = erm_cms(X, y, huber_loss(), ErmConfig(HUGE, 0.5),
                    rng=RandomSource(99))
     beta = 0.5 * 1.0 / (2.0 * 1.0)
-    noise = cms_output_noise(2, beta, RandomSource(9))
+    noise = sample_sphere_gamma(2, 1.0 / beta, RandomSource(9))
     assert np.allclose(theta, base + noise, atol=1e-6)
 
 
@@ -297,11 +299,8 @@ def test_cms_validation():
         erm_cms(X, y, loss,
                 ErmConfig(PrivacyBudget(1.0, 0.1, APPROXIMATE), 1.0),
                 rng=RandomSource(0))
-    no_curv = LossSpec(loss.evaluate)
-    with pytest.raises(ValueError):
-        erm_cms(X, y, no_curv,
-                ErmConfig(PrivacyBudget(1.0), 1.0, "objective"),
-                rng=RandomSource(0))
+    with pytest.raises(TypeError):
+        LossSpec(loss.evaluate)  # the curvature bound is required
     with pytest.raises(ValueError):
         erm_cms(X, y, loss,
                 ErmConfig(PrivacyBudget(1.0), 1.0, "objective"),
@@ -359,12 +358,23 @@ def test_ball_quadratic_min_matches_scipy_on_constrained_quadratic():
     assert np.allclose(ours, ref, atol=1e-5)
 
 
-def _kst_oracle(X, y, loss, budget, gamma, seed, radius):
-    b = kst_noise(X.shape[1], loss, budget, RandomSource(seed))
-    slack = kst_slack(loss.eigen_bound, budget.epsilon)
-    fun, grad, _ = _empirical_objective(X, y, loss, gamma,
-                                        np.ones(len(y)), slack=slack, b=b)
-    return scipy_constrained_min(fun, grad, X.shape[1], radius=radius)
+def _kst_oracle(X, y, budget, gamma, seed):
+    """The perturbed objective (1/n)(sum (1/2)(x.t - y)^2
+    + (1/2)(gamma + slack)||t||^2 + b.t), minimized by scipy over the
+    sqrt(p) ball."""
+    n, p = X.shape
+    b = kst_noise(p, budget, RandomSource(seed))
+    reg = gamma + kst_slack(p, budget.epsilon)
+
+    def fun(t):
+        r = X @ t - y
+        return (0.5 * float(r @ r) + 0.5 * reg * float(t @ t)
+                + float(b @ t)) / n
+
+    def grad(t):
+        return (X.T @ (X @ t - y) + reg * t + b) / n
+
+    return scipy_constrained_min(fun, grad, p, radius=math.sqrt(p))
 
 
 def test_kst_never_calls_the_iterative_minimizer(monkeypatch):
@@ -376,9 +386,8 @@ def test_kst_never_calls_the_iterative_minimizer(monkeypatch):
     X = rng.uniform(-1, 1, size=(60, 2))
     y = np.clip(X @ np.array([1.0, -0.5]), -2, 2)
     budget = PrivacyBudget(1.0)
-    theta = erm_kst(X, y, squared_loss(2), budget, 1.0,
-                    Domain(math.sqrt(2)), RandomSource(0))
-    ref = _kst_oracle(X, y, squared_loss(2), budget, 1.0, 0, math.sqrt(2))
+    theta = erm_kst(X, y, budget, 1.0, RandomSource(0))
+    ref = _kst_oracle(X, y, budget, 1.0, 0)
     assert np.allclose(theta, ref, atol=1e-5)
 
 
@@ -390,20 +399,17 @@ def test_kst_slack_and_sigma_formulas():
 
 
 def test_kst_noise_pure_norm_mean():
-    loss = squared_loss(2)  # zeta = 2 * 2^1.5
-    zeta = loss.grad_norm_bound
+    zeta = 2 * 2 ** 1.5  # the gradient-norm bound at p = 2
     eps = 2.0
-    draws = kst_noise(2, loss, PrivacyBudget(eps), RandomSource(0),
-                      size=20_000)
+    draws = kst_noise(2, PrivacyBudget(eps), RandomSource(0), size=20_000)
     norms = np.linalg.norm(draws, axis=1)
     assert norms.mean() == pytest.approx(2 * 2.0 * zeta / eps, rel=0.02)
 
 
 def test_kst_noise_gaussian_std():
-    loss = squared_loss(1)
     budget = PrivacyBudget(1.0, 0.01, APPROXIMATE)
-    draws = kst_noise(1, loss, budget, RandomSource(1), size=40_000)
-    sigma = kst_gaussian_sigma(loss.grad_norm_bound, budget)
+    draws = kst_noise(1, budget, RandomSource(1), size=40_000)
+    sigma = kst_gaussian_sigma(2.0, budget)  # zeta = 2 p^1.5 at p = 1
     assert draws.std() == pytest.approx(sigma, rel=0.02)
 
 
@@ -416,13 +422,11 @@ def test_kst_p1_matches_closed_form():
     rng = np.random.default_rng(3)
     x = rng.uniform(-1, 1, 50)
     y = np.clip(0.8 * x + rng.normal(0, 0.1, 50), -1, 1)
-    loss = squared_loss(1)
     budget = PrivacyBudget(1.0)
     gamma = 0.5
     for seed in range(5):
-        theta = erm_kst(x[:, None], y, loss, budget,
-                        gamma, Domain(1.0), RandomSource(seed))
-        b = float(kst_noise(1, loss, budget, RandomSource(seed))[0])
+        theta = erm_kst(x[:, None], y, budget, gamma, RandomSource(seed))
+        b = float(kst_noise(1, budget, RandomSource(seed))[0])
         want = _closed_form_kst_p1(x, y, gamma, kst_slack(1.0, 1.0), b, 1.0)
         assert theta[0] == pytest.approx(want, abs=1e-6)
 
@@ -431,16 +435,14 @@ def test_kst_p2_matches_scipy_oracle():
     rng = np.random.default_rng(4)
     X = rng.uniform(-1, 1, size=(60, 2))
     y = np.clip(X @ np.array([1.0, -0.5]), -2, 2)
-    loss = squared_loss(2)
     gamma = 1.0
     radius = math.sqrt(2)
     budget = PrivacyBudget(1.0, 0.01, APPROXIMATE)
     # Seed 8 draws noise that puts the minimizer on the sphere, so the ball
     # constraint is active; seed 0 leaves it inside.
     for seed, active in ((8, True), (0, False)):
-        theta = erm_kst(X, y, loss, budget, gamma,
-                        Domain(radius), RandomSource(seed))
-        ref = _kst_oracle(X, y, loss, budget, gamma, seed, radius)
+        theta = erm_kst(X, y, budget, gamma, RandomSource(seed))
+        ref = _kst_oracle(X, y, budget, gamma, seed)
         assert np.allclose(theta, ref, atol=1e-5)
         assert np.linalg.norm(theta) <= radius
         assert (np.linalg.norm(theta) > radius - 1e-9) == active
@@ -450,10 +452,8 @@ def test_kst_huge_epsilon_approaches_ridge():
     rng = np.random.default_rng(5)
     X = rng.uniform(-1, 1, size=(200, 2))
     y = X @ np.array([0.6, -0.3])
-    loss = squared_loss(2)
     gamma = 1.0
-    theta = erm_kst(X, y, loss, HUGE, gamma,
-                    Domain(math.sqrt(2)), RandomSource(0))
+    theta = erm_kst(X, y, HUGE, gamma, RandomSource(0))
     # Slack 2*lambda/eps vanishes, so the solution approaches plain ridge.
     ref = fit_ridge(X, y, gamma / 200)
     assert np.allclose(theta, ref, atol=1e-4)
@@ -463,10 +463,8 @@ def test_kst_result_stays_in_domain():
     rng = np.random.default_rng(6)
     X = rng.uniform(-1, 1, size=(30, 3))
     y = np.clip(X.sum(axis=1), -3, 3)
-    loss = squared_loss(3)
     for seed in range(10):
-        theta = erm_kst(X, y, loss, PrivacyBudget(0.1),
-                        1.0, Domain(math.sqrt(3)), RandomSource(seed))
+        theta = erm_kst(X, y, PrivacyBudget(0.1), 1.0, RandomSource(seed))
         assert np.linalg.norm(theta) <= math.sqrt(3) + 1e-9
 
 
@@ -474,31 +472,41 @@ def test_kst_validation():
     X = np.full((10, 2), 2.0)  # row norms 2.828... exceed sqrt(2)
     y = np.zeros(10)
     with pytest.raises(ValueError) as exc:
-        erm_kst(X, y, squared_loss(2), PrivacyBudget(1.0),
-                1.0, Domain(1.0), RandomSource(0))
+        erm_kst(X, y, PrivacyBudget(1.0), 1.0, RandomSource(0))
     # The message states the limit only, never a norm of the data.
     assert "1.41421" in str(exc.value) and "2.8" not in str(exc.value)
     ok = np.zeros((10, 2))
-    bare = LossSpec(lambda s, t: ((s - t) ** 2, 2 * (s - t)))
     with pytest.raises(ValueError):
-        erm_kst(ok, y, bare, PrivacyBudget(1.0), 1.0,
-                Domain(1.0), RandomSource(0))
-    with pytest.raises(ValueError):
-        erm_kst(ok, y, squared_loss(2), PrivacyBudget(1.0),
-                -1.0, Domain(1.0), RandomSource(0))
+        erm_kst(ok, y, PrivacyBudget(1.0), -1.0, RandomSource(0))
     nan_row, nan_target = ok.copy(), y.copy()
     nan_row[3, 1] = nan_target[3] = np.nan
     with pytest.raises(ValueError, match="row l2 norms must be finite"):
-        erm_kst(nan_row, y, squared_loss(2), PrivacyBudget(1.0),
-                1.0, Domain(1.0), RandomSource(0))
+        erm_kst(nan_row, y, PrivacyBudget(1.0), 1.0, RandomSource(0))
     with pytest.raises(ValueError, match="targets must be finite"):
-        erm_kst(ok, nan_target, squared_loss(2), PrivacyBudget(1.0),
-                1.0, Domain(1.0), RandomSource(0))
+        erm_kst(ok, nan_target, PrivacyBudget(1.0), 1.0, RandomSource(0))
 
 
-def test_domain_needs_a_positive_radius():
-    for radius in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError):
-            Domain(radius)
-    with pytest.raises(TypeError):
-        Domain()
+def test_kst_refuses_targets_outside_p():
+    # Targets 50 times past the bound p = 2 would need 48 times the
+    # calibrated noise; the message states the limit, never a target.
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-1, 1, size=(40, 2))
+    y = 50.0 * np.clip(X @ np.array([1.0, -0.5]), -2, 2)
+    with pytest.raises(ValueError) as exc:
+        erm_kst(X, y, PrivacyBudget(1.0), 1.0, RandomSource(0))
+    assert str(exc.value) == "targets must be finite and lie in [-2, 2]"
+    for bad in (2.0 + 2e-9, -2.0 - 2e-9, np.inf):
+        y = np.zeros(40)
+        y[5] = bad
+        with pytest.raises(ValueError, match=r"lie in \[-2, 2\]"):
+            erm_kst(X, y, PrivacyBudget(1.0), 1.0, RandomSource(0))
+    y = np.zeros(40)
+    y[5], y[6] = 2.0 + 0.5e-9, -2.0  # within the rounding allowance
+    erm_kst(X, y, PrivacyBudget(1.0), 1.0, RandomSource(0))
+
+
+def test_kst_refuses_a_probabilistic_budget():
+    X, y = np.zeros((10, 2)), np.zeros(10)
+    with pytest.raises(ValueError, match="pure or approximate DP only"):
+        erm_kst(X, y, PrivacyBudget(0.5, 1e-5, PROBABILISTIC), 1.0,
+                RandomSource(0))

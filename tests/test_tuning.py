@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dpkit.tuning
 from dpkit.mechanisms import PrivacyBudget, RandomSource
 from dpkit.models import TrainedModel
 from dpkit.stats import Bounds
@@ -8,6 +9,21 @@ from dpkit.tuning import (Candidate, split_folds, tune_classification,
                           tune_linreg)
 
 HUGE = PrivacyBudget(1e8)
+
+
+@pytest.fixture
+def utilities(monkeypatch):
+    """The validation scores each selection hands the exponential
+    mechanism, in call order; the result itself carries none."""
+    seen = []
+    select = dpkit.tuning.exponential_mechanism
+
+    def record(utility, *args):
+        seen.append(np.array(utility))
+        return select(utility, *args)
+
+    monkeypatch.setattr(dpkit.tuning, "exponential_mechanism", record)
+    return seen
 
 
 def _fixed_classifier(coefficients):
@@ -52,7 +68,7 @@ def test_split_folds_validation():
 
 # -- classification tuning ------------------------------------------------------
 
-def test_tune_classification_picks_best_at_huge_epsilon():
+def test_tune_classification_picks_best_at_huge_epsilon(utilities):
     rng = np.random.default_rng(0)
     X = rng.uniform(-1, 1, size=(60, 2))
     y = (X[:, 0] > 0).astype(float)
@@ -63,8 +79,9 @@ def test_tune_classification_picks_best_at_huge_epsilon():
         assert res.index == 1
         assert res.name == good.name
         # Utility is the negated misclassification count on the fold.
-        assert res.utilities[1] == 0.0
-        assert res.utilities[0] == -len(split_folds(60, 3,
+        assert not hasattr(res, "utilities")  # unprivatized; not released
+        assert utilities[-1][1] == 0.0
+        assert utilities[-1][0] == -len(split_folds(60, 3,
                                                     RandomSource(seed))[-1])
 
 
@@ -114,16 +131,15 @@ def test_tune_linreg_picks_best_at_huge_epsilon():
         assert res.index == 1
 
 
-def test_tune_linreg_clamps_wild_predictions():
+def test_tune_linreg_clamps_wild_predictions(utilities):
     # An absurd candidate is scored as if it predicted the nearest bound,
     # so its utility cannot fall below -n * width^2.
     X = np.ones((12, 1))
     y = np.full(12, 2.0)
     wild = _fixed_regressor([1e9])
-    res = tune_linreg([wild, wild], X, y, Bounds(-2, 2), HUGE,
-                      RandomSource(0))
+    tune_linreg([wild, wild], X, y, Bounds(-2, 2), HUGE, RandomSource(0))
     n_val = len(split_folds(12, 3, RandomSource(0))[-1])
-    assert res.utilities[0] == pytest.approx(-n_val * 0.0)
+    assert utilities[-1][0] == pytest.approx(-n_val * 0.0)
     # Predictions clamp to +2 which equals the target: zero error.
 
 
