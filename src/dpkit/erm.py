@@ -151,13 +151,17 @@ def sample_sphere_gamma(p: int, scale: float, rng: RandomSource,
 
 
 _ROW_NORM_TOL = 1e-9  # allowance for the rounding of row and target scaling
+NO_ROWS = "the data have no rows; a fit needs at least one"
 
 
 def _check_rows(X: np.ndarray, limit: float):
-    """Refuse a row whose l2 norm is not finite or exceeds ``limit``. The
-    message states the limit only, never a norm of the data."""
+    """Refuse an empty X, and a row whose l2 norm is not finite or exceeds
+    ``limit``. The message states the limit only, never a norm of the
+    data."""
+    if X.shape[0] == 0:
+        raise ValueError(NO_ROWS)
     norms = np.linalg.norm(X, axis=1)
-    if norms.size and not norms.max() <= limit + _ROW_NORM_TOL:  # NaN too
+    if not norms.max() <= limit + _ROW_NORM_TOL:  # NaN too
         raise ValueError(f"row l2 norms must be finite and at most "
                          f"{limit:.6g}")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .erm import ErmConfig, LossSpec, erm_cms, erm_kst
+from .erm import NO_ROWS, ErmConfig, LossSpec, erm_cms, erm_kst
 from .mechanisms import PrivacyBudget, RandomSource
 from .stats import Bounds
 
@@ -213,6 +213,8 @@ def _as_matrix(X) -> np.ndarray:
 def _check_in_bounds(X: np.ndarray, bounds: list[Bounds]):
     if X.shape[1] != len(bounds):
         raise ValueError("one bounds pair per column is required")
+    if X.shape[0] == 0:
+        raise ValueError(NO_ROWS)
     for j, b in enumerate(bounds):
         col = X[:, j]
         # Written so that a NaN cell, which fails every comparison, fails.
@@ -337,6 +339,8 @@ def fit_linreg(X, y, bounds: list[Bounds], budget: PrivacyBudget,
         raise ValueError("bounds must cover every column of X plus y")
     x_bounds, y_bounds = list(bounds[:-1]), bounds[-1]
     _check_in_bounds(X, x_bounds)
+    if y.shape != (X.shape[0],):
+        raise ValueError("targets must be a vector matching the rows of X")
     if not (y_bounds.lower - _BOUNDS_TOL <= y.min() and
             y.max() <= y_bounds.upper + _BOUNDS_TOL):
         raise ValueError("targets violate their declared bounds")

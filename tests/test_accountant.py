@@ -1,10 +1,14 @@
 import math
 import multiprocessing
+import random
+import zlib
 
 import pytest
 
+from dpkit import accountant
 from dpkit.accountant import (BudgetExhaustedError, BudgetLedger, LedgerEntry,
                               exceeds_cap)
+from dpkit.cli import main
 
 
 def test_sequential_composition_sums():
@@ -174,13 +178,16 @@ def test_refused_charge_writes_nothing(tmp_path):
         BudgetLedger.charge(path, "x", 0.0)
     assert not path.exists()
 
+    assert not _sidecar(path).exists()
+
     BudgetLedger.charge(path, "x", 0.75, cap=(1.0, 0.0))
-    before = path.read_bytes()
+    before, sidecar = path.read_bytes(), _sidecar(path).read_bytes()
     with pytest.raises(BudgetExhaustedError):
         BudgetLedger.charge(path, "y", 0.5, cap=(1.0, 0.0))
     with pytest.raises(BudgetExhaustedError):
         BudgetLedger.charge(path, "y", 0.1, 0.1, cap=(1.0, 0.0))
     assert path.read_bytes() == before
+    assert _sidecar(path).read_bytes() == sidecar
 
 
 @pytest.mark.parametrize("line,message", [
@@ -215,6 +222,240 @@ def test_charge_counts_and_totals_match_load(tmp_path):
     with pytest.raises(BudgetExhaustedError) as exc:
         BudgetLedger.charge(path, "over", 1e-3, cap=(1.0, 3e-6))
     assert exc.value.remaining_epsilon == 0.0
+
+
+def test_non_finite_amounts_are_refused(tmp_path):
+    # An infinite total passes every cap comparison, and a NaN one fails
+    # them all, so either would switch the cap off for every later charge.
+    for eps, delta in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf),
+                       (1.0, math.nan)):
+        with pytest.raises(ValueError, match="must be .* and finite"):
+            LedgerEntry("x", eps, delta)
+    path = tmp_path / "ledger.jsonl"
+    with pytest.raises(ValueError):
+        BudgetLedger.charge(path, "x", math.inf, cap=(1.0, 0.0))
+    assert not path.exists()
+    path.write_text('{"delta": 0.0, "eps": Infinity, "op": "x", "seq": 0, '
+                    '"tag": null}\n')
+    with pytest.raises(ValueError, match="entry epsilon must be positive "
+                       "and finite"):
+        BudgetLedger.charge(path, "y", 5.0, cap=(1.0, 0.0))
+    assert path.read_text().count("\n") == 1
+
+
+# -- the totals sidecar ---------------------------------------------------------
+
+def _sidecar(path):
+    return path.with_name(path.name + ".totals")
+
+
+def _sidecar_totals(path):
+    """(count, epsilon, delta) from the sidecar of ``path`` if it is current
+    for the ledger's bytes, else None."""
+    data = path.read_bytes()
+    found = accountant._read_sidecar(str(_sidecar(path)), len(data),
+                                     zlib.crc32(data))
+    if found is None:
+        return None
+    count, eps, delta = found
+    return count, accountant._to_float(eps), accountant._to_float(delta)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The paths of the full ledger scans made while the test runs."""
+    seen = []
+    parse = accountant._parse_records
+
+    def counting(text, path):
+        seen.append(path)
+        return parse(text, path)
+    monkeypatch.setattr(accountant, "_parse_records", counting)
+    return seen
+
+
+def test_charge_with_a_current_sidecar_parses_no_entry(tmp_path,
+                                                       monkeypatch):
+    path = tmp_path / "ledger.jsonl"
+    BudgetLedger.charge(path, "first", 0.1)
+    assert _sidecar_totals(path) == (1, 0.1, 0.0)
+
+    def refuse(text, path):
+        raise AssertionError("the ledger was parsed")
+    monkeypatch.setattr(accountant, "_parse_records", refuse)
+    for i in range(20):
+        entry = BudgetLedger.charge(path, f"op{i}", 0.01, 1e-7,
+                                    cap=(0.35, 1e-5))
+        assert entry.seq == i + 1
+    with pytest.raises(BudgetExhaustedError) as exc:
+        BudgetLedger.charge(path, "over", 0.1, cap=(0.35, 1e-5))
+    monkeypatch.undo()
+    ledger = BudgetLedger.load(path)
+    assert len(ledger.entries) == 21
+    eps = math.fsum(e.epsilon for e in ledger.entries)
+    delta = math.fsum(e.delta for e in ledger.entries)
+    assert exc.value.remaining_epsilon == 0.35 - eps
+    assert _sidecar_totals(path) == (21, eps, delta)
+
+
+def _remove(path):
+    _sidecar(path).unlink()
+
+
+def _garble(path):
+    _sidecar(path).write_bytes(b"not a sidecar\n")
+
+
+def _tear(path):
+    data = _sidecar(path).read_bytes()
+    _sidecar(path).write_bytes(data[:len(data) // 2])
+
+
+def _zero_the_totals(path):
+    # A write torn between two versions: the ledger's length and CRC-32
+    # still match, but the line's own checksum does not.
+    fields = _sidecar(path).read_bytes().split(b" ")
+    fields[3] = fields[4] = b"0"
+    _sidecar(path).write_bytes(b" ".join(fields))
+
+
+def _save_one_more(path):
+    ledger = BudgetLedger.load(path)
+    ledger.record("saved", 0.5)
+    ledger.save(path)
+
+
+def _append_by_hand(path):
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(BudgetLedger.entry_to_line(LedgerEntry("hand", 0.5, seq=3))
+                 + "\n")
+
+
+@pytest.mark.parametrize("spoil,stale", [
+    (_remove, False), (_garble, False), (_tear, False),
+    (_zero_the_totals, False), (_save_one_more, True),
+    (_append_by_hand, True)],
+    ids=["missing", "garbage", "torn", "torn-totals", "saved", "appended"])
+def test_charge_scans_past_a_missing_torn_or_stale_sidecar(tmp_path, scans,
+                                                           spoil, stale):
+    path = tmp_path / "ledger.jsonl"
+    for i in range(3):
+        BudgetLedger.charge(path, f"op{i}", 0.1)
+    spoil(path)
+    before = path.read_bytes()
+    scans.clear()
+    # 0.3 + 0.5 fits the cap; with the stale case's extra 0.5 it does not.
+    if stale:
+        with pytest.raises(BudgetExhaustedError) as exc:
+            BudgetLedger.charge(path, "next", 0.5, cap=(0.9, 0.0))
+        assert exc.value.remaining_epsilon == 0.9 - math.fsum([0.1] * 3
+                                                              + [0.5])
+        assert path.read_bytes() == before
+    else:
+        assert BudgetLedger.charge(path, "next", 0.5,
+                                   cap=(0.9, 0.0)).seq == 3
+    assert len(scans) == 1
+    BudgetLedger.charge(path, "after", 0.05)
+    assert len(scans) == (2 if stale else 1)  # a refusal leaves it stale
+    ledger = BudgetLedger.load(path)
+    assert _sidecar_totals(path) == (
+        len(ledger.entries), math.fsum(e.epsilon for e in ledger.entries),
+        0.0)
+
+
+def test_charge_works_where_the_sidecar_cannot_be_written(tmp_path, scans):
+    path = tmp_path / "ledger.jsonl"
+    _sidecar(path).mkdir()  # neither readable nor writable as a file
+    for i in range(3):
+        assert BudgetLedger.charge(path, f"op{i}", 0.25,
+                                   cap=(0.75, 0.0)).seq == i
+    with pytest.raises(BudgetExhaustedError):
+        BudgetLedger.charge(path, "over", 0.25, cap=(0.75, 0.0))
+    assert len(scans) == 4
+    assert len(BudgetLedger.load(path).entries) == 3
+
+
+def test_a_same_length_hand_edit_is_seen(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    for i in range(5):
+        BudgetLedger.charge(path, f"op{i}", 0.001)
+    data = path.read_bytes()
+    edited = data.replace(b'"eps": 0.001', b'"eps": 0.009', 1)
+    assert len(edited) == len(data) and edited != data
+    path.write_bytes(edited)
+    # 0.005 + 0.001 fits the cap; the edited 0.013 + 0.001 does not.
+    with pytest.raises(BudgetExhaustedError):
+        BudgetLedger.charge(path, "next", 0.001, cap=(0.01, 0.0))
+    assert path.read_bytes() == edited
+    BudgetLedger.charge(path, "next", 0.001)
+    assert _sidecar_totals(path)[1] == math.fsum([0.009] + [0.001] * 5)
+
+
+def _random_amount(rng):
+    """A positive float from anywhere in the range, subnormals included."""
+    return (rng.random() + 0.5) * 10.0 ** rng.randint(-320, 300)
+
+
+def test_exact_totals_equal_fsum_bit_for_bit(tmp_path):
+    rng = random.Random(15)
+    path = tmp_path / "ledger.jsonl"
+    ledger = BudgetLedger()
+    eps, deltas = [], []
+    for i in range(300):
+        eps.append(_random_amount(rng) if i % 3 else rng.random())
+        deltas.append(rng.choice([0.0, rng.random() * 1e-6, 5e-324,
+                                  _random_amount(rng)]))
+        BudgetLedger.charge(path, "op", eps[-1], deltas[-1])
+        ledger.record("op", eps[-1], deltas[-1])
+        assert _sidecar_totals(path) == (i + 1, math.fsum(eps),
+                                         math.fsum(deltas))
+        assert ledger.sequential_total() == (math.fsum(eps),
+                                             math.fsum(deltas))
+    assert BudgetLedger.load(path).sequential_total() == \
+        ledger.sequential_total()
+
+
+# The ledger that a seeded CLI session leaves, as the ledger format has
+# always written it: the sidecar changes nothing in it.
+SESSION = [
+    ["mech", "laplace", "--values", "1,2,3", "--sensitivities", "1,1,1",
+     "--epsilon", "0.25", "--seed", "1"],
+    ["mech", "gaussian", "--values", "1,2", "--sensitivities", "1,1",
+     "--epsilon", "0.5", "--delta", "1e-06", "--seed", "2"],
+    ["stat", "mean", "--column", "x", "--bounds", "0,5", "--epsilon", "0.1",
+     "--seed", "3", "--tag", "east"],
+    ["mech", "exponential", "--utility", "0,1,2", "--epsilon", "0.15",
+     "--seed", "4"],
+    ["mech", "laplace", "--values", "1", "--sensitivities", "1",
+     "--epsilon", "0.5", "--seed", "5"],  # refused at the cap
+]
+SESSION_LEDGER = (
+    '{"delta": 0.0, "eps": 0.25, "op": "mech laplace", "seq": 0, '
+    '"tag": null}\n'
+    '{"delta": 1e-06, "eps": 0.5, "op": "mech gaussian", "seq": 1, '
+    '"tag": null}\n'
+    '{"delta": 0.0, "eps": 0.1, "op": "stat mean", "seq": 2, '
+    '"tag": "east"}\n'
+    '{"delta": 0.0, "eps": 0.15, "op": "mech exponential", "seq": 3, '
+    '"tag": null}\n')
+
+
+def test_seeded_session_ledger_is_byte_identical(tmp_path, capsys):
+    csv = tmp_path / "x.csv"
+    csv.write_text("x\n1\n2\n4\n")
+    runs = []
+    for name in ("first.jsonl", "second.jsonl"):
+        ledger = tmp_path / name
+        codes = []
+        for argv in SESSION:
+            if argv[0] == "stat":
+                argv = argv + ["--input", str(csv)]
+            codes.append(main(argv + ["--ledger", str(ledger), "--cap",
+                                      "1.0,1e-5"]))
+        assert codes == [0, 0, 0, 0, 4]
+        assert ledger.read_text() == SESSION_LEDGER
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
 
 
 SPAWN = multiprocessing.get_context("spawn")

@@ -313,6 +313,31 @@ def test_bad_huber_width_exits_3_uncharged(capsys, clf_csv, tmp_path,
     assert not ledger.exists() and not model_path.exists()
 
 
+@pytest.mark.parametrize("command,model,flags,message", [
+    ("fit", "linreg", [], "the data have no rows; a fit needs at least one"),
+    ("fit", "logit", [], "the data have no rows; a fit needs at least one"),
+    ("fit", "svm", ["--kernel", "linear"],
+     "the data have no rows; a fit needs at least one"),
+    ("fit", "svm", ["--kernel", "gaussian", "--rff-dim", "20"],
+     "the data have no rows; a fit needs at least one"),
+    ("tune", "logit", [], "not enough rows to fill every fold"),
+    ("tune", "linreg", [], "not enough rows to fill every fold"),
+], ids=["fit-linreg", "fit-logit", "fit-svm-linear", "fit-svm-gaussian",
+        "tune-logit", "tune-linreg"])
+def test_header_only_csv_exits_3_uncharged(capsys, tmp_path, command, model,
+                                           flags, message):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("a,b,label\n")
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    code, out, err = run_cli(capsys, *_model_command(
+        command, model, empty, *flags), "--ledger", str(ledger),
+        "--output", str(model_path))
+    assert code == 3 and out == ""
+    assert message in err
+    _one_line_error(err)
+    assert not ledger.exists() and not model_path.exists()
+
+
 def test_model_flags_a_model_reads_are_accepted(capsys, clf_csv, tmp_path):
     model_path = str(tmp_path / "m.json")
     for argv in (
@@ -535,6 +560,20 @@ def test_cap_without_ledger_exits_3_uncharged(capsys, data_csv, clf_csv,
     assert "--cap needs --ledger" in err
     _one_line_error(err)
     assert not model_path.exists()
+
+
+def test_infinite_epsilon_exits_3_uncharged(capsys, tmp_path):
+    # Once charged, an infinite epsilon would make every later total pass
+    # any cap; the report of the release could not be printed either.
+    ledger = tmp_path / "led.jsonl"
+    argv = ["mech", "laplace", "--values", "1,2,3", "--sensitivities",
+            "1,1,1", "--ledger", str(ledger), "--cap", "1", "--seed", "1"]
+    code, out, err = run_cli(capsys, *argv, "--epsilon", "inf")
+    assert code == 3 and out == ""
+    assert "entry epsilon must be positive and finite" in err
+    _one_line_error(err)
+    assert not ledger.exists()
+    assert run_cli(capsys, *argv, "--epsilon", "5")[0] == 4
 
 
 def test_missing_files_exit_3(capsys, clf_csv, tmp_path):

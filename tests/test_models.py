@@ -440,6 +440,34 @@ def test_fit_linreg_bounds_are_contracts():
                    1.0, rng=RandomSource(0))
 
 
+NO_ROWS = "the data have no rows; a fit needs at least one"
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, y: fit_linreg(X, y, [Bounds(-1, 1)] * 3, PrivacyBudget(1.0),
+                            1.0, rng=RandomSource(0)),
+    lambda X, y: fit_logistic(X, y, [Bounds(-1, 1)] * 2,
+                              ErmConfig(PrivacyBudget(1.0), 1.0),
+                              rng=RandomSource(0)),
+    lambda X, y: fit_svm(X, y, [Bounds(-1, 1)] * 2,
+                         ErmConfig(PrivacyBudget(1.0), 1.0),
+                         rng=RandomSource(0)),
+    lambda X, y: fit_svm(X, y, None, ErmConfig(PrivacyBudget(1.0), 1.0),
+                         "gaussian", rff_dim=10, rng=RandomSource(0)),
+], ids=["linreg", "logistic", "svm-linear", "svm-gaussian"])
+def test_fits_refuse_zero_rows(fit):
+    with pytest.raises(ValueError, match=NO_ROWS):
+        fit(np.zeros((0, 2)), np.zeros(0))
+
+
+def test_fit_linreg_refuses_targets_that_do_not_match_the_rows():
+    for y in (np.zeros(0), np.zeros(3)):
+        with pytest.raises(ValueError, match="targets must be a vector "
+                           "matching the rows of X"):
+            fit_linreg(np.zeros((2, 1)), y, [Bounds(-1, 1), Bounds(0, 1)],
+                       PrivacyBudget(1.0), 1.0, rng=RandomSource(0))
+
+
 @pytest.mark.parametrize("add_bias", [False, True])
 def test_fit_linreg_clips_a_tolerated_target_to_the_bound(add_bias):
     # Scaled by a narrow bound, the 0.5e-9 tolerance lands far past p; the

@@ -17,15 +17,28 @@ def _python(*args, cwd=None):
                           text=True, env=env, cwd=cwd, timeout=120)
 
 
-def _scipy_modules_after(code):
+def _modules_after(code, *prefixes):
+    """The loaded modules named with any of ``prefixes`` after ``code``."""
     done = _python("-c", code + "\nimport sys\n"
-                   "print([m for m in sys.modules if m.startswith('scipy')])")
+                   f"print([m for m in sys.modules if m.startswith("
+                   f"{prefixes!r})])")
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
 
 
+def _scipy_modules_after(code):
+    return _modules_after(code, "scipy")
+
+
 def test_import_loads_no_scipy():
     assert _scipy_modules_after("import dpkit, dpkit.cli") == "[]"
+
+
+def test_import_loads_no_hashing_or_exact_arithmetic_module():
+    # The ledger's exact totals are Python ints and its checksum is zlib's,
+    # so the fixed cost of every command pays for none of these.
+    assert _modules_after("import dpkit, dpkit.cli", "hashlib", "fractions",
+                          "decimal") == "[]"
 
 
 def test_laplace_release_and_ledger_load_no_scipy(tmp_path):
