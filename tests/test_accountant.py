@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import os
 import random
 import zlib
 
@@ -253,8 +254,8 @@ def _sidecar_totals(path):
     """(count, epsilon, delta) from the sidecar of ``path`` if it is current
     for the ledger's bytes, else None."""
     data = path.read_bytes()
-    found = accountant._read_sidecar(str(_sidecar(path)), len(data),
-                                     zlib.crc32(data))
+    found = accountant._read_sidecar(str(_sidecar(path)), os.stat(path),
+                                     len(data), zlib.crc32(data))
     if found is None:
         return None
     count, eps, delta = found
@@ -363,9 +364,12 @@ def test_charge_scans_past_a_missing_torn_or_stale_sidecar(tmp_path, scans,
         0.0)
 
 
-def test_charge_works_where_the_sidecar_cannot_be_written(tmp_path, scans):
+@pytest.mark.parametrize("make", [os.mkdir, os.mkfifo],
+                         ids=["directory", "fifo"])
+def test_charge_works_where_the_sidecar_cannot_be_written(tmp_path, scans,
+                                                          make):
     path = tmp_path / "ledger.jsonl"
-    _sidecar(path).mkdir()  # neither readable nor writable as a file
+    make(_sidecar(path))  # neither readable nor writable as a file
     for i in range(3):
         assert BudgetLedger.charge(path, f"op{i}", 0.25,
                                    cap=(0.75, 0.0)).seq == i
@@ -373,6 +377,56 @@ def test_charge_works_where_the_sidecar_cannot_be_written(tmp_path, scans):
         BudgetLedger.charge(path, "over", 0.25, cap=(0.75, 0.0))
     assert len(scans) == 4
     assert len(BudgetLedger.load(path).entries) == 3
+
+
+def _forge_zero_totals(path, forged):
+    """Write to ``forged`` a well-formed sidecar that matches the bytes of
+    the ledger at ``path`` but claims that nothing was spent."""
+    data = path.read_bytes()
+    body = b"%x %x %x %x %x" % (len(data), zlib.crc32(data), 0, 0, 0)
+    forged.write_bytes(body + b" %08x\n" % zlib.crc32(body))
+    return forged.read_bytes()
+
+
+@pytest.mark.parametrize("link", [os.symlink, os.link],
+                         ids=["symlink", "hard-link"])
+def test_a_linked_sidecar_is_neither_trusted_nor_written(tmp_path, scans,
+                                                         link):
+    path = tmp_path / "ledger.jsonl"
+    for i in range(3):
+        BudgetLedger.charge(path, f"op{i}", 0.25)
+    _sidecar(path).unlink()
+    target = tmp_path / "elsewhere"
+    forged = _forge_zero_totals(path, target)
+    link(target, _sidecar(path))
+    scans.clear()
+    with pytest.raises(BudgetExhaustedError):
+        BudgetLedger.charge(path, "over", 0.5, cap=(1.0, 0.0))
+    BudgetLedger.charge(path, "fits", 0.25, cap=(1.0, 0.0))
+    assert len(scans) == 2
+    assert target.read_bytes() == forged
+    assert len(BudgetLedger.load(path).entries) == 4
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="chown needs root")
+def test_a_sidecar_of_another_owner_is_neither_trusted_nor_written(tmp_path,
+                                                                    scans):
+    path = tmp_path / "ledger.jsonl"
+    for i in range(3):
+        BudgetLedger.charge(path, f"op{i}", 0.25)
+    forged = _forge_zero_totals(path, _sidecar(path))
+    os.chown(_sidecar(path), os.getuid() + 1, -1)
+    scans.clear()
+    with pytest.raises(BudgetExhaustedError):
+        BudgetLedger.charge(path, "over", 0.5, cap=(1.0, 0.0))
+    BudgetLedger.charge(path, "fits", 0.25, cap=(1.0, 0.0))
+    assert len(scans) == 2
+    assert _sidecar(path).read_bytes() == forged
+    # The ledger's owner trusts a sidecar only it could have written.
+    _sidecar(path).unlink()
+    os.chown(path, os.getuid() + 1, -1)
+    BudgetLedger.charge(path, "other", 0.125)
+    assert not _sidecar(path).exists()
 
 
 def test_a_same_length_hand_edit_is_seen(tmp_path):
