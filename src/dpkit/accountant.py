@@ -56,6 +56,8 @@ def _units(x) -> int:
 
 
 def _to_float(units: int) -> float:
+    """The float nearest ``units`` * 2**-1074; OverflowError past the
+    largest float."""
     return units / _ONE
 
 
@@ -197,6 +199,11 @@ class BudgetLedger:
                         rec["seq"])
             for rec in records]
         ledger._totals = _exact_totals(records)
+        try:
+            ledger.sequential_total()
+        except OverflowError:
+            raise ValueError(f"ledger {path} holds a total past the "
+                             "largest float") from None
         return ledger
 
 
@@ -301,13 +308,20 @@ def _check_amounts(epsilon, delta) -> None:
 def _check_cap(cap: tuple[float, float] | None, eps_units: int,
                delta_units: int, entry: LedgerEntry) -> tuple[int, int]:
     """The exact totals ``eps_units``/``delta_units`` with ``entry`` added;
-    raise ``BudgetExhaustedError`` when they would pass ``cap``."""
+    raise ``BudgetExhaustedError`` when they would pass ``cap``, and
+    ValueError when they would pass the largest float, which no report or
+    cap comparison could then hold."""
     new_eps = eps_units + _units(entry.epsilon)
     new_delta = delta_units + _units(entry.delta)
+    try:
+        eps_total, delta_total = _to_float(new_eps), _to_float(new_delta)
+    except OverflowError:
+        raise ValueError("this charge would take the ledger total past the "
+                         "largest float") from None
     if cap is not None:
         eps_cap, delta_cap = cap
-        if exceeds_cap(_to_float(new_eps), eps_cap) or \
-                exceeds_cap(_to_float(new_delta), delta_cap):
+        if exceeds_cap(eps_total, eps_cap) or \
+                exceeds_cap(delta_total, delta_cap):
             raise BudgetExhaustedError(eps_cap - _to_float(eps_units),
                                        delta_cap - _to_float(delta_units))
     return new_eps, new_delta

@@ -89,7 +89,10 @@ def _read_csv(path: str) -> dict[str, list[str]]:
 
     A header row is required and empty rows are skipped. A row with more or
     fewer fields than the header is an error, which names no row. Of two
-    columns with one name the last wins.
+    columns with one name the last wins. Bytes that are not UTF-8 and a
+    field past the csv module's size limit are one error, which names the
+    input only: the decoder's and the parser's own messages quote a byte
+    and its offset, or a limit a cell passed.
     """
     fh = sys.stdin if path == "-" else open(path, newline="",
                                             encoding="utf-8")
@@ -99,6 +102,9 @@ def _read_csv(path: str) -> dict[str, list[str]]:
         if header is None:
             raise ValueError("input CSV is empty; a header row is required")
         rows = list(reader)
+    except (UnicodeDecodeError, csv.Error):
+        raise ValueError("input is not UTF-8 CSV text, or a field of it is "
+                         "over the csv field size limit") from None
     finally:
         if fh is not sys.stdin:
             fh.close()

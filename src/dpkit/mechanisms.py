@@ -22,6 +22,8 @@ APPROXIMATE = "approximate"
 PROBABILISTIC = "probabilistic"
 _VARIANTS = (PURE, APPROXIMATE, PROBABILISTIC)
 
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
 
 class RandomSource:
     """Seedable stream of uniform variates strictly inside (0, 1).
@@ -39,15 +41,24 @@ class RandomSource:
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, size=None):
-        # Dyadic midpoints (k + 0.5) / 2^53 are uniform and never hit 0 or 1.
-        ints = self._gen.integers(0, 1 << 53, size=size)
-        return (ints + 0.5) * 2.0 ** -53
+        """Dyadic midpoints (k + 0.5) / 2^53 of the top 53 bits k of one
+        generator word each: uniform, never 0, and never 1.
+
+        ``Generator.random`` gives k / 2^53 exactly, and adding 2^-54 in
+        place rounds as k + 0.5 does, since scaling by a power of two
+        commutes with rounding. For k = 2^53 - 1 the midpoint rounds up to
+        1.0; that one value is clamped to the largest float below 1."""
+        u = self._gen.random(1 if size is None else size)
+        u += 2.0 ** -54
+        np.minimum(u, _BELOW_ONE, out=u)
+        return u[0] if size is None else u
 
     def normal(self, size=None):
         """Standard normals via the inverse CDF of one uniform each: the one
-        place dpkit turns uniforms into Normal variates."""
+        place dpkit turns uniforms into Normal variates. The normals are
+        written over the fresh uniforms."""
         u = np.atleast_1d(self.uniform(size=size))
-        z = _kernels.normal_quantile(u)
+        z = _kernels.normal_quantile(u, out=u)
         return z if size is not None else float(z[0])
 
 
@@ -111,22 +122,32 @@ def joint_mechanism(values, budget: PrivacyBudget, norm: str,
 
     ``norm="l1"`` adds Laplace noise of scale sensitivity/eps (pure budget);
     ``norm="l2"`` adds N(0, sigma^2) with sigma = gaussian_sigma(budget,
-    sensitivity). Every coordinate consumes one uniform from ``rng``.
+    sensitivity). Every coordinate consumes one uniform from ``rng``. The
+    noise is written over the uniforms and ``values`` is added to it in
+    place, so besides ``values`` a release holds that array and, for
+    Laplace noise, one work array of the kernel.
     """
     sensitivity = float(sensitivity)
     if not (0.0 <= sensitivity < math.inf):
         raise ValueError("sensitivity must be finite and nonnegative")
-    values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    # Integer and bool vectors are added as they are: the in-place add casts
+    # them to float64 exactly as a float copy would, so the bits are the same.
+    values = np.atleast_1d(np.asarray(values))
+    if not np.can_cast(values.dtype, np.float64):
+        values = values.astype(np.float64)
     if norm == "l1":
         if budget.variant != PURE:
             raise ValueError("Laplace mechanism requires a pure-DP budget")
-        scale = sensitivity / budget.epsilon
-        return values + _kernels.laplace_noise(rng.uniform(values.shape[0]),
-                                               scale)
-    if norm != "l2":
+        u = rng.uniform(values.shape[0])
+        noise = _kernels.laplace_noise(u, sensitivity / budget.epsilon, out=u)
+    elif norm == "l2":
+        sigma = gaussian_sigma(budget, sensitivity)
+        noise = rng.normal(values.shape[0])
+        noise *= sigma
+    else:
         raise ValueError("norm must be 'l1' or 'l2'")
-    sigma = gaussian_sigma(budget, sensitivity)
-    return values + sigma * rng.normal(values.shape[0])
+    noise += values
+    return noise
 
 
 def laplace_mechanism(values, budget: PrivacyBudget,
@@ -155,8 +176,10 @@ def laplace_mechanism(values, budget: PrivacyBudget,
         return np.where(delta > 0.0, noisy, values)
     eps_i = budget.epsilon * alloc.proportions
     scales = np.where(delta > 0.0, delta / eps_i, 0.0)
-    noise = _kernels.laplace_noise(rng.uniform(values.shape[0]), scales)
-    return values + noise
+    u = rng.uniform(values.shape[0])
+    noise = _kernels.laplace_noise(u, scales, out=u)
+    noise += values
+    return noise
 
 
 def gaussian_sigma(budget: PrivacyBudget, delta2f: float) -> float:
@@ -207,7 +230,10 @@ def gaussian_mechanism(values, budget: PrivacyBudget,
         sub = PrivacyBudget(budget.epsilon * prop, budget.delta * prop,
                             budget.variant)
         sigmas[i] = gaussian_sigma(sub, float(delta[i]))
-    return values + sigmas * rng.normal(values.shape[0])
+    noise = rng.normal(values.shape[0])
+    noise *= sigmas
+    noise += values
+    return noise
 
 
 def exponential_mechanism(utility, budget: PrivacyBudget, sens_u: float,

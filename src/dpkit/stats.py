@@ -229,9 +229,11 @@ def _release_counts(statistic: str, counts: np.ndarray, req: StatRequest,
                     rng: RandomSource, allow_negative: bool, detail: dict,
                     postprocess=None) -> StatResult:
     sensitivity = count_sensitivity(req.neighbor, req.mechanism)
-    noisy = _privatize(counts.astype(np.float64), sensitivity, req, rng)
+    # The integer counts go in as they are, with no float copy, and the
+    # released vector is clipped in place.
+    noisy = _privatize(counts, sensitivity, req, rng)
     if not allow_negative:
-        noisy = np.maximum(noisy, 0.0)
+        np.maximum(noisy, 0.0, out=noisy)
     value = postprocess(noisy) if postprocess is not None else noisy
     return StatResult(statistic, value, sensitivity, req.mechanism,
                       req.neighbor, req.budget.epsilon, req.budget.delta,
@@ -250,6 +252,7 @@ def histogram_dp(x, spec: HistogramSpec, req: StatRequest, rng: RandomSource):
     xs = xs[:np.searchsorted(xs, edges[-1], side="right")]
     bins = np.searchsorted(edges[:-1], xs, side="right") - 1
     counts = np.bincount(bins, minlength=edges.size - 1)
+    del xs, bins  # per-row arrays, freed before the release's cell buffers
 
     postprocess = None
     if spec.normalize:
@@ -288,6 +291,7 @@ def table_dp(factors, categories, req: StatRequest, rng: RandomSource,
                              "categories") from None
     flat = np.bincount(np.ravel_multi_index(index_arrays, shape),
                        minlength=math.prod(shape))
+    del index_arrays  # freed before the release's cell buffers
     return _release_counts("table", flat, req, rng, allow_negative,
                            {"categories": categories},
                            postprocess=lambda c: c.reshape(shape))

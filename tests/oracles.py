@@ -7,7 +7,7 @@ minimizer and quantile kernels), so agreement is meaningful.
 
 import numpy as np
 from scipy.optimize import minimize as scipy_minimize
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
 # Inverse-normal-CDF fixtures computed with 50-digit arbitrary-precision
 # arithmetic and frozen here.
@@ -23,6 +23,28 @@ SIGMA_PROB = 0.7225232532086648
 EXP_MECH_PROBS = (0.1247547886951049, 0.20568587374331931,
                   0.3391186751231516, 0.20568587374331931,
                   0.1247547886951049)
+
+
+def reference_uniforms(seed, n):
+    """n uniforms of ``RandomSource(seed)`` by the integer formula: the
+    dyadic midpoints (k + 0.5) / 2^53 of k = integers(0, 2^53)."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    return (gen.integers(0, 1 << 53, n) + 0.5) * 2.0 ** -53
+
+
+def reference_laplace(values, scale, seed):
+    """``values`` plus Laplace noise, one reference uniform per value, in
+    the one-expression form: -scale sign(v) log1p(-2|v|), v = u - 0.5."""
+    values = np.asarray(values, dtype=np.float64)
+    v = reference_uniforms(seed, values.shape[0]) - 0.5
+    return values + (-scale * np.sign(v)) * np.log1p(-2.0 * np.abs(v))
+
+
+def reference_gaussian(values, sigma, seed):
+    """``values`` plus sigma times the normal quantile of one reference
+    uniform per value."""
+    values = np.asarray(values, dtype=np.float64)
+    return values + sigma * ndtri(reference_uniforms(seed, values.shape[0]))
 
 
 def fit_logistic_unregularized(X, y01, l2=0.0):

@@ -244,6 +244,29 @@ def test_non_finite_amounts_are_refused(tmp_path):
     assert path.read_text().count("\n") == 1
 
 
+def test_totals_past_the_largest_float_are_refused(tmp_path):
+    # The exact totals are integers and never overflow, but the float that
+    # every report and cap check reads does.
+    path = tmp_path / "ledger.jsonl"
+    BudgetLedger.charge(path, "x", 1e308)
+    one = path.read_bytes()
+    with pytest.raises(ValueError, match="past the largest float"):
+        BudgetLedger.charge(path, "y", 1e308)  # on the sidecar's totals
+    _remove(path)
+    with pytest.raises(ValueError, match="past the largest float"):
+        BudgetLedger.charge(path, "y", 1e308)  # on a scan of the entries
+    assert path.read_bytes() == one and not _sidecar(path).exists()
+    ledger = BudgetLedger.load(path)
+    with pytest.raises(ValueError, match="past the largest float"):
+        ledger.record("y", 1e308)
+    assert len(ledger.entries) == 1
+    path.write_bytes(one * 2)
+    with pytest.raises(ValueError) as exc:
+        BudgetLedger.load(path)
+    assert str(exc.value) == (f"ledger {path} holds a total past the "
+                              "largest float")
+
+
 # -- the totals sidecar ---------------------------------------------------------
 
 def _sidecar(path):

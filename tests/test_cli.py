@@ -576,6 +576,27 @@ def test_infinite_epsilon_exits_3_uncharged(capsys, tmp_path):
     assert run_cli(capsys, *argv, "--epsilon", "5")[0] == 4
 
 
+def test_charge_past_the_largest_float_exits_3_uncharged(capsys, tmp_path):
+    ledger = tmp_path / "led.jsonl"
+    argv = ["mech", "laplace", "--values", "1", "--sensitivities", "1",
+            "--epsilon", "1e308", "--ledger", str(ledger), "--seed", "1"]
+    assert run_cli(capsys, *argv)[0] == 0
+    one = ledger.read_bytes()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    _one_line_error(err)
+    assert ledger.read_bytes() == one
+    report = ["budget", "report", "--ledger", str(ledger)]
+    code, out, _ = run_cli(capsys, *report)
+    assert code == 0
+    assert json.loads(out)["result"]["sequential"]["epsilon"] == 1e308
+    ledger.write_bytes(one * 2)  # written past the float range by hand
+    code, out, err = run_cli(capsys, *report)
+    assert code == 3 and out == ""
+    assert err == (f"dpkit: ledger {ledger} holds a total past the largest "
+                   "float\n")
+
+
 def test_missing_files_exit_3(capsys, clf_csv, tmp_path):
     missing = str(tmp_path / "missing.csv")
     code, out, err = run_cli(capsys, "stat", "mean", "--input", missing,
@@ -1057,6 +1078,23 @@ def test_ragged_csv_rows_exit_3(capsys, tmp_path, text, row, fields):
     assert f"a row of the input has {fields} fields; the header has 2" in err
     assert f"row {row}" not in err  # no row number reaches stderr
     _one_line_error(err)
+
+
+@pytest.mark.parametrize("cell", [b"\xff\xfe7", b"1" * 131_073],
+                         ids=["not-utf-8", "oversize-field"])
+def test_unreadable_csv_exits_3_naming_only_the_input(capsys, tmp_path,
+                                                      cell):
+    # The decoder's message quotes the byte and its offset; the csv
+    # module's error is neither ValueError nor OSError.
+    path, ledger = tmp_path / "bad.csv", tmp_path / "led.jsonl"
+    path.write_bytes(b"x\n1\n" + cell + b"\n")
+    code, out, err = run_cli(capsys, "stat", "mean", "--input", str(path),
+                             "--column", "x", "--bounds", "0,5",
+                             "--epsilon", "1", "--ledger", str(ledger))
+    assert code == 3 and out == ""
+    assert err == ("dpkit: input is not UTF-8 CSV text, or a field of it is "
+                   "over the csv field size limit\n")
+    assert not ledger.exists()
 
 
 # -- noise secrecy -----------------------------------------------------------

@@ -17,6 +17,16 @@ def test_normal_quantile_matches_scipy():
     assert np.max(np.abs(got - want)) < 1e-9
 
 
+def test_normal_quantile_writes_to_out_only_when_asked():
+    u = np.linspace(1e-9, 1 - 1e-9, 1001)
+    kept = u.copy()
+    want = ndtri(u)
+    assert _kernels.normal_quantile(u).tobytes() == want.tobytes()
+    assert u.tobytes() == kept.tobytes()
+    got = _kernels.normal_quantile(u, out=u)
+    assert got is u and got.tobytes() == want.tobytes()
+
+
 def test_normal_quantile_frozen_value():
     got = _kernels.normal_quantile(np.array([0.005]))[0]
     assert got == pytest.approx(NORMAL_QUANTILE_0_005, abs=1e-12)
@@ -78,12 +88,16 @@ def test_laplace_noise_is_bitwise_the_reference_expression(scale):
                          0.5 - 2.0 ** -54, 0.5 + 2.0 ** -53]])
     if isinstance(scale, str):
         scale = rng.uniform(0.0, 3.0, u.size)
-    got = _kernels.laplace_noise(u, scale)
     want = _laplace_reference(u, np.asarray(scale, dtype=np.float64))
+    kept = u.copy()
+    got = _kernels.laplace_noise(u, scale)
+    assert u.tobytes() == kept.tobytes()  # without out=, u is only read
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert got[u == 0.5].tolist() == [0.0]
     assert not np.signbit(got[u == 0.5]).any()
+    into_u = _kernels.laplace_noise(u, scale, out=u)
+    assert into_u is u and into_u.tobytes() == want.tobytes()
 
 
 def test_laplace_noise_rejects_negative_scale():

@@ -9,7 +9,9 @@ from dpkit.mechanisms import (APPROXIMATE, PROBABILISTIC, PURE,
                               gaussian_mechanism, gaussian_sigma,
                               joint_mechanism, laplace_mechanism)
 
-from oracles import EXP_MECH_PROBS, SIGMA_APPROX, SIGMA_PROB
+from oracles import (EXP_MECH_PROBS, SIGMA_APPROX, SIGMA_PROB,
+                     reference_gaussian, reference_laplace,
+                     reference_uniforms)
 
 
 class FixedUniform:
@@ -61,6 +63,54 @@ def test_random_source_open_interval():
     u = RandomSource(0).uniform(100_000)
     assert u.min() > 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.01
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_uniform_is_bitwise_the_integer_midpoint_formula(seed):
+    got = RandomSource(seed).uniform(200_000)
+    assert got.tobytes() == reference_uniforms(seed, 200_000).tobytes()
+    assert RandomSource(seed).uniform() == got[0]
+    assert RandomSource(seed).uniform((2, 3)).ravel().tobytes() == \
+        got[:6].tobytes()
+
+
+class TopBits:
+    """Stand-in generator whose ``random`` gives k / 2^53 for chosen k,
+    as ``Generator.random`` does for the top 53 bits k of a word."""
+
+    def __init__(self, ks):
+        self.ks = np.asarray(ks, dtype=np.int64)
+
+    def random(self, size=None):
+        return np.resize(self.ks, size).astype(np.float64) * 2.0 ** -53
+
+
+_TOP = (1 << 53) - 1
+
+
+def test_uniform_at_extreme_words_keeps_its_bits_below_one():
+    ks = np.array([0, 1, 2, 1 << 52, (1 << 52) + 1, (1 << 52) + 3,
+                   _TOP - 2, _TOP - 1, _TOP])
+    rng = RandomSource(0)
+    rng._gen = TopBits(ks)
+    got = rng.uniform(ks.size)
+    want = (ks + 0.5) * 2.0 ** -53
+    assert got[:-1].tobytes() == want[:-1].tobytes()
+    assert got[0] == 2.0 ** -54
+    # The midpoint of the top word rounds to 1.0; it is clamped below.
+    assert want[-1] == 1.0 and got[-1] == np.nextafter(1.0, 0.0)
+    rng._gen = TopBits([_TOP])
+    assert rng.uniform() == np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize("norm,budget", [
+    ("l1", PrivacyBudget(1.0)),
+    ("l2", PrivacyBudget(0.5, 0.01, APPROXIMATE))])
+def test_release_at_the_top_word_is_finite(norm, budget):
+    rng = RandomSource(0)
+    rng._gen = TopBits([_TOP])
+    out = joint_mechanism(np.zeros(3), budget, norm, 1.0, rng)
+    assert np.all(np.isfinite(out)) and np.all(out > 0.0)
 
 
 def test_random_source_normal_moments():
@@ -275,6 +325,54 @@ def test_default_allocations_reduce_to_joint_mechanism():
                            rng=RandomSource(9))
     b = joint_mechanism(values[:2], approx, "l2", 5.0, RandomSource(9))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, bool,
+                                   np.float32, np.float64])
+def test_joint_mechanism_is_bitwise_the_reference_for_each_input_type(
+        dtype):
+    """Integer and bool vectors are added without a float copy, to noise
+    written over the uniforms; the bits are those of the float copy plus
+    the noise of the reference formulas."""
+    values = (np.arange(2040) % 7 - 3).astype(dtype)
+    pure = PrivacyBudget(0.7)
+    approx = PrivacyBudget(0.5, 1e-6, APPROXIMATE)
+    got = joint_mechanism(values, pure, "l1", 2.0, RandomSource(4))
+    assert got.dtype == np.float64
+    assert got.tobytes() == reference_laplace(values, 2.0 / 0.7, 4).tobytes()
+    got = joint_mechanism(values, approx, "l2", 2.0, RandomSource(4))
+    want = reference_gaussian(values, gaussian_sigma(approx, 2.0), 4)
+    assert got.tobytes() == want.tobytes()
+    assert values.dtype == np.dtype(dtype)  # the input is not written
+
+
+def test_mech_releases_are_bitwise_the_reference_formulas():
+    values = np.array([1.0, -2.5, 3.0, 1e6, 0.0])
+    deltas = np.array([1.0, 0.0, 2.0, 0.5, 1.0])
+    alloc = BudgetAllocation([0.1, 0.2, 0.3, 0.25, 0.15])
+    pure = PrivacyBudget(0.8)
+    got = laplace_mechanism(values, pure, SensitivitySpec("l1", deltas),
+                            rng=RandomSource(6))
+    want = reference_laplace(values, deltas.sum() / 0.8, 6)
+    assert got.tobytes() == np.where(deltas > 0, want, values).tobytes()
+    got = laplace_mechanism(values, pure, SensitivitySpec("l1", deltas),
+                            alloc, RandomSource(6))
+    scales = np.where(deltas > 0, deltas / (0.8 * alloc.proportions), 0.0)
+    assert got.tobytes() == reference_laplace(values, scales, 6).tobytes()
+    for variant in (APPROXIMATE, PROBABILISTIC):
+        budget = PrivacyBudget(0.5, 1e-5, variant)
+        got = gaussian_mechanism(values, budget, SensitivitySpec("l2", deltas),
+                                 rng=RandomSource(6))
+        sigma = gaussian_sigma(budget, math.sqrt(float(deltas @ deltas)))
+        assert got.tobytes() == \
+            reference_gaussian(values, sigma, 6).tobytes()
+        got = gaussian_mechanism(values, budget, SensitivitySpec("l2", deltas),
+                                 alloc, RandomSource(6))
+        sigmas = np.array([
+            gaussian_sigma(PrivacyBudget(0.5 * a, 1e-5 * a, variant), d)
+            for a, d in zip(alloc.proportions, deltas)])
+        assert got.tobytes() == \
+            reference_gaussian(values, sigmas, 6).tobytes()
 
 
 # -- exponential ---------------------------------------------------------------

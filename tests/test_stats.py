@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dpkit.mechanisms import APPROXIMATE, PrivacyBudget, RandomSource
+from dpkit.mechanisms import (APPROXIMATE, PrivacyBudget, RandomSource,
+                              gaussian_sigma)
 from dpkit.stats import (BOUNDED, GAUSSIAN, LAPLACE, UNBOUNDED, Bounds,
                          HistogramSpec, StatRequest, clip, count_sensitivity,
                          cov_dp, histogram_dp, mean_dp, median_dp,
                          pooled_cov_dp, pooled_var_dp, pooled_var_sensitivity,
                          quantile_dp, sd_dp, table_dp, var_dp)
 
+from oracles import reference_gaussian, reference_laplace
 from test_mechanisms import FixedUniform
 
 PURE_REQ = StatRequest(PrivacyBudget(1.0))
@@ -304,6 +307,82 @@ def test_count_noise_uses_the_stated_sensitivity(cells, mechanism):
         noise = (gaussian_sigma(budget, math.sqrt(2.0))
                  * _kernels.normal_quantile(u))
     assert np.array_equal(res.value, counts + noise)
+
+
+_COUNT_REQUESTS = {
+    LAPLACE: StatRequest(PrivacyBudget(0.9)),
+    GAUSSIAN: StatRequest(PrivacyBudget(0.5, 1e-6, APPROXIMATE), GAUSSIAN,
+                          UNBOUNDED),
+}
+
+
+def _reference_counts(counts, req, seed, allow_negative):
+    """The release of ``counts`` by the reference noise formulas."""
+    sens = count_sensitivity(req.neighbor, req.mechanism)
+    if req.mechanism == LAPLACE:
+        noisy = reference_laplace(counts, sens / req.budget.epsilon, seed)
+    else:
+        noisy = reference_gaussian(counts, gaussian_sigma(req.budget, sens),
+                                   seed)
+    return noisy if allow_negative else np.maximum(noisy, 0.0)
+
+
+@pytest.mark.parametrize("allow_negative", [True, False])
+@pytest.mark.parametrize("mechanism", [LAPLACE, GAUSSIAN])
+def test_count_releases_are_bitwise_the_reference_formulas(mechanism,
+                                                           allow_negative):
+    req = _COUNT_REQUESTS[mechanism]
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0.0, 1.0, 3000)
+    edges = np.linspace(0.0, 1.0, 501)
+    res = histogram_dp(x, HistogramSpec(edges, allow_negative=allow_negative),
+                       req, RandomSource(31))
+    want = _reference_counts(np.histogram(x, edges)[0], req, 31,
+                             allow_negative)
+    assert res.value.tobytes() == want.tobytes()
+    cats = [["a", "b", "c"], ["u", "v"], list("pqrst")]
+    factors = [[c[i] for i in rng.integers(0, len(c), 400)] for c in cats]
+    res = table_dp(factors, cats, req, RandomSource(32), allow_negative)
+    flat = np.ravel_multi_index(
+        [[c.index(v) for v in f] for f, c in zip(factors, cats)], (3, 2, 5))
+    want = _reference_counts(np.bincount(flat, minlength=30), req, 32,
+                             allow_negative)
+    assert res.value.shape == (3, 2, 5)
+    assert res.value.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["histogram", "table"])
+@pytest.mark.parametrize("mechanism,limit_mib", [(LAPLACE, 25),
+                                                 (GAUSSIAN, 18)])
+def test_million_cell_release_peak_memory(kind, mechanism, limit_mib):
+    """A 1M-cell release of 2e5 rows holds the integer counts (7.6 MiB)
+    and at most two float arrays of as many cells: the uniforms,
+    overwritten by the noise and then the release, and, for Laplace, the
+    kernel's work array; 22.9 and 15.3 MiB in all. The per-row arrays of
+    the counting are freed before the release."""
+    req = _COUNT_REQUESTS[mechanism]
+    rng = np.random.default_rng(13)
+    if kind == "histogram":
+        x = rng.uniform(0.0, 1.0, 200_000)
+        spec = HistogramSpec(np.linspace(0.0, 1.0, 1_000_001))
+
+        def release():
+            return histogram_dp(x, spec, req, RandomSource(1))
+    else:
+        cats = [f"c{i:02d}" for i in range(100)]
+        factors = [[cats[i] for i in rng.integers(0, 100, 200_000)]
+                   for _ in range(3)]
+
+        def release():
+            return table_dp(factors, [cats] * 3, req, RandomSource(1))
+    release()  # imports done untraced
+    tracemalloc.start()
+    try:
+        release()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mib * 2 ** 20
 
 
 def test_count_release_builds_no_sensitivity_vector(monkeypatch):
