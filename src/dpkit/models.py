@@ -389,6 +389,8 @@ def predict(model: TrainedModel, X, raw_value: bool = False) -> np.ndarray:
     if not raw_value:
         return (scores >= 0.0).astype(float)
     if model.kind == "logistic":
-        from scipy.special import expit
-        return expit(scores)
+        # The logistic sigmoid; exp is taken of -|score|, so it cannot
+        # overflow.
+        e = np.exp(-np.abs(scores))
+        return np.where(scores >= 0.0, 1.0, e) / (1.0 + e)
     return scores  # the SVM margin

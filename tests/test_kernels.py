@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from scipy.special import ndtri
 
 from dpkit import _kernels
+from dpkit.mechanisms import RandomSource
 
 from oracles import NORMAL_QUANTILE_0_005
 
@@ -25,6 +26,64 @@ def test_normal_quantile_writes_to_out_only_when_asked():
     assert u.tobytes() == kept.tobytes()
     got = _kernels.normal_quantile(u, out=u)
     assert got is u and got.tobytes() == want.tobytes()
+
+
+def _ordinal(x):
+    """Floats as integers in the same order, so that adjacent floats differ
+    by 1 and both zeros map to 0."""
+    i = np.asarray(x, dtype=np.float64).view(np.int64)
+    return np.where(i < 0, np.iinfo(np.int64).min - i, i)
+
+
+def _ulps(got, want):
+    return np.abs(_ordinal(got) - _ordinal(want))
+
+
+# Below exp(-32) the Cephes tail switches from P1/Q1 to P2/Q2 (x >= 8).
+_DEEP = np.exp(-32.0)
+
+
+@pytest.mark.parametrize("u", [
+    RandomSource(17).uniform(10**6),
+    np.geomspace(_DEEP, np.exp(-2.0), 20_001),
+    1.0 - np.geomspace(2.0 ** -53, np.exp(-2.0), 20_001),
+    np.geomspace(5e-324, _DEEP, 20_001),
+    # 2^-54, RandomSource's smallest midpoint, is in the x >= 8 branch.
+    np.array([2.0 ** -54, 1e-300, 5e-324, 1.0 - 2.0 ** -53]),
+], ids=["random", "tail", "upper-tail", "deep-tail", "extremes"])
+def test_normal_quantile_is_within_8_ulp_of_scipy(u):
+    got = _kernels.normal_quantile(u)
+    assert np.all(np.isfinite(got))
+    assert _ulps(got, ndtri(u)).max() <= 8
+
+
+@pytest.mark.parametrize("n", [0, 1, 2**15 - 1, 2**15 + 1, 3 * 2**15 + 7])
+def test_normal_quantile_in_place_matches_a_new_array(n):
+    u = RandomSource(n).uniform(n)
+    u[:3] = [2.0 ** -54, 1.0 - 2.0 ** -53, 0.5][:n]
+    kept = u.copy()
+    want = _kernels.normal_quantile(u)
+    assert u.tobytes() == kept.tobytes()
+    got = _kernels.normal_quantile(u, out=u)
+    assert got is u and got.tobytes() == want.tobytes()
+    assert _ulps(want, ndtri(kept)).max(initial=0) <= 8
+
+
+def test_normal_quantile_keeps_the_shape_and_checks_out():
+    u = RandomSource(3).uniform((4, 5))
+    got = _kernels.normal_quantile(u.T)
+    assert got.shape == (5, 4)
+    assert got.tobytes() == _kernels.normal_quantile(u.T.copy()).tobytes()
+    for out in (np.empty((4, 5), dtype=np.float32), np.empty((5, 4)),
+                np.empty((5, 4)).T):
+        with pytest.raises(ValueError):
+            _kernels.normal_quantile(u, out=out)
+
+
+@pytest.mark.parametrize("u", [[0.3, math.nan], [math.nan], [math.nan, 0.3]])
+def test_normal_quantile_rejects_nan(u):
+    with pytest.raises(ValueError):
+        _kernels.normal_quantile(np.array(u))
 
 
 def test_normal_quantile_frozen_value():
@@ -103,6 +162,12 @@ def test_laplace_noise_is_bitwise_the_reference_expression(scale):
 def test_laplace_noise_rejects_negative_scale():
     with pytest.raises(ValueError):
         _kernels.laplace_noise(np.array([0.5]), np.array([-1.0]))
+
+
+@pytest.mark.parametrize("scale", [math.nan, [1.0, math.nan]])
+def test_laplace_noise_rejects_nan_scale(scale):
+    with pytest.raises(ValueError):
+        _kernels.laplace_noise(np.array([0.3, 0.7]), np.array(scale))
 
 
 def test_rff_features_row_norm_bound():

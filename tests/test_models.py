@@ -311,6 +311,14 @@ def test_predict_logistic_raw_is_sigmoid_of_score():
         pytest.approx(want)
 
 
+def test_predict_logistic_raw_matches_expit_without_overflow():
+    scores = np.array([-1e4, -700.0, -30.0, -1.0, -1e-9, -0.0, 0.0, 1e-9,
+                       1.0, 30.0, 700.0, 1e4])
+    model = TrainedModel("logistic", np.array([1.0]), None, add_bias=False)
+    got = predict(model, scores[:, None], raw_value=True)
+    np.testing.assert_allclose(got, expit(scores), rtol=1e-15, atol=0)
+
+
 # -- SVM ---------------------------------------------------------------------------
 
 def test_fit_svm_linear_separates_clean_data():

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import dpkit
 from dpkit.cli import main
 
@@ -56,6 +58,53 @@ def _csv(tmp_path):
     return str(path)
 
 
+_CLF = ("--input {clf} --label-column label --feature-columns a,b "
+        "--epsilon 4 --gamma 0.5 --seed 3")
+
+# Every command that draws Normal variates or turns scores into
+# probabilities; {model} is a logistic model and {ledger} holds its charge.
+_NOISE_COMMANDS = {
+    "stat-mean-gaussian": "stat mean --input {csv} --column x --bounds 5,10"
+                          " --epsilon 0.5 --delta 0.01 --mechanism gaussian"
+                          " --seed 1",
+    "mech-gaussian": "mech gaussian --values 1,2 --sensitivities 1,1"
+                     " --epsilon 0.5 --delta 0.01 --seed 1",
+    "fit-logit-output": f"fit logit {_CLF} --bounds=-1,1;-1,1"
+                        " --method output --output {out}",
+    "fit-logit-objective": f"fit logit {_CLF} --bounds=-1,1;-1,1"
+                           " --method objective --output {out}",
+    "fit-svm-gaussian": f"fit svm {_CLF} --kernel gaussian --rff-dim 20"
+                        " --output {out}",
+    "tune-logit": "tune logit --input {clf} --label-column label"
+                  " --feature-columns a,b --bounds=-1,1;-1,1 --gammas 0.1,1"
+                  " --epsilon-train 2 --epsilon-select 1 --seed 5"
+                  " --output {out}",
+    "predict-raw-logit": "predict --model {model} --input {clf}"
+                         " --feature-columns a,b --raw",
+    "budget-report": "budget report --ledger {ledger}",
+}
+
+
+@pytest.mark.parametrize("command", _NOISE_COMMANDS)
+def test_noise_and_model_commands_load_no_scipy(tmp_path, command):
+    clf = tmp_path / "clf.csv"
+    clf.write_text("a,b,label\n" + "".join(
+        f"{(i % 7) / 7 - 0.4:.3f},{(i % 5) / 5 - 0.5:.3f},{i % 2}\n"
+        for i in range(40)))
+    paths = {"csv": _csv(tmp_path), "clf": str(clf),
+             "model": str(tmp_path / "logit.json"),
+             "ledger": str(tmp_path / "led.jsonl"),
+             "out": str(tmp_path / "out.json")}
+    fit = _NOISE_COMMANDS["fit-logit-objective"] + " --ledger {ledger}"
+    assert main([a.format(**{**paths, "out": paths["model"]})
+                 for a in fit.split()]) == 0
+    argv = [a.format(**paths) for a in _NOISE_COMMANDS[command].split()]
+    code = ("import contextlib, io\nfrom dpkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+    assert _scipy_modules_after(code) == "[]"
+
+
 def _same_in_and_out_of_process(capsys, argv):
     done = _python("-m", "dpkit", *argv)
     assert done.returncode == 0, done.stderr
@@ -71,7 +120,7 @@ def test_module_run_matches_in_process_report(capsys, tmp_path):
     assert report["result"]["mechanism"] == "laplace"
 
 
-def test_gaussian_release_loads_scipy_when_needed(capsys, tmp_path):
+def test_gaussian_module_run_matches_in_process_report(capsys, tmp_path):
     report = _same_in_and_out_of_process(capsys, (
         "stat", "mean", "--input", _csv(tmp_path), "--column", "x",
         "--bounds", "5,10", "--epsilon", "0.5", "--delta", "0.01",

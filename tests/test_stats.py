@@ -358,7 +358,7 @@ def test_million_cell_release_peak_memory(kind, mechanism, limit_mib):
     """A 1M-cell release of 2e5 rows holds the integer counts (7.6 MiB)
     and at most two float arrays of as many cells: the uniforms,
     overwritten by the noise and then the release, and, for Laplace, the
-    kernel's work array; 22.9 and 15.3 MiB in all. The per-row arrays of
+    kernel's work array; 22.9 and 16.5 MiB in all. The per-row arrays of
     the counting are freed before the release."""
     req = _COUNT_REQUESTS[mechanism]
     rng = np.random.default_rng(13)
