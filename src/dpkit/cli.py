@@ -12,9 +12,9 @@ the seed: without ``--seed`` each run draws fresh noise. Exit codes:
   0  success
   2  bad flags or arguments (argparse)
   3  invalid input (bounds, labels, CSV values including NaN cells,
-     undeclared category labels, missing or unreadable files, --cap
-     without --ledger, a classifier fit whose solver did not converge, a
-     report value that is not finite)
+     undeclared category labels, missing or unreadable files, a flag its
+     subject does not read, --cap or --tag without --ledger, a classifier
+     fit whose solver did not converge, a report value that is not finite)
   4  privacy budget exhausted
 """
 
@@ -39,14 +39,74 @@ from .stats import (Bounds, HistogramSpec, StatRequest, cov_dp, histogram_dp,
                     require_bounded, sd_dp, table_dp, var_dp)
 from .tuning import Candidate, tune_classification, tune_linreg
 
+# -- what each subject reads -------------------------------------------------
+
+# The flags that not every subject of a command reads: command -> flag ->
+# (default, the subjects that read it). A subject is a statistic, model,
+# mechanism or budget action. Their parser default is None, so a flag given
+# to a subject that does not read it is refused rather than dropped, and a
+# _REQUIRED flag its subject reads must be given. tune shares fit's entries;
+# a flag absent from a command's parser takes its default. The svm reads the
+# _GAUSSIAN_FLAGS only with --kernel gaussian.
+_REQUIRED = object()
+_SCALARS = ("mean", "var", "sd", "cov", "pooled-var", "pooled-cov")
+_SUBJECT_FLAGS = {
+    "stat": {
+        "column": (_REQUIRED, ("mean", "var", "sd", "pooled-var",
+                               "quantile", "median", "histogram")),
+        "columns": (_REQUIRED, ("cov", "pooled-cov", "table")),
+        "group-column": (_REQUIRED, ("pooled-var", "pooled-cov")),
+        "bounds": (_REQUIRED, _SCALARS + ("quantile", "median")),
+        "mechanism": ("laplace", _SCALARS + ("histogram", "table")),
+        "q": (0.5, ("quantile",)),
+        "breaks": (_REQUIRED, ("histogram",)),
+        "normalize": (False, ("histogram",)),
+        "allow-negative": (False, ("histogram", "table")),
+        "categories": (_REQUIRED, ("table",)),
+        "approx-n-max": (False, ("pooled-var", "pooled-cov")),
+    },
+    "fit": {
+        "method": ("output", ("logit", "svm")),
+        "weight-upper-bound": (1.0, ("logit", "svm")),
+        "huber-h": (0.5, ("svm",)),
+        "kernel": ("linear", ("svm",)),
+        "weights-column": (None, ("svm",)),
+        "rff-dim": (None, ("svm",)),
+        "kernel-param": (None, ("svm",)),
+    },
+    "mech": {
+        "values": (_REQUIRED, ("laplace", "gaussian")),
+        "sensitivities": (_REQUIRED, ("laplace", "gaussian")),
+        "utility": (_REQUIRED, ("exponential",)),
+        "measure": (None, ("exponential",)),
+        "sensitivity": (1.0, ("exponential",)),
+        "alloc": (None, ("laplace", "gaussian")),
+    },
+    "budget": {"cap": (_REQUIRED, ("check",))},
+}
+_SUBJECT_FLAGS["tune"] = _SUBJECT_FLAGS["fit"]
+_GAUSSIAN_FLAGS = ("rff-dim", "kernel-param")
+
+
+def _subject_flags(args, subject: str) -> None:
+    """Refuse each flag of ``args`` that ``subject`` does not read, refuse a
+    required flag it reads that was left out, and give the other flags it
+    reads that were left out their defaults."""
+    gaussian = getattr(args, "kernel", None) == "gaussian"
+    for flag, (default, readers) in _SUBJECT_FLAGS[args.cmd].items():
+        dest = flag.replace("-", "_")
+        if getattr(args, dest, None) is None:
+            if subject in readers and default is _REQUIRED:
+                raise ValueError(f"--{flag} is required")
+            setattr(args, dest, default if subject in readers else None)
+        elif subject not in readers or (flag in _GAUSSIAN_FLAGS
+                                        and not gaussian):
+            kernel = ", with --kernel gaussian" * (flag in _GAUSSIAN_FLAGS)
+            raise ValueError(f"--{flag} applies to {args.cmd} "
+                             f"{'|'.join(readers)} only{kernel}")
+
+
 # -- parsing helpers ---------------------------------------------------------
-
-
-def _required(args, flag: str) -> str:
-    value = getattr(args, flag.replace("-", "_"))
-    if value is None:
-        raise ValueError(f"--{flag} is required")
-    return value
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -162,12 +222,15 @@ def _release(args, command: str, epsilon: float, delta: float,
 
     The one path by which a command that spends budget reports: a refused
     charge raises before anything is printed or written, and so does a
-    --cap without a --ledger to hold it to.
+    --cap or --tag without a --ledger to hold it.
     """
     cap = None if args.cap is None else _parse_cap(args.cap)
     if cap is not None and not args.ledger:
         raise ValueError("--cap needs --ledger; without a ledger no cap "
                          "can be enforced")
+    if args.tag is not None and not args.ledger:
+        raise ValueError("--tag needs --ledger; without a ledger no tag "
+                         "is recorded")
     if args.ledger:
         BudgetLedger.charge(args.ledger, command, epsilon, delta, args.tag,
                             cap)
@@ -198,61 +261,55 @@ def _groups(columns, values: np.ndarray, group_column: str):
 
 
 def _cmd_stat(args) -> dict:
+    name = args.statistic
+    _subject_flags(args, name)
     columns = _read_csv(args.input)
     budget = _budget(args)
-    req = StatRequest(budget, args.mechanism, args.neighbor)
+    # quantile and median read no --mechanism: they sample under their own
+    # pure-budget rule.
+    req = (None if args.mechanism is None
+           else StatRequest(budget, args.mechanism, args.neighbor))
     rng = RandomSource(args.seed)
-    name = args.statistic
+    x = None if args.column is None else _numeric_column(columns, args.column)
+    names = None if args.columns is None else args.columns.split(",")
+    if name.endswith("cov") and len(names) != 2:
+        raise ValueError("--columns needs two column names, comma separated")
+    bounds = (None if args.bounds is None else
+              _parse_bounds(args.bounds, 2 if name.endswith("cov") else 1))
 
     if name in ("mean", "var", "sd"):
-        x = _numeric_column(columns, args.column)
-        bounds, = _parse_bounds(args.bounds, 1)
         fn = {"mean": mean_dp, "var": var_dp, "sd": sd_dp}[name]
-        released = fn(x, bounds, req, rng)
-    elif name == "cov":
-        c1, c2 = _required(args, "columns").split(",")
-        b1, b2 = _parse_bounds(args.bounds, 2)
-        released = cov_dp(_numeric_column(columns, c1),
-                          _numeric_column(columns, c2), b1, b2, req, rng)
+        released = fn(x, bounds[0], req, rng)
+    elif name in ("cov", "pooled-cov"):
+        x1, x2 = (_numeric_column(columns, c) for c in names)
+        if name == "cov":
+            released = cov_dp(x1, x2, *bounds, req, rng)
+        else:
+            groups = _groups(columns, np.column_stack([x1, x2]),
+                             args.group_column)
+            released = pooled_cov_dp(groups, *bounds, req, rng,
+                                     args.approx_n_max)
     elif name == "pooled-var":
-        group_column = _required(args, "group-column")
-        groups = _groups(columns, _numeric_column(columns, args.column),
-                         group_column)
-        bounds, = _parse_bounds(args.bounds, 1)
-        released = pooled_var_dp(groups, bounds, req, rng, args.approx_n_max)
-    elif name == "pooled-cov":
-        c1, c2 = _required(args, "columns").split(",")
-        group_column = _required(args, "group-column")
-        b1, b2 = _parse_bounds(args.bounds, 2)
-        values = np.column_stack([_numeric_column(columns, c1),
-                                  _numeric_column(columns, c2)])
-        released = pooled_cov_dp(_groups(columns, values, group_column),
-                                 b1, b2, req, rng, args.approx_n_max)
+        released = pooled_var_dp(_groups(columns, x, args.group_column),
+                                 bounds[0], req, rng, args.approx_n_max)
     elif name in ("quantile", "median"):
         require_bounded(name, args.neighbor)
-        x = _numeric_column(columns, args.column)
-        bounds, = _parse_bounds(args.bounds, 1)
         q = 0.5 if name == "median" else args.q
-        released = quantile_dp(x, q, budget, bounds, rng=rng)
+        released = quantile_dp(x, q, budget, bounds[0], rng=rng)
     elif name == "histogram":
-        x = _numeric_column(columns, args.column)
-        spec = HistogramSpec(_parse_floats(_required(args, "breaks")),
-                             args.normalize, args.allow_negative)
+        spec = HistogramSpec(_parse_floats(args.breaks), args.normalize,
+                             args.allow_negative)
         released = histogram_dp(x, spec, req, rng)
-    elif name == "table":
-        names = _required(args, "columns").split(",")
-        categories = [part.split(",")
-                      for part in _required(args, "categories").split(";")]
+    else:  # table; argparse restricts the choices
+        categories = [part.split(",") for part in args.categories.split(";")]
         released = table_dp([_column(columns, c) for c in names],
                             categories, req, rng, args.allow_negative, names)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown statistic {name!r}")
 
     return _release(args, f"stat {name}", budget.epsilon, budget.delta,
                     _stat_payload(released))
 
 
-# -- fit / predict -----------------------------------------------------------
+# -- fit / tune / predict ----------------------------------------------------
 
 
 def _features(columns, args) -> np.ndarray:
@@ -260,72 +317,71 @@ def _features(columns, args) -> np.ndarray:
                             for c in args.feature_columns.split(",")])
 
 
-# The flags that not every model reads: flag -> (default, the models that
-# read it). Their parser default is None, so a flag given to a model that
-# does not read it is refused rather than dropped. The svm reads the
-# _GAUSSIAN_FLAGS only with --kernel gaussian.
-_MODEL_FLAGS = {
-    "method": ("output", ("logit", "svm")),
-    "weight-upper-bound": (1.0, ("logit", "svm")),
-    "huber-h": (0.5, ("svm",)),
-    "kernel": ("linear", ("svm",)),
-    "weights-column": (None, ("svm",)),
-    "rff-dim": (None, ("svm",)),
-    "kernel-param": (None, ("svm",)),
-}
-_GAUSSIAN_FLAGS = ("rff-dim", "kernel-param")
-
-
-def _model_flags(args) -> None:
-    """Refuse each model flag of ``args`` that its model does not read, and
-    give the flags it does read but were left out their defaults."""
-    gaussian = getattr(args, "kernel", None) == "gaussian"
-    for flag, (default, readers) in _MODEL_FLAGS.items():
-        dest = flag.replace("-", "_")
-        if not hasattr(args, dest):  # not a flag of this command
-            continue
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
-        elif args.model not in readers or (flag in _GAUSSIAN_FLAGS
-                                           and not gaussian):
-            kernel = ", with --kernel gaussian" * (flag in _GAUSSIAN_FLAGS)
-            raise ValueError(f"--{flag} applies to {args.cmd} "
-                             f"{'|'.join(readers)} only{kernel}")
-
-
-def _cmd_fit(args) -> dict:
-    kind = args.model
-    _model_flags(args)
+def _training_set(args):
+    """The input's columns, features, labels and bounds of a fit or tune;
+    an svm given no --bounds gets None, as its Gaussian kernel needs."""
     columns = _read_csv(args.input)
     X = _features(columns, args)
     y = _numeric_column(columns, args.label_column)
+    pairs = X.shape[1] + (args.model == "linreg")
+    bounds = (_parse_bounds(args.bounds, pairs)
+              if args.bounds or args.model != "svm" else None)
+    return columns, X, y, bounds
+
+
+def _fitter(args, columns, bounds, budget, gamma):
+    """fit(X, y, rng) -> TrainedModel of ``args.model`` at (budget, gamma):
+    the model ``fit`` trains, and each candidate ``tune`` trains."""
+    if args.model == "linreg":
+        return lambda X, y, rng: fit_linreg(X, y, bounds, budget, gamma,
+                                            args.add_bias, rng)
+    cfg = ErmConfig(budget, gamma, args.method, args.weight_upper_bound)
+    if args.model == "logit":
+        return lambda X, y, rng: fit_logistic(X, y, bounds, cfg,
+                                              args.add_bias, rng)
+    weights = (_numeric_column(columns, args.weights_column)
+               if args.weights_column else None)
+    return lambda X, y, rng: fit_svm(X, y, bounds, cfg, args.kernel,
+                                     args.rff_dim, args.kernel_param,
+                                     args.huber_h, weights, args.add_bias,
+                                     rng)
+
+
+def _cmd_fit(args) -> dict:
+    _subject_flags(args, args.model)
+    columns, X, y, bounds = _training_set(args)
     rng = RandomSource(args.seed)
     budget = _budget(args)
-
-    if kind == "linreg":
-        bounds = _parse_bounds(args.bounds, X.shape[1] + 1)
-        model = fit_linreg(X, y, bounds, budget, args.gamma,
-                           args.add_bias, rng)
-    else:
-        cfg = ErmConfig(budget, args.gamma, args.method,
-                        args.weight_upper_bound)
-        if kind == "logit":
-            bounds = _parse_bounds(args.bounds, X.shape[1])
-            model = fit_logistic(X, y, bounds, cfg, args.add_bias, rng)
-        else:
-            bounds = (_parse_bounds(args.bounds, X.shape[1])
-                      if args.bounds else None)
-            weights = (_numeric_column(columns, args.weights_column)
-                       if args.weights_column else None)
-            model = fit_svm(X, y, bounds, cfg, args.kernel, args.rff_dim,
-                            args.kernel_param, args.huber_h, weights,
-                            args.add_bias, rng)
-
+    model = _fitter(args, columns, bounds, budget, args.gamma)(X, y, rng)
     report = _release(
-        args, f"fit {kind}", budget.epsilon, budget.delta,
+        args, f"fit {args.model}", budget.epsilon, budget.delta,
         {"model_path": args.output, "kind": model.kind,
          "coefficients": [float(c) for c in model.coefficients]})
     model.save(args.output)
+    return report
+
+
+def _cmd_tune(args) -> dict:
+    _subject_flags(args, args.model)
+    columns, X, y, bounds = _training_set(args)
+    rng = RandomSource(args.seed)
+    train_budget = PrivacyBudget(args.epsilon_train)
+    select_budget = PrivacyBudget(args.epsilon_select)
+    candidates = [Candidate(f"gamma={g}", _fitter(args, columns, bounds,
+                                                  train_budget, g))
+                  for g in map(float, args.gammas.split(","))]
+    if args.model == "linreg":
+        result = tune_linreg(candidates, X, y, bounds[-1], select_budget, rng)
+    else:
+        result = tune_classification(candidates, X, y, select_budget, rng)
+
+    # Disjoint folds: the m training releases compose in parallel, then the
+    # selection composes sequentially on top.
+    eps_total = train_budget.epsilon + select_budget.epsilon
+    report = _release(args, f"tune {args.model}", eps_total, 0.0,
+                      {"model_path": args.output, "selected": result.name,
+                       "index": result.index})
+    result.model.save(args.output)
     return report
 
 
@@ -338,74 +394,24 @@ def _cmd_predict(args) -> dict:
                    {"predictions": [float(v) for v in values]}, 0.0, 0.0)
 
 
-# -- tune --------------------------------------------------------------------
-
-
-def _cmd_tune(args) -> dict:
-    _model_flags(args)
-    columns = _read_csv(args.input)
-    X = _features(columns, args)
-    y = _numeric_column(columns, args.label_column)
-    rng = RandomSource(args.seed)
-    gammas = [float(g) for g in args.gammas.split(",")]
-    bounds = _parse_bounds(args.bounds,
-                           X.shape[1] + (args.model == "linreg"))
-    train_budget = PrivacyBudget(args.epsilon_train)
-    select_budget = PrivacyBudget(args.epsilon_select)
-
-    if args.model == "linreg":
-        y_bounds = bounds[-1]
-
-        def make(g):
-            return Candidate(f"gamma={g}", lambda Xf, yf, r: fit_linreg(
-                Xf, yf, bounds, train_budget, g, args.add_bias, r))
-
-        result = tune_linreg([make(g) for g in gammas], X, y, y_bounds,
-                             select_budget, rng)
-    else:
-        def make(g):
-            cfg = ErmConfig(train_budget, g, args.method)
-            if args.model == "logit":
-                return Candidate(f"gamma={g}", lambda Xf, yf, r: fit_logistic(
-                    Xf, yf, bounds, cfg, args.add_bias, r))
-            return Candidate(f"gamma={g}", lambda Xf, yf, r: fit_svm(
-                Xf, yf, bounds, cfg, "linear", huber_h=args.huber_h,
-                add_bias=args.add_bias, rng=r))
-
-        result = tune_classification([make(g) for g in gammas], X, y,
-                                     select_budget, rng)
-
-    # Disjoint folds: the m training releases compose in parallel, then the
-    # selection composes sequentially on top.
-    eps_total = train_budget.epsilon + select_budget.epsilon
-    report = _release(args, f"tune {args.model}", eps_total, 0.0,
-                      {"model_path": args.output, "selected": result.name,
-                       "index": result.index})
-    result.model.save(args.output)
-    return report
-
-
 # -- mech --------------------------------------------------------------------
 
 
 def _cmd_mech(args) -> dict:
+    _subject_flags(args, args.mechanism)
     budget = _budget(args)
     rng = RandomSource(args.seed)
 
     if args.mechanism == "exponential":
-        if args.alloc is not None:
-            raise ValueError("--alloc applies to laplace and gaussian only")
-        utility = _parse_floats(_required(args, "utility"))
-        measure = (_parse_floats(args.measure)
-                   if args.measure else None)
-        idx = exponential_mechanism(utility, budget, args.sensitivity,
-                                    measure, rng)
+        measure = _parse_floats(args.measure) if args.measure else None
+        idx = exponential_mechanism(_parse_floats(args.utility), budget,
+                                    args.sensitivity, measure, rng)
         result = {"index": idx}
     else:
         alloc = (BudgetAllocation(_parse_floats(args.alloc))
                  if args.alloc else None)
-        values = _parse_floats(_required(args, "values"))
-        sens_vec = _parse_floats(_required(args, "sensitivities"))
+        values = _parse_floats(args.values)
+        sens_vec = _parse_floats(args.sensitivities)
         if args.mechanism == "laplace":
             sens = SensitivitySpec("l1", sens_vec)
             out = laplace_mechanism(values, budget, sens, alloc, rng)
@@ -422,6 +428,7 @@ def _cmd_mech(args) -> dict:
 
 
 def _cmd_budget(args) -> dict:
+    _subject_flags(args, args.action)
     try:
         ledger = BudgetLedger.load(args.ledger)
     except FileNotFoundError:
@@ -437,8 +444,6 @@ def _cmd_budget(args) -> dict:
               "sequential": {"epsilon": eps, "delta": delta},
               "parallel": parallel}
     if args.action == "check":
-        if args.cap is None:
-            raise ValueError("budget check requires --cap")
         cap_eps, cap_delta = _parse_cap(args.cap)
         if exceeds_cap(eps, cap_eps) or exceeds_cap(delta, cap_delta):
             raise BudgetExhaustedError(cap_eps - eps, cap_delta - delta)
@@ -455,14 +460,20 @@ _SEED_HELP = ("seed of the noise stream, for replay and tests; anyone who "
 _CAP_HELP = "ledger cap as 'epsilon[,delta]'; delta defaults to 0"
 
 
+def _add_budget_flags(p):
+    """--epsilon, --delta and --variant: the budget of a release."""
+    p.add_argument("--epsilon", type=float, required=True)
+    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--variant", choices=[APPROXIMATE, PROBABILISTIC])
+
+
 def _add_common(p):
     """Flags of the commands that draw noise and spend budget."""
-    p.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
-    p.add_argument("--ledger", default=None,
+    p.add_argument("--seed", type=int, help=_SEED_HELP)
+    p.add_argument("--ledger",
                    help="JSONL ledger file to append this spend to")
-    p.add_argument("--cap", default=None, help=_CAP_HELP)
-    p.add_argument("--tag", default=None,
-                   help="partition tag for parallel composition")
+    p.add_argument("--cap", help=_CAP_HELP)
+    p.add_argument("--tag", help="partition tag for parallel composition")
 
 
 def _add_stat(sub):
@@ -471,31 +482,27 @@ def _add_stat(sub):
         "mean", "var", "sd", "cov", "pooled-var", "pooled-cov",
         "quantile", "median", "histogram", "table"])
     st.add_argument("--input", required=True, help="CSV path or - for stdin")
-    st.add_argument("--column", default=None)
-    st.add_argument("--columns", default=None,
-                    help="two column names, comma separated")
-    st.add_argument("--group-column", default=None)
-    st.add_argument("--bounds", default=None, help="'lower,upper' per column,"
-                    " semicolon separated for multiple columns")
-    st.add_argument("--epsilon", type=float, required=True)
-    st.add_argument("--delta", type=float, default=0.0)
-    st.add_argument("--variant", choices=[APPROXIMATE, PROBABILISTIC],
-                    default=None)
+    st.add_argument("--column")
+    st.add_argument("--columns", help="two column names, comma separated")
+    st.add_argument("--group-column")
+    st.add_argument("--bounds", help="'lower,upper' per column, semicolon "
+                    "separated for multiple columns")
+    _add_budget_flags(st)
     st.add_argument("--mechanism", choices=["laplace", "gaussian"],
-                    default="laplace")
+                    help="default laplace")
     st.add_argument("--neighbor", choices=["bounded", "unbounded"],
                     default="bounded",
                     help="unbounded (a row added or removed) applies to "
                          "histogram and table only")
-    st.add_argument("--q", type=float, default=0.5)
-    st.add_argument("--breaks", default=None,
+    st.add_argument("--q", type=float, help="quantile; default 0.5")
+    st.add_argument("--breaks",
                     help="histogram edges, comma separated and ascending")
-    st.add_argument("--normalize", action="store_true")
-    st.add_argument("--allow-negative", action="store_true")
-    st.add_argument("--categories", default=None,
+    st.add_argument("--normalize", action="store_true", default=None)
+    st.add_argument("--allow-negative", action="store_true", default=None)
+    st.add_argument("--categories",
                     help="per factor: comma-separated labels, factors "
                          "separated by semicolons")
-    st.add_argument("--approx-n-max", action="store_true")
+    st.add_argument("--approx-n-max", action="store_true", default=None)
     _add_common(st)
     st.set_defaults(handler=_cmd_stat)
 
@@ -506,25 +513,20 @@ def _add_fit(sub):
     ft.add_argument("--input", required=True)
     ft.add_argument("--label-column", required=True)
     ft.add_argument("--feature-columns", required=True)
-    ft.add_argument("--bounds", default=None)
-    ft.add_argument("--epsilon", type=float, required=True)
-    ft.add_argument("--delta", type=float, default=0.0)
-    ft.add_argument("--variant", choices=[APPROXIMATE, PROBABILISTIC],
-                    default=None)
+    ft.add_argument("--bounds")
+    _add_budget_flags(ft)
     ft.add_argument("--gamma", type=float, required=True)
     ft.add_argument("--method", choices=["output", "objective"],
-                    default=None, help="logit and svm; default output")
+                    help="logit and svm; default output")
     ft.add_argument("--add-bias", action="store_true")
     ft.add_argument("--kernel", choices=["linear", "gaussian"],
-                    default=None, help="svm; default linear")
-    ft.add_argument("--rff-dim", type=int, default=None,
-                    help="svm with --kernel gaussian")
-    ft.add_argument("--kernel-param", type=float, default=None,
+                    help="svm; default linear")
+    ft.add_argument("--rff-dim", type=int, help="svm with --kernel gaussian")
+    ft.add_argument("--kernel-param", type=float,
                     help="svm with --kernel gaussian; default 1/p")
-    ft.add_argument("--huber-h", type=float, default=None,
-                    help="svm; default 0.5")
-    ft.add_argument("--weights-column", default=None, help="svm")
-    ft.add_argument("--weight-upper-bound", type=float, default=None,
+    ft.add_argument("--huber-h", type=float, help="svm; default 0.5")
+    ft.add_argument("--weights-column", help="svm")
+    ft.add_argument("--weight-upper-bound", type=float,
                     help="logit and svm; default 1")
     ft.add_argument("--output", required=True, help="model JSON path")
     _add_common(ft)
@@ -551,9 +553,8 @@ def _add_tune(sub):
     tn.add_argument("--epsilon-train", type=float, required=True)
     tn.add_argument("--epsilon-select", type=float, required=True)
     tn.add_argument("--method", choices=["output", "objective"],
-                    default=None, help="logit and svm; default output")
-    tn.add_argument("--huber-h", type=float, default=None,
-                    help="svm; default 0.5")
+                    help="logit and svm; default output")
+    tn.add_argument("--huber-h", type=float, help="svm; default 0.5")
     tn.add_argument("--add-bias", action="store_true")
     tn.add_argument("--output", required=True)
     _add_common(tn)
@@ -564,16 +565,13 @@ def _add_mech(sub):
     mc = sub.add_parser("mech", help="run a raw mechanism")
     mc.add_argument("mechanism", choices=["laplace", "gaussian",
                                           "exponential"])
-    mc.add_argument("--values", default=None)
-    mc.add_argument("--sensitivities", default=None)
-    mc.add_argument("--utility", default=None)
-    mc.add_argument("--measure", default=None)
-    mc.add_argument("--sensitivity", type=float, default=1.0)
-    mc.add_argument("--alloc", default=None)
-    mc.add_argument("--epsilon", type=float, required=True)
-    mc.add_argument("--delta", type=float, default=0.0)
-    mc.add_argument("--variant", choices=[APPROXIMATE, PROBABILISTIC],
-                    default=None)
+    mc.add_argument("--values")
+    mc.add_argument("--sensitivities")
+    mc.add_argument("--utility")
+    mc.add_argument("--measure")
+    mc.add_argument("--sensitivity", type=float, help="exponential; default 1")
+    mc.add_argument("--alloc")
+    _add_budget_flags(mc)
     _add_common(mc)
     mc.set_defaults(handler=_cmd_mech)
 
@@ -582,7 +580,7 @@ def _add_budget(sub):
     bd = sub.add_parser("budget", help="inspect or check a ledger")
     bd.add_argument("action", choices=["report", "check"])
     bd.add_argument("--ledger", required=True)
-    bd.add_argument("--cap", default=None, help=_CAP_HELP)
+    bd.add_argument("--cap", help=_CAP_HELP)
     bd.set_defaults(handler=_cmd_budget)
 
 

@@ -31,8 +31,6 @@ class TuningResult:
     model: TrainedModel
     index: int
     name: str
-    epsilon: float
-    delta: float
 
 
 def split_folds(n: int, n_folds: int, rng: RandomSource) -> list[np.ndarray]:
@@ -71,8 +69,7 @@ def _tune(candidates, X, y, budget, rng, score, sensitivity) -> TuningResult:
               for i, c in enumerate(candidates)]
     scores = np.array([score(mod, X[val], y[val]) for mod in models])
     idx = exponential_mechanism(scores, budget, sensitivity, None, rng)
-    return TuningResult(models[idx], idx, candidates[idx].name,
-                        budget.epsilon, budget.delta)
+    return TuningResult(models[idx], idx, candidates[idx].name)
 
 
 def tune_classification(candidates: list[Candidate], X, y,

@@ -338,7 +338,8 @@ def test_header_only_csv_exits_3_uncharged(capsys, tmp_path, command, model,
     assert not ledger.exists() and not model_path.exists()
 
 
-def test_model_flags_a_model_reads_are_accepted(capsys, clf_csv, tmp_path):
+def test_model_flags_a_model_reads_are_accepted(capsys, clf_csv, data_csv,
+                                                tmp_path):
     model_path = str(tmp_path / "m.json")
     for argv in (
             _model_command("fit", "logit", clf_csv, "--method", "objective",
@@ -351,6 +352,192 @@ def test_model_flags_a_model_reads_are_accepted(capsys, clf_csv, tmp_path):
                            "--huber-h", "0.3")):
         code, _, err = run_cli(capsys, *argv, "--output", model_path)
         assert code == 0, (argv, err)
+    # The flags that a statistic, a mechanism and budget check read.
+    ledger = str(tmp_path / "led.jsonl")
+    for argv in (
+            _base_argv("stat", "mean", data_csv, tmp_path) + [
+                "--mechanism", "gaussian", "--epsilon", "0.5", "--delta",
+                "0.01", "--variant", "probabilistic", "--tag", "t"],
+            _base_argv("stat", "quantile", data_csv, tmp_path) + [
+                "--q", "0.25", "--neighbor", "bounded"],
+            _base_argv("stat", "pooled-var", data_csv, tmp_path) + [
+                "--approx-n-max", "--mechanism", "laplace"],
+            _base_argv("stat", "pooled-cov", data_csv, tmp_path) + [
+                "--approx-n-max"],
+            _base_argv("stat", "histogram", data_csv, tmp_path) + [
+                "--normalize", "--allow-negative", "--neighbor",
+                "unbounded"],
+            _base_argv("stat", "table", data_csv, tmp_path) + [
+                "--allow-negative", "--mechanism", "laplace"],
+            _base_argv("mech", "exponential", data_csv, tmp_path) + [
+                "--measure", "1,2", "--sensitivity", "2"],
+            _base_argv("mech", "laplace", data_csv, tmp_path) + [
+                "--alloc", "0.25,0.75"],
+            _base_argv("mech", "gaussian", data_csv, tmp_path) + [
+                "--alloc", "0.5,0.5"],
+            ["budget", "check", "--cap", "100,1"]):
+        code, _, err = run_cli(capsys, *argv, "--ledger", ledger)
+        assert code == 0, (argv, err)
+
+
+def _sweep_cases():
+    """(command, positional choice or None, command parser) for every
+    command of the full parser and every choice of its positional."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        positionals = [a for a in parser._actions if not a.option_strings]
+        if not positionals:
+            yield name, None, parser
+        for action in positionals:
+            for choice in action.choices:
+                yield name, choice, parser
+
+
+# What every optional flag of each command is read by: flag -> (a sample
+# value, the subjects that read it), where _ALL is every subject. A flag of
+# the parser missing here fails test_every_flag_is_classified, so each new
+# flag must be classified. The svm of _base_argv has a linear kernel, which
+# reads neither --rff-dim nor --kernel-param.
+_ALL = None
+_COMMON = {"--seed": ("3", _ALL), "--ledger": ("led.jsonl", _ALL),
+           "--cap": ("1", _ALL), "--tag": ("t", _ALL)}
+_FIT_READS = {
+    "--input": ("in.csv", _ALL), "--label-column": ("label", _ALL),
+    "--feature-columns": ("a,b", _ALL), "--bounds": ("-1,1;-1,1", _ALL),
+    "--add-bias": (None, _ALL), "--output": ("m.json", _ALL),
+    "--method": ("objective", ("logit", "svm")),
+    "--huber-h": ("0.3", ("svm",)), **_COMMON}
+_FLAG_READS = {
+    "stat": {
+        "--input": ("in.csv", _ALL), "--epsilon": ("1", _ALL),
+        "--delta": ("0", _ALL), "--variant": ("approximate", _ALL),
+        "--neighbor": ("bounded", _ALL),
+        "--column": ("x", ("mean", "var", "sd", "pooled-var", "quantile",
+                           "median", "histogram")),
+        "--columns": ("x,y", ("cov", "pooled-cov", "table")),
+        "--group-column": ("g", ("pooled-var", "pooled-cov")),
+        "--bounds": ("5,10", ("mean", "var", "sd", "cov", "pooled-var",
+                              "pooled-cov", "quantile", "median")),
+        "--mechanism": ("laplace", ("mean", "var", "sd", "cov", "pooled-var",
+                                    "pooled-cov", "histogram", "table")),
+        "--q": ("0.5", ("quantile",)),
+        "--breaks": ("5,10", ("histogram",)),
+        "--normalize": (None, ("histogram",)),
+        "--allow-negative": (None, ("histogram", "table")),
+        "--categories": ("a,b", ("table",)),
+        "--approx-n-max": (None, ("pooled-var", "pooled-cov")), **_COMMON},
+    "fit": {
+        **_FIT_READS, "--epsilon": ("1", _ALL), "--delta": ("0", _ALL),
+        "--variant": ("approximate", _ALL), "--gamma": ("1", _ALL),
+        "--weight-upper-bound": ("1", ("logit", "svm")),
+        "--kernel": ("linear", ("svm",)), "--weights-column": ("w", ("svm",)),
+        "--rff-dim": ("20", ()), "--kernel-param": ("0.5", ())},
+    "tune": {
+        **_FIT_READS, "--gammas": ("0.1,1", _ALL),
+        "--epsilon-train": ("1", _ALL), "--epsilon-select": ("1", _ALL)},
+    "mech": {
+        "--epsilon": ("1", _ALL), "--delta": ("0", _ALL),
+        "--variant": ("approximate", _ALL),
+        "--values": ("1,2", ("laplace", "gaussian")),
+        "--sensitivities": ("1,1", ("laplace", "gaussian")),
+        "--alloc": ("0.5,0.5", ("laplace", "gaussian")),
+        "--utility": ("0,1", ("exponential",)),
+        "--measure": ("1,1", ("exponential",)),
+        "--sensitivity": ("1", ("exponential",)), **_COMMON},
+    "predict": {"--model": ("m.json", _ALL), "--input": ("in.csv", _ALL),
+                "--feature-columns": ("a,b", _ALL), "--raw": (None, _ALL)},
+    "budget": {"--ledger": ("led.jsonl", _ALL),
+               "--cap": ("1", ("check",))},
+}
+
+
+_SCALAR_NEEDS = ["--column", "x", "--bounds", "5,10"]
+_PAIR_NEEDS = ["--columns", "x,y", "--bounds", "5,10;0,1"]
+_NEEDS = {  # the flags a valid run of each subject needs
+    "mean": _SCALAR_NEEDS, "var": _SCALAR_NEEDS, "sd": _SCALAR_NEEDS,
+    "quantile": _SCALAR_NEEDS, "median": _SCALAR_NEEDS, "cov": _PAIR_NEEDS,
+    "pooled-var": _SCALAR_NEEDS + ["--group-column", "g"],
+    "pooled-cov": _PAIR_NEEDS + ["--group-column", "g"],
+    "histogram": ["--column", "x", "--breaks", "5,7,10"],
+    "table": ["--columns", "g", "--categories", "a,b"],
+    "laplace": ["--values", "1,2", "--sensitivities", "1,1", "--epsilon",
+                "1"],
+    "gaussian": ["--values", "1,2", "--sensitivities", "1,1", "--epsilon",
+                 "0.5", "--delta", "0.01"],
+    "exponential": ["--utility", "0,1", "--epsilon", "1"],
+    "report": [], "check": ["--cap", "1"],
+}
+
+
+def _base_argv(command, subject, path, tmp_path):
+    """argv of a valid ``command subject`` run with only the optional flags
+    the subject needs: a statistic of the x,y,g CSV, a model of the
+    a,b,label CSV, a mechanism or a budget action."""
+    if command in ("fit", "tune"):
+        return _model_command(command, subject, path) + [
+            "--output", str(tmp_path / "m.json")]
+    if command == "stat":
+        return ["stat", subject, "--input", path, "--epsilon", "1",
+                *_NEEDS[subject]]
+    if command == "budget":
+        return ["budget", subject, "--ledger", str(tmp_path / "l.jsonl"),
+                *_NEEDS[subject]]
+    return [command, subject, *_NEEDS[subject]]
+
+
+@pytest.mark.parametrize("command,subject", [
+    pytest.param(c, s, id=f"{c}-{s}") for c, s, _ in _sweep_cases()
+    if s is not None])
+def test_each_subject_runs_with_only_the_flags_it_needs(
+        capsys, data_csv, clf_csv, tmp_path, command, subject):
+    path = clf_csv if command in ("fit", "tune") else data_csv
+    code, _, err = run_cli(capsys, *_base_argv(command, subject, path,
+                                               tmp_path))
+    assert code == 0, err
+
+
+def _parser_flags(parser):
+    return [a.option_strings[-1] for a in parser._actions
+            if a.option_strings and a.dest != "help"]
+
+
+def test_every_flag_is_classified():
+    for command, _, parser in _sweep_cases():
+        reads = _FLAG_READS[command]
+        assert sorted(_parser_flags(parser)) == sorted(reads), command
+        for flag, (_, readers) in reads.items():
+            choices = {c for name, c, _ in _sweep_cases() if name == command}
+            assert readers is _ALL or set(readers) <= choices, (command, flag)
+
+
+def _unread_cases():
+    for command, subject, parser in _sweep_cases():
+        for flag in _parser_flags(parser):
+            readers = _FLAG_READS[command].get(flag, (None, ()))[1]
+            if readers is not _ALL and subject not in readers:
+                yield pytest.param(command, subject, flag,
+                                   id=f"{command}-{subject}{flag}")
+
+
+@pytest.mark.parametrize("command,subject,flag", _unread_cases())
+def test_every_flag_a_subject_does_not_read_exits_3_uncharged(
+        capsys, data_csv, clf_csv, tmp_path, command, subject, flag):
+    """The flag alone turns a valid run into exit 3, before any charge."""
+    base = _base_argv(command, subject,
+                      clf_csv if command in ("fit", "tune") else data_csv,
+                      tmp_path)
+    value = _FLAG_READS[command][flag][0]
+    ledger = tmp_path / "led.jsonl"
+    given = [flag] if value is None else [flag, value]
+    if command != "budget":
+        given += ["--ledger", str(ledger)]
+    code, out, err = run_cli(capsys, *base, *given)
+    assert code == 3 and out == ""
+    assert f"dpkit: {flag} applies to {command} " in err
+    _one_line_error(err)
+    assert not ledger.exists() and not (tmp_path / "l.jsonl").exists()
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("alloc", ["0.5,0.5", "7"])
@@ -361,7 +548,7 @@ def test_exponential_mechanism_refuses_alloc_uncharged(capsys, tmp_path,
                              "0,1", "--alloc", alloc, "--epsilon", "1",
                              "--ledger", str(ledger))
     assert code == 3 and out == ""
-    assert "--alloc applies to laplace and gaussian only" in err
+    assert "--alloc applies to mech laplace|gaussian only" in err
     _one_line_error(err)
     assert not ledger.exists()
     code, out, _ = run_cli(capsys, "mech", "laplace", "--values", "0,1",
@@ -560,6 +747,52 @@ def test_cap_without_ledger_exits_3_uncharged(capsys, data_csv, clf_csv,
     assert "--cap needs --ledger" in err
     _one_line_error(err)
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize("command,subject", [
+    ("stat", "mean"), ("fit", "logit"), ("tune", "linreg"),
+    ("mech", "exponential")])
+def test_tag_without_ledger_exits_3_uncharged(capsys, data_csv, clf_csv,
+                                              tmp_path, command, subject):
+    # A tag names a ledger partition; without a ledger it would be dropped.
+    path = clf_csv if command in ("fit", "tune") else data_csv
+    code, out, err = run_cli(capsys, *_base_argv(command, subject, path,
+                                                 tmp_path), "--tag", "t")
+    assert code == 3 and out == ""
+    assert "--tag needs --ledger" in err
+    _one_line_error(err)
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("statistic", ["cov", "pooled-cov"])
+@pytest.mark.parametrize("names", ["x", "x,y,x"])
+def test_two_column_statistic_needs_two_column_names(capsys, data_csv,
+                                                     tmp_path, statistic,
+                                                     names):
+    ledger = tmp_path / "led.jsonl"
+    group = ["--group-column", "g"] if statistic == "pooled-cov" else []
+    code, out, err = run_cli(capsys, "stat", statistic, "--input", data_csv,
+                             "--columns", names, "--bounds", "5,10;0,1",
+                             "--epsilon", "1", "--ledger", str(ledger),
+                             *group)
+    assert code == 3 and out == ""
+    assert "--columns needs two column names" in err
+    _one_line_error(err)
+    assert not ledger.exists()
+
+
+@pytest.mark.parametrize("statistic", ["quantile", "median"])
+def test_quantile_with_delta_names_its_own_rule(capsys, data_csv, tmp_path,
+                                                statistic):
+    # A quantile reads no --mechanism, so no Laplace rule may refuse it.
+    ledger = tmp_path / "led.jsonl"
+    code, out, err = run_cli(capsys, *_base_argv("stat", statistic, data_csv,
+                                                 tmp_path),
+                             "--delta", "0.01", "--ledger", str(ledger))
+    assert code == 3 and out == ""
+    assert "quantile release requires a pure budget" in err
+    _one_line_error(err)
+    assert not ledger.exists()
 
 
 def test_infinite_epsilon_exits_3_uncharged(capsys, tmp_path):
@@ -792,20 +1025,6 @@ def test_missing_mech_flags_exit_3(capsys, mechanism, flags, missing):
     assert code == 3 and out == ""
     assert f"{missing} is required" in err
     _one_line_error(err)
-
-
-def _sweep_cases():
-    """(command, positional choice or None, command parser) for every
-    command of the full parser and every choice of its positional."""
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    for name, parser in sub.choices.items():
-        positionals = [a for a in parser._actions if not a.option_strings]
-        if not positionals:
-            yield name, None, parser
-        for action in positionals:
-            for choice in action.choices:
-                yield name, choice, parser
 
 
 @pytest.mark.parametrize("command,choice,parser", [
