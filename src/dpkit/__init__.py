@@ -4,9 +4,9 @@ from .accountant import BudgetExhaustedError, BudgetLedger, LedgerEntry
 from .erm import (ErmConfig, LossSpec, SolverNotConvergedError, erm_cms,
                   erm_kst)
 from .mechanisms import (APPROXIMATE, PROBABILISTIC, PURE, BudgetAllocation,
-                         PrivacyBudget, RandomSource, SensitivitySpec,
-                         exponential_mechanism, gaussian_mechanism,
-                         gaussian_sigma, laplace_mechanism)
+                         PrivacyBudget, RandomSource, exponential_mechanism,
+                         gaussian_mechanism, gaussian_sigma,
+                         laplace_mechanism)
 from .models import (TrainedModel, fit_linreg, fit_logistic, fit_svm,
                      huber_loss, logistic_loss, predict)
 from .stats import (Bounds, HistogramSpec, StatRequest, StatResult, cov_dp,
@@ -21,7 +21,7 @@ __all__ = [
     "APPROXIMATE", "PROBABILISTIC", "PURE",
     "Bounds", "BudgetAllocation", "BudgetExhaustedError", "BudgetLedger",
     "Candidate", "ErmConfig", "HistogramSpec", "LedgerEntry",
-    "LossSpec", "PrivacyBudget", "RandomSource", "SensitivitySpec",
+    "LossSpec", "PrivacyBudget", "RandomSource",
     "SolverNotConvergedError", "StatRequest", "StatResult", "TrainedModel",
     "TuningResult", "cov_dp", "erm_cms", "erm_kst", "exponential_mechanism",
     "fit_linreg", "fit_logistic", "fit_svm", "gaussian_mechanism",

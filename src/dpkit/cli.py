@@ -30,9 +30,8 @@ import numpy as np
 from .accountant import BudgetExhaustedError, BudgetLedger, exceeds_cap
 from .erm import ErmConfig
 from .mechanisms import (APPROXIMATE, PROBABILISTIC, BudgetAllocation,
-                         PrivacyBudget, RandomSource, SensitivitySpec,
-                         exponential_mechanism, gaussian_mechanism,
-                         laplace_mechanism)
+                         PrivacyBudget, RandomSource, exponential_mechanism,
+                         gaussian_mechanism, laplace_mechanism)
 from .models import (TrainedModel, fit_linreg, fit_logistic, fit_svm, predict)
 from .stats import (Bounds, HistogramSpec, StatRequest, cov_dp, histogram_dp,
                     mean_dp, pooled_cov_dp, pooled_var_dp, quantile_dp,
@@ -410,14 +409,10 @@ def _cmd_mech(args) -> dict:
     else:
         alloc = (BudgetAllocation(_parse_floats(args.alloc))
                  if args.alloc else None)
-        values = _parse_floats(args.values)
-        sens_vec = _parse_floats(args.sensitivities)
-        if args.mechanism == "laplace":
-            sens = SensitivitySpec("l1", sens_vec)
-            out = laplace_mechanism(values, budget, sens, alloc, rng)
-        else:
-            sens = SensitivitySpec("l2", sens_vec)
-            out = gaussian_mechanism(values, budget, sens, alloc, rng)
+        mechanism = (laplace_mechanism if args.mechanism == "laplace"
+                     else gaussian_mechanism)
+        out = mechanism(_parse_floats(args.values), budget,
+                        _parse_floats(args.sensitivities), alloc, rng)
         result = {"values": out.tolist()}
 
     return _release(args, f"mech {args.mechanism}", budget.epsilon,

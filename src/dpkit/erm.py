@@ -59,12 +59,13 @@ class ErmConfig:
     weight_upper_bound: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("regularization constant must be positive")
+        if not (0.0 < self.gamma < math.inf):
+            raise ValueError("regularization constant gamma must be finite "
+                             "and positive")
         if self.perturbation not in ("output", "objective"):
             raise ValueError("perturbation must be 'output' or 'objective'")
-        if self.weight_upper_bound <= 0.0:
-            raise ValueError("weight upper bound must be positive")
+        if not (0.0 < self.weight_upper_bound < math.inf):
+            raise ValueError("weight_upper_bound must be finite and positive")
 
 
 @dataclass
@@ -336,8 +337,9 @@ def erm_kst(X, y, budget: PrivacyBudget, gamma: float,
                          "DP only")
     if y.shape != (n,):
         raise ValueError("targets must be a vector matching the rows of X")
-    if gamma <= 0.0:
-        raise ValueError("regularization constant must be positive")
+    if not (0.0 < gamma < math.inf):
+        raise ValueError("regularization constant gamma must be finite and "
+                         "positive")
     _check_rows(X, math.sqrt(p))
     if not np.all(np.abs(y) <= p + _ROW_NORM_TOL):  # NaN too
         raise ValueError(f"targets must be finite and lie in [-{p}, {p}]")

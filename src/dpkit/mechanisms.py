@@ -1,8 +1,11 @@
 """Core randomized mechanisms: Laplace, Gaussian, and exponential.
 
-``joint_mechanism`` adds iid Laplace or Gaussian noise calibrated once to the
-joint sensitivity of a whole vector; the per-coordinate Laplace and Gaussian
-mechanisms reduce to it under their default allocation.
+The budget picks the noise: a pure budget gets Laplace noise scaled to the
+l1 sensitivity, an approximate or probabilistic one Gaussian noise scaled to
+the l2 sensitivity. ``joint_mechanism`` adds such noise iid, calibrated once
+to the joint sensitivity of a whole vector; the per-coordinate Laplace and
+Gaussian mechanisms take plain sensitivity vectors and reduce to it under
+their default allocation.
 
 All randomness flows through a seedable :class:`RandomSource`, so every
 mechanism is a pure function of (inputs, seed).
@@ -11,7 +14,7 @@ mechanism is a pure function of (inputs, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,52 +83,60 @@ class PrivacyBudget:
 
 
 @dataclass(frozen=True)
-class SensitivitySpec:
-    norm: str  # "l1" or "l2"
-    per_coordinate: np.ndarray
-
-    def __post_init__(self):
-        if self.norm not in ("l1", "l2"):
-            raise ValueError("norm must be 'l1' or 'l2'")
-        arr = np.atleast_1d(np.asarray(self.per_coordinate, dtype=np.float64))
-        if arr.size == 0:
-            raise ValueError("sensitivity vector must be nonempty")
-        if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-            raise ValueError("sensitivities must be finite and nonnegative")
-        object.__setattr__(self, "per_coordinate", arr)
-
-
-@dataclass(frozen=True)
 class BudgetAllocation:
     proportions: np.ndarray
 
     def __post_init__(self):
         arr = np.atleast_1d(np.asarray(self.proportions, dtype=np.float64))
-        if np.any(arr <= 0.0):
+        if not np.all(arr > 0.0):  # NaN too
             raise ValueError("allocation proportions must be positive")
         if abs(arr.sum() - 1.0) > 1e-12:
             raise ValueError("allocation proportions must sum to 1")
         object.__setattr__(self, "proportions", arr)
 
 
-def _check_lengths(values, sens, alloc):
+def _sensitivities(values, sensitivities, alloc) -> np.ndarray:
+    """The per-coordinate sensitivities as a float vector, refused unless
+    nonempty, finite, nonnegative and as long as ``values`` and ``alloc``."""
+    sens = np.atleast_1d(np.asarray(sensitivities, dtype=np.float64))
+    if sens.size == 0:
+        raise ValueError("sensitivity vector must be nonempty")
+    if np.any(sens < 0.0) or not np.all(np.isfinite(sens)):
+        raise ValueError("sensitivities must be finite and nonnegative")
     n = values.shape[0]
-    if sens.per_coordinate.shape[0] != n:
+    if sens.shape[0] != n:
         raise ValueError("sensitivity vector length does not match values")
     if alloc is not None and alloc.proportions.shape[0] != n:
         raise ValueError("allocation length does not match values")
+    return sens
 
 
-def joint_mechanism(values, budget: PrivacyBudget, norm: str,
-                    sensitivity: float, rng: RandomSource) -> np.ndarray:
+def _add_noise(values, budget: PrivacyBudget, scale,
+               rng: RandomSource) -> np.ndarray:
+    """``values`` plus noise of ``scale``, which broadcasts over them:
+    Laplace of that scale under a pure budget, Normal of that standard
+    deviation otherwise. Every coordinate consumes one uniform from
+    ``rng``; the noise is written over the uniforms and ``values`` is
+    added to it in place."""
+    if budget.variant == PURE:
+        u = rng.uniform(values.shape[0])
+        noise = _kernels.laplace_noise(u, scale, out=u)
+    else:
+        noise = rng.normal(values.shape[0])
+        noise *= scale
+    noise += values
+    return noise
+
+
+def joint_mechanism(values, budget: PrivacyBudget, sensitivity: float,
+                    rng: RandomSource) -> np.ndarray:
     """Add iid noise calibrated once to the joint sensitivity of the vector.
 
-    ``norm="l1"`` adds Laplace noise of scale sensitivity/eps (pure budget);
-    ``norm="l2"`` adds N(0, sigma^2) with sigma = gaussian_sigma(budget,
-    sensitivity). Every coordinate consumes one uniform from ``rng``. The
-    noise is written over the uniforms and ``values`` is added to it in
-    place, so besides ``values`` a release holds that array and, for
-    Laplace noise, one work array of the kernel.
+    A pure budget adds Laplace noise of scale sensitivity/eps, taking the
+    sensitivity as an l1 norm; any other adds N(0, sigma^2) with sigma =
+    gaussian_sigma(budget, sensitivity), taking it as an l2 norm. Besides
+    ``values`` a release holds the noise array and, for Laplace noise, one
+    work array of the kernel.
     """
     sensitivity = float(sensitivity)
     if not (0.0 <= sensitivity < math.inf):
@@ -135,26 +146,16 @@ def joint_mechanism(values, budget: PrivacyBudget, norm: str,
     values = np.atleast_1d(np.asarray(values))
     if not np.can_cast(values.dtype, np.float64):
         values = values.astype(np.float64)
-    if norm == "l1":
-        if budget.variant != PURE:
-            raise ValueError("Laplace mechanism requires a pure-DP budget")
-        u = rng.uniform(values.shape[0])
-        noise = _kernels.laplace_noise(u, sensitivity / budget.epsilon, out=u)
-    elif norm == "l2":
-        sigma = gaussian_sigma(budget, sensitivity)
-        noise = rng.normal(values.shape[0])
-        noise *= sigma
-    else:
-        raise ValueError("norm must be 'l1' or 'l2'")
-    noise += values
-    return noise
+    scale = (sensitivity / budget.epsilon if budget.variant == PURE
+             else gaussian_sigma(budget, sensitivity))
+    return _add_noise(values, budget, scale, rng)
 
 
-def laplace_mechanism(values, budget: PrivacyBudget,
-                      sens: SensitivitySpec,
+def laplace_mechanism(values, budget: PrivacyBudget, sensitivities,
                       alloc: BudgetAllocation | None = None,
                       rng: RandomSource | None = None) -> np.ndarray:
-    """Add Lap(0, delta_i / eps_i) noise per coordinate.
+    """Add Lap(0, delta_i / eps_i) noise per coordinate, for the l1
+    sensitivities delta_i.
 
     Default allocation splits the budget proportionally to the per-coordinate
     sensitivities, so every coordinate gets the scale sum(delta)/eps: the
@@ -165,21 +166,14 @@ def laplace_mechanism(values, budget: PrivacyBudget,
         rng = RandomSource()  # seeded from OS entropy
     if budget.variant != PURE:
         raise ValueError("Laplace mechanism requires a pure-DP budget")
-    if sens.norm != "l1":
-        raise ValueError("Laplace mechanism requires l1 sensitivities")
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    _check_lengths(values, sens, alloc)
-
-    delta = sens.per_coordinate
+    delta = _sensitivities(values, sensitivities, alloc)
     if alloc is None:
-        noisy = joint_mechanism(values, budget, "l1", delta.sum(), rng)
+        noisy = joint_mechanism(values, budget, delta.sum(), rng)
         return np.where(delta > 0.0, noisy, values)
     eps_i = budget.epsilon * alloc.proportions
-    scales = np.where(delta > 0.0, delta / eps_i, 0.0)
-    u = rng.uniform(values.shape[0])
-    noise = _kernels.laplace_noise(u, scales, out=u)
-    noise += values
-    return noise
+    return _add_noise(values, budget,
+                      np.where(delta > 0.0, delta / eps_i, 0.0), rng)
 
 
 def gaussian_sigma(budget: PrivacyBudget, delta2f: float) -> float:
@@ -201,11 +195,11 @@ def gaussian_sigma(budget: PrivacyBudget, delta2f: float) -> float:
     return delta2f * (math.sqrt(q * q + 2.0 * eps) - q) / (2.0 * eps)
 
 
-def gaussian_mechanism(values, budget: PrivacyBudget,
-                       sens: SensitivitySpec,
+def gaussian_mechanism(values, budget: PrivacyBudget, sensitivities,
                        alloc: BudgetAllocation | None = None,
                        rng: RandomSource | None = None) -> np.ndarray:
-    """Add N(0, sigma_i^2) noise per coordinate.
+    """Add N(0, sigma_i^2) noise per coordinate, for the l2 sensitivities
+    delta_i.
 
     Without an allocation this is the joint mechanism at the composite
     sensitivity sqrt(sum(delta_i^2)). With an allocation, coordinate i gets
@@ -216,24 +210,17 @@ def gaussian_mechanism(values, budget: PrivacyBudget,
     if budget.variant not in (APPROXIMATE, PROBABILISTIC):
         raise ValueError("Gaussian mechanism requires an approximate or "
                          "probabilistic budget")
-    if sens.norm != "l2":
-        raise ValueError("Gaussian mechanism requires l2 sensitivities")
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
-    _check_lengths(values, sens, alloc)
-
-    delta = sens.per_coordinate
+    delta = _sensitivities(values, sensitivities, alloc)
     if alloc is None:
-        return joint_mechanism(values, budget, "l2",
+        return joint_mechanism(values, budget,
                                math.sqrt(float(delta @ delta)), rng)
     sigmas = np.empty(values.shape[0])
     for i, prop in enumerate(alloc.proportions):
         sub = PrivacyBudget(budget.epsilon * prop, budget.delta * prop,
                             budget.variant)
         sigmas[i] = gaussian_sigma(sub, float(delta[i]))
-    noise = rng.normal(values.shape[0])
-    noise *= sigmas
-    noise += values
-    return noise
+    return _add_noise(values, budget, sigmas, rng)
 
 
 def exponential_mechanism(utility, budget: PrivacyBudget, sens_u: float,

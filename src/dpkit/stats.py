@@ -3,8 +3,9 @@
 Sensitivities are computed internally from caller-supplied global bounds;
 data falling outside the bounds is clipped before the statistic is computed.
 Each release returns one :class:`StatResult` carrying the value together
-with the metadata (sensitivity, mechanism, budget) a ledger needs; apart
-from the value, that metadata depends only on public inputs.
+with its sensitivity, mechanism and neighbor model; apart from the value,
+that metadata depends only on public inputs. The budget spent is the
+caller's, in the request, and is not copied into the result.
 
 Scalar statistics (mean, variance, covariance and their pooled forms) are
 released under bounded neighbors only: under unbounded neighbors their
@@ -84,8 +85,6 @@ class StatResult:
     sensitivity: float
     mechanism: str
     neighbor: str
-    epsilon: float
-    delta: float
     detail: dict = field(default_factory=dict)
 
 
@@ -96,17 +95,6 @@ def clip(x, bounds: Bounds) -> np.ndarray:
     if np.isnan(x).any():
         raise ValueError("cannot clip NaN; it lies outside every domain")
     return np.clip(x, bounds.lower, bounds.upper)
-
-
-def _privatize(values: np.ndarray, joint_sensitivity: float,
-               req: StatRequest, rng: RandomSource) -> np.ndarray:
-    """Release a vector whose joint l1 (or l2) sensitivity is known.
-
-    Every coordinate gets iid noise calibrated once to the joint value:
-    Laplace scale joint/eps, or one Gaussian sigma from the joint l2.
-    """
-    norm = "l1" if req.mechanism == LAPLACE else "l2"
-    return joint_mechanism(values, req.budget, norm, joint_sensitivity, rng)
 
 
 def require_bounded(statistic: str, neighbor: str) -> None:
@@ -122,9 +110,9 @@ def _scalar_release(statistic: str, value: float, sensitivity: float,
                     req: StatRequest, rng: RandomSource,
                     detail: dict) -> StatResult:
     require_bounded(statistic, req.neighbor)
-    noisy = _privatize(np.array([value]), sensitivity, req, rng)
+    noisy = joint_mechanism(np.array([value]), req.budget, sensitivity, rng)
     return StatResult(statistic, float(noisy[0]), sensitivity, req.mechanism,
-                      BOUNDED, req.budget.epsilon, req.budget.delta, detail)
+                      BOUNDED, detail)
 
 
 def mean_dp(x, bounds: Bounds, req: StatRequest, rng: RandomSource):
@@ -231,13 +219,12 @@ def _release_counts(statistic: str, counts: np.ndarray, req: StatRequest,
     sensitivity = count_sensitivity(req.neighbor, req.mechanism)
     # The integer counts go in as they are, with no float copy, and the
     # released vector is clipped in place.
-    noisy = _privatize(counts, sensitivity, req, rng)
+    noisy = joint_mechanism(counts, req.budget, sensitivity, rng)
     if not allow_negative:
         np.maximum(noisy, 0.0, out=noisy)
     value = postprocess(noisy) if postprocess is not None else noisy
     return StatResult(statistic, value, sensitivity, req.mechanism,
-                      req.neighbor, req.budget.epsilon, req.budget.delta,
-                      detail)
+                      req.neighbor, detail)
 
 
 def histogram_dp(x, spec: HistogramSpec, req: StatRequest, rng: RandomSource):
@@ -325,7 +312,7 @@ def quantile_dp(x, q: float, budget: PrivacyBudget, bounds: Bounds,
     i = exponential_mechanism(utility, budget, 1.0, lengths, rng)
     value = float(z[i] + rng.uniform() * (z[i + 1] - z[i]))
     return StatResult("quantile", value, 1.0, "exponential", BOUNDED,
-                      budget.epsilon, budget.delta, {"q": q, "n": n})
+                      {"q": q, "n": n})
 
 
 def median_dp(x, budget: PrivacyBudget, bounds: Bounds,

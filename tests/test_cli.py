@@ -1089,6 +1089,24 @@ def test_classifier_fit_refuses_delta_uncharged(capsys, clf_csv, tmp_path,
     assert not ledger.exists() and not model_path.exists()
 
 
+@pytest.mark.parametrize("model,flag", [
+    ("logit", "--weight-upper-bound"), ("svm", "--weight-upper-bound"),
+    ("logit", "--gamma"), ("svm", "--gamma"), ("linreg", "--gamma")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fit_refuses_non_finite_gamma_and_weight_bound_uncharged(
+        capsys, clf_csv, tmp_path, model, flag, value):
+    # A NaN or infinite constant was charged and then fitted a NaN model,
+    # or divided by zero; it is refused before anything is spent.
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    code, out, err = run_cli(capsys, *_model_command(
+        "fit", model, clf_csv, flag, value), "--ledger", str(ledger),
+        "--output", str(model_path))
+    assert code == 3 and out == ""
+    assert f"{flag[2:].replace('-', '_')} must be finite and positive" in err
+    _one_line_error(err)
+    assert not ledger.exists() and not model_path.exists()
+
+
 @pytest.mark.parametrize("statistic,extra", [
     ("cov", []), ("pooled-cov", ["--group-column", "g"])])
 def test_two_column_statistic_needs_two_bounds_pairs(capsys, data_csv,

@@ -5,9 +5,9 @@ import pytest
 
 from dpkit.mechanisms import (APPROXIMATE, PROBABILISTIC, PURE,
                               BudgetAllocation, PrivacyBudget, RandomSource,
-                              SensitivitySpec, exponential_mechanism,
-                              gaussian_mechanism, gaussian_sigma,
-                              joint_mechanism, laplace_mechanism)
+                              exponential_mechanism, gaussian_mechanism,
+                              gaussian_sigma, joint_mechanism,
+                              laplace_mechanism)
 
 from oracles import (EXP_MECH_PROBS, SIGMA_APPROX, SIGMA_PROB,
                      reference_gaussian, reference_laplace,
@@ -43,14 +43,13 @@ def test_random_source_without_seed_draws_fresh_entropy():
 
 def test_mechanisms_without_rng_use_fresh_sources():
     budget = PrivacyBudget(1.0)
-    sens = SensitivitySpec("l1", np.ones(3))
+    sens = np.ones(3)
     gauss = PrivacyBudget(0.5, 0.01, APPROXIMATE)
     draws = [
         lambda: laplace_mechanism(np.zeros(3), budget, sens),
         lambda: laplace_mechanism(np.zeros(3), budget, sens,
                                   BudgetAllocation(np.full(3, 1 / 3))),
-        lambda: gaussian_mechanism(np.zeros(3), gauss,
-                                   SensitivitySpec("l2", np.ones(3))),
+        lambda: gaussian_mechanism(np.zeros(3), gauss, sens),
     ]
     for draw in draws:
         assert not np.array_equal(draw(), draw())
@@ -103,13 +102,12 @@ def test_uniform_at_extreme_words_keeps_its_bits_below_one():
     assert rng.uniform() == np.nextafter(1.0, 0.0)
 
 
-@pytest.mark.parametrize("norm,budget", [
-    ("l1", PrivacyBudget(1.0)),
-    ("l2", PrivacyBudget(0.5, 0.01, APPROXIMATE))])
-def test_release_at_the_top_word_is_finite(norm, budget):
+@pytest.mark.parametrize("budget", [
+    PrivacyBudget(1.0), PrivacyBudget(0.5, 0.01, APPROXIMATE)])
+def test_release_at_the_top_word_is_finite(budget):
     rng = RandomSource(0)
     rng._gen = TopBits([_TOP])
-    out = joint_mechanism(np.zeros(3), budget, norm, 1.0, rng)
+    out = joint_mechanism(np.zeros(3), budget, 1.0, rng)
     assert np.all(np.isfinite(out)) and np.all(out > 0.0)
 
 
@@ -139,13 +137,17 @@ def test_budget_validation():
     PrivacyBudget(1.5, 0.1, APPROXIMATE)
 
 
-def test_sensitivity_spec_validation():
-    with pytest.raises(ValueError):
-        SensitivitySpec("linf", [1.0])
-    with pytest.raises(ValueError):
-        SensitivitySpec("l1", [-1.0])
-    with pytest.raises(ValueError):
-        SensitivitySpec("l1", [])
+def test_sensitivity_vector_validation():
+    for mechanism, budget in ((laplace_mechanism, PrivacyBudget(1.0)),
+                              (gaussian_mechanism,
+                               PrivacyBudget(0.5, 0.01, APPROXIMATE))):
+        for sens, message in (([-1.0], "finite and nonnegative"),
+                              ([math.nan], "finite and nonnegative"),
+                              ([math.inf], "finite and nonnegative"),
+                              ([], "must be nonempty"),
+                              ([1.0, 1.0], "length does not match")):
+            with pytest.raises(ValueError, match=message):
+                mechanism(np.zeros(1), budget, sens, rng=FixedUniform(0.5))
 
 
 def test_allocation_validation():
@@ -153,6 +155,9 @@ def test_allocation_validation():
         BudgetAllocation([0.5, 0.6])
     with pytest.raises(ValueError):
         BudgetAllocation([1.0, 0.0])
+    for nan in ([math.nan, math.nan], [math.nan, 1.0], [0.5, 0.5, math.nan]):
+        with pytest.raises(ValueError, match="must be positive"):
+            BudgetAllocation(nan)
     BudgetAllocation([0.25, 0.75])
 
 
@@ -160,15 +165,14 @@ def test_allocation_validation():
 
 def test_laplace_identity_at_median_uniform():
     values = np.array([1.0, -2.0, 3.5])
-    out = laplace_mechanism(values, PrivacyBudget(1.0),
-                            SensitivitySpec("l1", [1.0, 1.0, 1.0]),
+    out = laplace_mechanism(values, PrivacyBudget(1.0), [1.0, 1.0, 1.0],
                             rng=FixedUniform(0.5))
     assert np.array_equal(out, values)
 
 
 def test_laplace_default_scale_is_total_over_epsilon():
     # At u=0.75 the noise equals scale*ln 2 exactly, exposing the scale.
-    sens = SensitivitySpec("l1", [1.0, 2.0, 3.0])
+    sens = [1.0, 2.0, 3.0]
     out = laplace_mechanism(np.zeros(3), PrivacyBudget(2.0), sens,
                             rng=FixedUniform(0.75))
     expected_scale = 6.0 / 2.0
@@ -176,7 +180,7 @@ def test_laplace_default_scale_is_total_over_epsilon():
 
 
 def test_laplace_explicit_proportional_alloc_matches_default():
-    sens = SensitivitySpec("l1", [1.0, 2.0, 3.0])
+    sens = [1.0, 2.0, 3.0]
     alloc = BudgetAllocation([1 / 6, 2 / 6, 3 / 6])
     a = laplace_mechanism(np.zeros(3), PrivacyBudget(2.0), sens,
                           rng=FixedUniform(0.9))
@@ -186,7 +190,7 @@ def test_laplace_explicit_proportional_alloc_matches_default():
 
 
 def test_laplace_custom_alloc_changes_scales():
-    sens = SensitivitySpec("l1", [1.0, 1.0])
+    sens = [1.0, 1.0]
     alloc = BudgetAllocation([0.9, 0.1])
     out = laplace_mechanism(np.zeros(2), PrivacyBudget(1.0), sens, alloc,
                             rng=FixedUniform(0.75))
@@ -196,7 +200,7 @@ def test_laplace_custom_alloc_changes_scales():
 
 
 def test_laplace_zero_sensitivity_coordinate_gets_no_noise():
-    sens = SensitivitySpec("l1", [0.0, 1.0])
+    sens = [0.0, 1.0]
     out = laplace_mechanism(np.array([5.0, 5.0]), PrivacyBudget(1.0), sens,
                             rng=FixedUniform(0.9))
     assert out[0] == 5.0
@@ -205,14 +209,14 @@ def test_laplace_zero_sensitivity_coordinate_gets_no_noise():
 
 def test_laplace_marginal_standard_deviation():
     # 100k draws: empirical sd of Lap(0, s) should approach s*sqrt(2).
-    sens = SensitivitySpec("l1", [1.0])
+    sens = [1.0]
     rng = RandomSource(5)
     draws = np.array([
         laplace_mechanism(np.zeros(1), PrivacyBudget(0.5), sens, rng=rng)[0]
         for _ in range(1000)])
     big = laplace_mechanism(np.zeros(100_000), PrivacyBudget(0.5),
-                            SensitivitySpec("l1", np.full(100_000, 1.0)),
-                            alloc=None, rng=RandomSource(6))
+                            np.full(100_000, 1.0), alloc=None,
+                            rng=RandomSource(6))
     # The vector call splits the budget across coordinates; instead rescale:
     # each coordinate has scale 100000/0.5, so normalize before comparing.
     z = big / (100_000 / 0.5)
@@ -223,13 +227,10 @@ def test_laplace_marginal_standard_deviation():
 def test_laplace_rejects_wrong_budget_and_norm():
     with pytest.raises(ValueError):
         laplace_mechanism(np.zeros(1), PrivacyBudget(1.0, 0.1, APPROXIMATE),
-                          SensitivitySpec("l1", [1.0]), rng=FixedUniform(0.5))
+                          [1.0], rng=FixedUniform(0.5))
     with pytest.raises(ValueError):
-        laplace_mechanism(np.zeros(1), PrivacyBudget(1.0),
-                          SensitivitySpec("l2", [1.0]), rng=FixedUniform(0.5))
-    with pytest.raises(ValueError):
-        laplace_mechanism(np.zeros(2), PrivacyBudget(1.0),
-                          SensitivitySpec("l1", [1.0]), rng=FixedUniform(0.5))
+        laplace_mechanism(np.zeros(2), PrivacyBudget(1.0), [1.0],
+                          rng=FixedUniform(0.5))
 
 
 # -- Gaussian ------------------------------------------------------------------
@@ -260,7 +261,7 @@ def test_gaussian_sigma_rejects_large_epsilon_approximate_only():
 
 def test_gaussian_composite_sensitivity_is_l2():
     budget = PrivacyBudget(0.5, 0.01, APPROXIMATE)
-    sens = SensitivitySpec("l2", [3.0, 4.0])
+    sens = [3.0, 4.0]
     seed = 11
     out = gaussian_mechanism(np.zeros(2), budget, sens,
                              rng=RandomSource(seed))
@@ -272,7 +273,7 @@ def test_gaussian_composite_sensitivity_is_l2():
 
 def test_gaussian_alloc_splits_budget():
     budget = PrivacyBudget(0.5, 0.01, APPROXIMATE)
-    sens = SensitivitySpec("l2", [1.0, 1.0])
+    sens = [1.0, 1.0]
     alloc = BudgetAllocation([0.5, 0.5])
     seed = 3
     out = gaussian_mechanism(np.zeros(2), budget, sens, alloc,
@@ -286,11 +287,8 @@ def test_gaussian_alloc_splits_budget():
 
 def test_gaussian_rejects_pure_budget_and_l1():
     with pytest.raises(ValueError):
-        gaussian_mechanism(np.zeros(1), PrivacyBudget(0.5),
-                           SensitivitySpec("l2", [1.0]), rng=FixedUniform(0.5))
-    with pytest.raises(ValueError):
-        gaussian_mechanism(np.zeros(1), PrivacyBudget(0.5, 0.1, APPROXIMATE),
-                           SensitivitySpec("l1", [1.0]), rng=FixedUniform(0.5))
+        gaussian_mechanism(np.zeros(1), PrivacyBudget(0.5), [1.0],
+                           rng=FixedUniform(0.5))
 
 
 # -- joint mechanism -----------------------------------------------------------
@@ -298,32 +296,27 @@ def test_gaussian_rejects_pure_budget_and_l1():
 def test_joint_mechanism_validation():
     pure = PrivacyBudget(1.0)
     approx = PrivacyBudget(0.5, 0.01, APPROXIMATE)
-    for budget, norm, sens in ((approx, "l1", 1.0), (pure, "l2", 1.0),
-                               (pure, "linf", 1.0), (pure, "l1", -1.0),
-                               (approx, "l2", math.inf),
-                               (pure, "l1", math.nan)):
+    for budget, sens in ((pure, -1.0), (approx, math.inf),
+                         (pure, math.nan)):
         with pytest.raises(ValueError):
-            joint_mechanism(np.zeros(2), budget, norm, sens,
-                            FixedUniform(0.5))
+            joint_mechanism(np.zeros(2), budget, sens, FixedUniform(0.5))
 
 
 def test_joint_mechanism_draws_one_uniform_per_coordinate():
     rng = RandomSource(8)
-    joint_mechanism(np.zeros(5), PrivacyBudget(1.0), "l1", 2.0, rng)
+    joint_mechanism(np.zeros(5), PrivacyBudget(1.0), 2.0, rng)
     assert rng.uniform() == RandomSource(8).uniform(6)[5]
 
 
 def test_default_allocations_reduce_to_joint_mechanism():
     values = np.array([1.0, -2.0, 3.5])
     pure = PrivacyBudget(0.8)
-    a = laplace_mechanism(values, pure, SensitivitySpec("l1", [1.0, 2.0, 3.0]),
-                          rng=RandomSource(9))
-    b = joint_mechanism(values, pure, "l1", 6.0, RandomSource(9))
+    a = laplace_mechanism(values, pure, [1.0, 2.0, 3.0], rng=RandomSource(9))
+    b = joint_mechanism(values, pure, 6.0, RandomSource(9))
     assert np.array_equal(a, b)
     approx = PrivacyBudget(0.5, 0.01, APPROXIMATE)
-    a = gaussian_mechanism(values[:2], approx, SensitivitySpec("l2", [3, 4]),
-                           rng=RandomSource(9))
-    b = joint_mechanism(values[:2], approx, "l2", 5.0, RandomSource(9))
+    a = gaussian_mechanism(values[:2], approx, [3, 4], rng=RandomSource(9))
+    b = joint_mechanism(values[:2], approx, 5.0, RandomSource(9))
     assert np.array_equal(a, b)
 
 
@@ -337,10 +330,10 @@ def test_joint_mechanism_is_bitwise_the_reference_for_each_input_type(
     values = (np.arange(2040) % 7 - 3).astype(dtype)
     pure = PrivacyBudget(0.7)
     approx = PrivacyBudget(0.5, 1e-6, APPROXIMATE)
-    got = joint_mechanism(values, pure, "l1", 2.0, RandomSource(4))
+    got = joint_mechanism(values, pure, 2.0, RandomSource(4))
     assert got.dtype == np.float64
     assert got.tobytes() == reference_laplace(values, 2.0 / 0.7, 4).tobytes()
-    got = joint_mechanism(values, approx, "l2", 2.0, RandomSource(4))
+    got = joint_mechanism(values, approx, 2.0, RandomSource(4))
     want = reference_gaussian(values, gaussian_sigma(approx, 2.0), 4)
     assert got.tobytes() == want.tobytes()
     assert values.dtype == np.dtype(dtype)  # the input is not written
@@ -351,23 +344,20 @@ def test_mech_releases_are_bitwise_the_reference_formulas():
     deltas = np.array([1.0, 0.0, 2.0, 0.5, 1.0])
     alloc = BudgetAllocation([0.1, 0.2, 0.3, 0.25, 0.15])
     pure = PrivacyBudget(0.8)
-    got = laplace_mechanism(values, pure, SensitivitySpec("l1", deltas),
-                            rng=RandomSource(6))
+    got = laplace_mechanism(values, pure, deltas, rng=RandomSource(6))
     want = reference_laplace(values, deltas.sum() / 0.8, 6)
     assert got.tobytes() == np.where(deltas > 0, want, values).tobytes()
-    got = laplace_mechanism(values, pure, SensitivitySpec("l1", deltas),
-                            alloc, RandomSource(6))
+    got = laplace_mechanism(values, pure, deltas, alloc, RandomSource(6))
     scales = np.where(deltas > 0, deltas / (0.8 * alloc.proportions), 0.0)
     assert got.tobytes() == reference_laplace(values, scales, 6).tobytes()
     for variant in (APPROXIMATE, PROBABILISTIC):
         budget = PrivacyBudget(0.5, 1e-5, variant)
-        got = gaussian_mechanism(values, budget, SensitivitySpec("l2", deltas),
-                                 rng=RandomSource(6))
+        got = gaussian_mechanism(values, budget, deltas, rng=RandomSource(6))
         sigma = gaussian_sigma(budget, math.sqrt(float(deltas @ deltas)))
         assert got.tobytes() == \
             reference_gaussian(values, sigma, 6).tobytes()
-        got = gaussian_mechanism(values, budget, SensitivitySpec("l2", deltas),
-                                 alloc, RandomSource(6))
+        got = gaussian_mechanism(values, budget, deltas, alloc,
+                                 RandomSource(6))
         sigmas = np.array([
             gaussian_sigma(PrivacyBudget(0.5 * a, 1e-5 * a, variant), d)
             for a, d in zip(alloc.proportions, deltas)])

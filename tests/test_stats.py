@@ -386,18 +386,32 @@ def test_million_cell_release_peak_memory(kind, mechanism, limit_mib):
 
 
 def test_count_release_builds_no_sensitivity_vector(monkeypatch):
-    from dpkit import mechanisms
+    """A release adds noise by one joint_mechanism call, never through a
+    per-coordinate mechanism and its sensitivity vector."""
+    from dpkit import mechanisms, stats
 
-    def refuse(self):
-        raise AssertionError("a count release built a SensitivitySpec")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a release called a per-coordinate mechanism")
 
-    monkeypatch.setattr(mechanisms.SensitivitySpec, "__post_init__", refuse)
+    calls = []
+
+    def joint(*args):
+        calls.append(args[1])
+        return mechanisms.joint_mechanism(*args)
+
+    for name in ("laplace_mechanism", "gaussian_mechanism"):
+        monkeypatch.setattr(mechanisms, name, refuse)
+    monkeypatch.setattr(stats, "joint_mechanism", joint)
     gauss = StatRequest(PrivacyBudget(0.5, 1e-6, APPROXIMATE), GAUSSIAN)
     for req in (PURE_REQ, gauss):
+        calls.clear()
         histogram_dp(np.arange(10.0), HistogramSpec([0, 3, 6, 9]), req,
                      RandomSource(1))
+        assert calls == [req.budget]
         table_dp([["a", "b"]], [["a", "b"]], req, RandomSource(2))
+        assert calls == [req.budget] * 2
         mean_dp(np.arange(10.0), Bounds(0, 10), req, RandomSource(3))
+        assert calls == [req.budget] * 3
 
 
 def test_gaussian_mean_release():
@@ -405,7 +419,6 @@ def test_gaussian_mean_release():
                       mechanism=GAUSSIAN)
     res = mean_dp(np.arange(100.0), Bounds(0, 100), req, RandomSource(0))
     assert res.mechanism == GAUSSIAN
-    assert res.delta == 0.01
     assert abs(res.value - 49.5) < 50  # sanity only; noise dominates
 
 
