@@ -45,8 +45,9 @@ from .tuning import Candidate, tune_classification, tune_linreg
 # mechanism or budget action. Their parser default is None, so a flag given
 # to a subject that does not read it is refused rather than dropped, and a
 # _REQUIRED flag its subject reads must be given. tune shares fit's entries;
-# a flag absent from a command's parser takes its default. The svm reads the
-# _GAUSSIAN_FLAGS only with --kernel gaussian.
+# a flag absent from a command's parser takes its default. _CONDITIONS maps
+# a flag read only under a condition on other flags to the condition's text
+# and its test of the args.
 _REQUIRED = object()
 _SCALARS = ("mean", "var", "sd", "cov", "pooled-var", "pooled-cov")
 _SUBJECT_FLAGS = {
@@ -56,7 +57,7 @@ _SUBJECT_FLAGS = {
         "columns": (_REQUIRED, ("cov", "pooled-cov", "table")),
         "group-column": (_REQUIRED, ("pooled-var", "pooled-cov")),
         "bounds": (_REQUIRED, _SCALARS + ("quantile", "median")),
-        "mechanism": ("laplace", _SCALARS + ("histogram", "table")),
+        "mechanism": (None, _SCALARS + ("histogram", "table")),
         "q": (0.5, ("quantile",)),
         "breaks": (_REQUIRED, ("histogram",)),
         "normalize": (False, ("histogram",)),
@@ -66,7 +67,7 @@ _SUBJECT_FLAGS = {
     },
     "fit": {
         "method": ("output", ("logit", "svm")),
-        "weight-upper-bound": (1.0, ("logit", "svm")),
+        "weight-upper-bound": (1.0, ("svm",)),
         "huber-h": (0.5, ("svm",)),
         "kernel": ("linear", ("svm",)),
         "weights-column": (None, ("svm",)),
@@ -84,25 +85,26 @@ _SUBJECT_FLAGS = {
     "budget": {"cap": (_REQUIRED, ("check",))},
 }
 _SUBJECT_FLAGS["tune"] = _SUBJECT_FLAGS["fit"]
-_GAUSSIAN_FLAGS = ("rff-dim", "kernel-param")
+_GAUSSIAN = (", with --kernel gaussian", lambda a: a.kernel == "gaussian")
+_CONDITIONS = {"rff-dim": _GAUSSIAN, "kernel-param": _GAUSSIAN,
+               "weight-upper-bound": (", with --weights-column",
+                                      lambda a: a.weights_column is not None)}
 
 
 def _subject_flags(args, subject: str) -> None:
     """Refuse each flag of ``args`` that ``subject`` does not read, refuse a
     required flag it reads that was left out, and give the other flags it
     reads that were left out their defaults."""
-    gaussian = getattr(args, "kernel", None) == "gaussian"
     for flag, (default, readers) in _SUBJECT_FLAGS[args.cmd].items():
         dest = flag.replace("-", "_")
+        needs, met = _CONDITIONS.get(flag, ("", None))
         if getattr(args, dest, None) is None:
             if subject in readers and default is _REQUIRED:
                 raise ValueError(f"--{flag} is required")
             setattr(args, dest, default if subject in readers else None)
-        elif subject not in readers or (flag in _GAUSSIAN_FLAGS
-                                        and not gaussian):
-            kernel = ", with --kernel gaussian" * (flag in _GAUSSIAN_FLAGS)
+        elif subject not in readers or not (met is None or met(args)):
             raise ValueError(f"--{flag} applies to {args.cmd} "
-                             f"{'|'.join(readers)} only{kernel}")
+                             f"{'|'.join(readers)} only{needs}")
 
 
 # -- parsing helpers ---------------------------------------------------------
@@ -264,10 +266,7 @@ def _cmd_stat(args) -> dict:
     _subject_flags(args, name)
     columns = _read_csv(args.input)
     budget = _budget(args)
-    # quantile and median read no --mechanism: they sample under their own
-    # pure-budget rule.
-    req = (None if args.mechanism is None
-           else StatRequest(budget, args.mechanism, args.neighbor))
+    req = StatRequest(budget, args.mechanism, args.neighbor)
     rng = RandomSource(args.seed)
     x = None if args.column is None else _numeric_column(columns, args.column)
     names = None if args.columns is None else args.columns.split(",")
@@ -291,7 +290,7 @@ def _cmd_stat(args) -> dict:
     elif name == "pooled-var":
         released = pooled_var_dp(_groups(columns, x, args.group_column),
                                  bounds[0], req, rng, args.approx_n_max)
-    elif name in ("quantile", "median"):
+    elif name in ("quantile", "median"):  # under their own pure-budget rule
         require_bounded(name, args.neighbor)
         q = 0.5 if name == "median" else args.q
         released = quantile_dp(x, q, budget, bounds[0], rng=rng)
@@ -334,7 +333,7 @@ def _fitter(args, columns, bounds, budget, gamma):
     if args.model == "linreg":
         return lambda X, y, rng: fit_linreg(X, y, bounds, budget, gamma,
                                             args.add_bias, rng)
-    cfg = ErmConfig(budget, gamma, args.method, args.weight_upper_bound)
+    cfg = ErmConfig(budget, gamma, args.method)
     if args.model == "logit":
         return lambda X, y, rng: fit_logistic(X, y, bounds, cfg,
                                               args.add_bias, rng)
@@ -342,7 +341,8 @@ def _fitter(args, columns, bounds, budget, gamma):
                if args.weights_column else None)
     return lambda X, y, rng: fit_svm(X, y, bounds, cfg, args.kernel,
                                      args.rff_dim, args.kernel_param,
-                                     args.huber_h, weights, args.add_bias,
+                                     args.huber_h, weights,
+                                     args.weight_upper_bound, args.add_bias,
                                      rng)
 
 
@@ -484,7 +484,7 @@ def _add_stat(sub):
                     "separated for multiple columns")
     _add_budget_flags(st)
     st.add_argument("--mechanism", choices=["laplace", "gaussian"],
-                    help="default laplace")
+                    help="default: gaussian with --delta, else laplace")
     st.add_argument("--neighbor", choices=["bounded", "unbounded"],
                     default="bounded",
                     help="unbounded (a row added or removed) applies to "
@@ -522,7 +522,7 @@ def _add_fit(sub):
     ft.add_argument("--huber-h", type=float, help="svm; default 0.5")
     ft.add_argument("--weights-column", help="svm")
     ft.add_argument("--weight-upper-bound", type=float,
-                    help="logit and svm; default 1")
+                    help="svm with --weights-column; default 1")
     ft.add_argument("--output", required=True, help="model JSON path")
     _add_common(ft)
     ft.set_defaults(handler=_cmd_fit)

@@ -56,7 +56,6 @@ class ErmConfig:
     budget: PrivacyBudget
     gamma: float
     perturbation: str = "output"  # "output" or "objective"
-    weight_upper_bound: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.gamma < math.inf):
@@ -64,8 +63,6 @@ class ErmConfig:
                              "and positive")
         if self.perturbation not in ("output", "objective"):
             raise ValueError("perturbation must be 'output' or 'objective'")
-        if not (0.0 < self.weight_upper_bound < math.inf):
-            raise ValueError("weight_upper_bound must be finite and positive")
 
 
 @dataclass
@@ -161,7 +158,7 @@ def _check_rows(X: np.ndarray, limit: float):
     data."""
     if X.shape[0] == 0:
         raise ValueError(NO_ROWS)
-    norms = np.linalg.norm(X, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", X, X))  # no n x p temporary
     if not norms.max() <= limit + _ROW_NORM_TOL:  # NaN too
         raise ValueError(f"row l2 norms must be finite and at most "
                          f"{limit:.6g}")
@@ -225,15 +222,17 @@ def _converged_minimizer(fun, grad, hessp, p: int) -> np.ndarray:
 
 
 def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
+            weight_upper_bound: float = 1.0,
             rng: RandomSource | None = None) -> np.ndarray:
     """Classification-path private ERM (output or objective perturbation).
 
     Requires row norms <= 1, labels in {-1, +1} and |dloss/dscore| <= 1;
     the fixed regularizer makes the objective gamma/n-strongly convex, as
-    both paths' sensitivity bounds assume. The objective path reads the
-    loss curvature bound and rejects non-uniform weights. Raises
-    SolverNotConvergedError instead of releasing a point at which the solver
-    did not converge.
+    both paths' sensitivity bounds assume. Weights lie in [0,
+    weight_upper_bound], which scales the output noise; without weights
+    every row weighs 1. The objective path reads the loss curvature bound
+    and rejects non-uniform weights. Raises SolverNotConvergedError instead
+    of releasing a point at which the solver did not converge.
     """
     if rng is None:
         rng = RandomSource()  # seeded from OS entropy
@@ -248,11 +247,13 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
     if cfg.budget.variant != PURE:
         raise ValueError("classification-path ERM provides pure DP only")
 
+    ub = 1.0 if weights is None else weight_upper_bound  # unweighted: 1
+    if not (0.0 < ub < math.inf):
+        raise ValueError("weight_upper_bound must be finite and positive")
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (n,):
             raise ValueError("weights must match the number of rows")
-        ub = cfg.weight_upper_bound
         if not np.all((weights >= 0.0) & (weights <= ub + 1e-12)):
             raise ValueError("weights must lie in [0, weight_upper_bound]")
         if np.all(weights == 1.0):
@@ -264,7 +265,7 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
         theta = _converged_minimizer(
             *_empirical_objective(X, y, loss, cfg.gamma, weights), p)
         # Noise with density proportional to exp(-beta * ||b||_2).
-        beta = cfg.gamma * eps / (2.0 * cfg.weight_upper_bound)
+        beta = cfg.gamma * eps / (2.0 * ub)
         return theta + sample_sphere_gamma(p, 1.0 / beta, rng)
 
     # Objective perturbation.

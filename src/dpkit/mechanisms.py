@@ -230,32 +230,36 @@ def exponential_mechanism(utility, budget: PrivacyBudget, sens_u: float,
     measure_i * exp(eps * u_i / (2 * sens_u)).
 
     Uses max-subtraction before exponentiation, so utility ranges spanning
-    [-1e6, 1e6] are handled without overflow.
+    [-1e6, 1e6] are handled without overflow; a utility of -inf weighs 0.
     """
     if rng is None:
         rng = RandomSource()  # seeded from OS entropy
     if budget.variant != PURE:
         raise ValueError("exponential mechanism requires a pure-DP budget")
-    if sens_u < 0.0:
-        raise ValueError("utility sensitivity must be nonnegative")
+    if not (0.0 <= sens_u < math.inf):
+        raise ValueError("utility sensitivity must be finite and nonnegative")
     utility = np.atleast_1d(np.asarray(utility, dtype=np.float64))
     if utility.size == 0:
         raise ValueError("utility vector must be nonempty")
+    if not np.all(utility < math.inf):  # NaN too
+        raise ValueError("utilities must not be NaN or +inf")
     if measure is None:
         measure = np.ones(utility.shape[0])
     else:
         measure = np.atleast_1d(np.asarray(measure, dtype=np.float64))
         if measure.shape != utility.shape:
             raise ValueError("measure length does not match utility")
-        if np.any(measure < 0.0):
-            raise ValueError("measure weights must be nonnegative")
+        if not np.all((measure >= 0.0) & (measure < math.inf)):  # NaN too
+            raise ValueError("measure weights must be finite and nonnegative")
         if not np.any(measure > 0.0):
             raise ValueError("measure must not be all zero")
 
     # Shift by the best attainable utility (measure > 0), so the exponent is
     # nonpositive wherever it matters and never overflows.
     active = measure > 0.0
-    shifted = utility - utility[active].max()
+    best = utility[active].max()
+    if best == -math.inf:
+        raise ValueError("every utility of positive measure is -inf")
     if sens_u == 0.0:
         if np.any(utility != utility[0]):
             raise ValueError("zero utility sensitivity with non-constant "
@@ -263,14 +267,14 @@ def exponential_mechanism(utility, budget: PrivacyBudget, sens_u: float,
         weights = measure.astype(np.float64)
     else:
         weights = np.zeros(utility.shape[0])
-        weights[active] = measure[active] * np.exp(
-            budget.epsilon * shifted[active] / (2.0 * sens_u))
+        with np.errstate(over="ignore"):  # past the float range: weight 0
+            weights[active] = measure[active] * np.exp(
+                budget.epsilon * (utility[active] - best) / 2.0 / sens_u)
 
     cumulative = np.cumsum(weights)
     total = cumulative[-1]
-    if not (total > 0.0) or not math.isfinite(total):
-        raise ValueError("selection weights degenerate (all zero or "
-                         "non-finite)")
+    if not math.isfinite(total):  # finite measures can sum past the range
+        raise ValueError("measure weights must have a finite sum")
     u = float(rng.uniform())
     # First index whose cumulative weight reaches u * total.
     return int(np.searchsorted(cumulative, u * total, side="left"))

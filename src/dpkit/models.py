@@ -257,8 +257,8 @@ def _config(budget: PrivacyBudget, gamma: float, **extra) -> dict:
 
 def _fit_scaled_classifier(kind: str, X: np.ndarray, y_pm: np.ndarray,
                            bounds: list[Bounds], cfg: ErmConfig,
-                           loss: LossSpec, weights, add_bias: bool,
-                           rng: RandomSource | None,
+                           loss: LossSpec, weights, weight_upper_bound: float,
+                           add_bias: bool, rng: RandomSource | None,
                            huber_h: float | None = None, **extra
                            ) -> TrainedModel:
     """Scale the rows into the unit ball by their declared bounds, fit by
@@ -267,7 +267,7 @@ def _fit_scaled_classifier(kind: str, X: np.ndarray, y_pm: np.ndarray,
     divisors = _column_divisors(bounds, add_bias)
     scaler = FeatureScaler(divisors, math.sqrt(divisors.size))
     theta = erm_cms(scaler.scale(_with_bias(X, add_bias)), y_pm, loss, cfg,
-                    weights, rng)
+                    weights, weight_upper_bound, rng)
     return TrainedModel(kind, scaler.unscale_coefficients(theta), scaler,
                         add_bias, huber_h=huber_h,
                         config=_config(cfg.budget, cfg.gamma,
@@ -278,14 +278,15 @@ def fit_logistic(X, y, bounds: list[Bounds], cfg: ErmConfig,
                  add_bias: bool = False,
                  rng: RandomSource | None = None) -> TrainedModel:
     return _fit_scaled_classifier("logistic", _as_matrix(X), _pm_labels(y),
-                                  bounds, cfg, logistic_loss(), None,
+                                  bounds, cfg, logistic_loss(), None, 1.0,
                                   add_bias, rng)
 
 
 def fit_svm(X, y, bounds: list[Bounds] | None, cfg: ErmConfig,
             kernel: str = "linear", rff_dim: int | None = None,
             kernel_param: float | None = None, huber_h: float = 0.5,
-            weights=None, add_bias: bool = False,
+            weights=None, weight_upper_bound: float = 1.0,
+            add_bias: bool = False,
             rng: RandomSource | None = None) -> TrainedModel:
     X = _as_matrix(X)
     y_pm = _pm_labels(y)
@@ -295,8 +296,8 @@ def fit_svm(X, y, bounds: list[Bounds] | None, cfg: ErmConfig,
         if bounds is None:
             raise ValueError("the linear kernel requires column bounds")
         return _fit_scaled_classifier("svm_linear", X, y_pm, bounds, cfg,
-                                      loss, weights, add_bias, rng,
-                                      huber_h, kernel="linear")
+                                      loss, weights, weight_upper_bound,
+                                      add_bias, rng, huber_h, kernel="linear")
 
     if kernel != "gaussian":
         raise ValueError("kernel must be 'linear' or 'gaussian'")
@@ -317,7 +318,8 @@ def fit_svm(X, y, bounds: list[Bounds] | None, cfg: ErmConfig,
     # replayable; releasing it is privacy-free (the features never see data).
     rff_seed = int(rng.uniform() * 2 ** 31)
     proj = RffProjection.create(p, rff_dim, beta, rff_seed)
-    theta = erm_cms(proj.transform(X), y_pm, loss, cfg, weights, rng)
+    theta = erm_cms(proj.transform(X), y_pm, loss, cfg, weights,
+                    weight_upper_bound, rng)
     return TrainedModel("svm_gaussian", theta, None, False, rff=proj,
                         huber_h=huber_h,
                         config=_config(cfg.budget, cfg.gamma,

@@ -18,17 +18,20 @@ interval the exponential mechanism picks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
-from .mechanisms import (PURE, PrivacyBudget, RandomSource,
-                         exponential_mechanism, joint_mechanism)
+from .mechanisms import (APPROXIMATE, PROBABILISTIC, PURE, PrivacyBudget,
+                         RandomSource, exponential_mechanism,
+                         joint_mechanism)
 
 LAPLACE = "laplace"
 GAUSSIAN = "gaussian"
 BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
+# The mechanism each budget variant picks.
+_MECHANISM = {PURE: LAPLACE, APPROXIMATE: GAUSSIAN, PROBABILISTIC: GAUSSIAN}
 
 
 @dataclass(frozen=True)
@@ -48,18 +51,17 @@ class Bounds:
 @dataclass(frozen=True)
 class StatRequest:
     budget: PrivacyBudget
-    mechanism: str = LAPLACE
+    mechanism: InitVar[str | None] = None  # if given, the budget's pick
     neighbor: str = BOUNDED
 
-    def __post_init__(self):
-        if self.mechanism not in (LAPLACE, GAUSSIAN):
-            raise ValueError("mechanism must be 'laplace' or 'gaussian'")
+    def __post_init__(self, mechanism):
         if self.neighbor not in (BOUNDED, UNBOUNDED):
             raise ValueError("neighbor must be 'bounded' or 'unbounded'")
-        if self.mechanism == LAPLACE and self.budget.variant != PURE:
-            raise ValueError("the Laplace mechanism requires a pure budget")
-        if self.mechanism == GAUSSIAN and self.budget.delta <= 0.0:
-            raise ValueError("the Gaussian mechanism requires delta > 0")
+        if mechanism not in (None, _MECHANISM[self.budget.variant]):
+            raise ValueError({
+                LAPLACE: "the Laplace mechanism requires a pure budget",
+                GAUSSIAN: "the Gaussian mechanism requires delta > 0",
+            }.get(mechanism, "mechanism must be 'laplace' or 'gaussian'"))
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,8 @@ def _scalar_release(statistic: str, value: float, sensitivity: float,
                     detail: dict) -> StatResult:
     require_bounded(statistic, req.neighbor)
     noisy = joint_mechanism(np.array([value]), req.budget, sensitivity, rng)
-    return StatResult(statistic, float(noisy[0]), sensitivity, req.mechanism,
-                      BOUNDED, detail)
+    return StatResult(statistic, float(noisy[0]), sensitivity,
+                      _MECHANISM[req.budget.variant], BOUNDED, detail)
 
 
 def mean_dp(x, bounds: Bounds, req: StatRequest, rng: RandomSource):
@@ -202,29 +204,30 @@ def pooled_cov_dp(pairs, bounds1: Bounds, bounds2: Bounds, req: StatRequest,
                            {"n": total_n, "groups": k, "n_max": n_max})
 
 
-def count_sensitivity(neighbor: str, mechanism: str) -> float:
-    """Joint sensitivity of a count vector (histogram or contingency table).
+def count_sensitivity(neighbor: str, budget: PrivacyBudget) -> float:
+    """Joint sensitivity of a count vector (histogram or contingency table),
+    in the norm of the mechanism the budget picks.
 
     A modified record moves two cells by one each (l1 = 2, l2 = sqrt(2));
     an added/removed record moves one cell by one (l1 = l2 = 1).
     """
     if neighbor == BOUNDED:
-        return 2.0 if mechanism == LAPLACE else math.sqrt(2.0)
+        return 2.0 if budget.variant == PURE else math.sqrt(2.0)
     return 1.0
 
 
 def _release_counts(statistic: str, counts: np.ndarray, req: StatRequest,
                     rng: RandomSource, allow_negative: bool, detail: dict,
                     postprocess=None) -> StatResult:
-    sensitivity = count_sensitivity(req.neighbor, req.mechanism)
+    sensitivity = count_sensitivity(req.neighbor, req.budget)
     # The integer counts go in as they are, with no float copy, and the
     # released vector is clipped in place.
     noisy = joint_mechanism(counts, req.budget, sensitivity, rng)
     if not allow_negative:
         np.maximum(noisy, 0.0, out=noisy)
     value = postprocess(noisy) if postprocess is not None else noisy
-    return StatResult(statistic, value, sensitivity, req.mechanism,
-                      req.neighbor, detail)
+    return StatResult(statistic, value, sensitivity,
+                      _MECHANISM[req.budget.variant], req.neighbor, detail)
 
 
 def histogram_dp(x, spec: HistogramSpec, req: StatRequest, rng: RandomSource):

@@ -49,8 +49,8 @@ def test_criterion_01_sensitivity_fixtures():
     ok = mean_dp(x, b, req, rng).sensitivity == 0.05
     ok &= var_dp(x, b, req, rng).sensitivity == 0.25
     from dpkit.stats import count_sensitivity
-    ok &= count_sensitivity("bounded", "laplace") == 2.0
-    ok &= count_sensitivity("unbounded", "laplace") == 1.0
+    ok &= count_sensitivity("bounded", PrivacyBudget(1.0)) == 2.0
+    ok &= count_sensitivity("unbounded", PrivacyBudget(1.0)) == 1.0
     _verdict(1, "sensitivity-fixtures", bool(ok))
 
 

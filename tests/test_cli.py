@@ -1,7 +1,10 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +59,88 @@ def test_stat_mean_gaussian_report(capsys, data_csv):
     assert report["result"]["detail"]["n"] == 100
     assert report["result"]["sensitivity"] == pytest.approx(0.05)
     assert 4.0 < report["result"]["value"] < 11.0
+
+
+_GAUSSIAN_STATS = {
+    "mean": ["--column", "x", "--bounds", "5,10"],
+    "var": ["--column", "x", "--bounds", "5,10"],
+    "histogram": ["--column", "x", "--breaks", "5,7,10", "--allow-negative"],
+    "table": ["--columns", "g", "--categories", "a,b", "--allow-negative"]}
+
+
+@pytest.mark.parametrize("statistic", sorted(_GAUSSIAN_STATS))
+def test_a_delta_budget_picks_the_gaussian_mechanism(capsys, data_csv,
+                                                     statistic):
+    """Without --mechanism an (eps, delta) budget releases Gaussian noise of
+    sigma = gaussian_sigma(budget, l2 sensitivity), rebuilt here from the
+    seeded normals; naming the mechanism prints the same bytes."""
+    from dpkit import PrivacyBudget, RandomSource, gaussian_sigma
+
+    argv = ["stat", statistic, "--input", data_csv, "--epsilon", "0.5",
+            "--delta", "1e-5", "--seed", "4", *_GAUSSIAN_STATS[statistic]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    with open(data_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    x = np.array([float(r["x"]) for r in rows])  # inside the bounds
+    exact, sensitivity = {
+        "mean": (x.mean(), 5.0 / x.size),
+        "var": (x.var(ddof=1), 25.0 / x.size),
+        "histogram": (np.histogram(x, [5.0, 7.0, 10.0])[0], math.sqrt(2.0)),
+        "table": (np.array([sum(r["g"] == c for r in rows) for c in "ab"]),
+                  math.sqrt(2.0))}[statistic]
+    sigma = gaussian_sigma(PrivacyBudget(0.5, 1e-5, "approximate"),
+                           sensitivity)
+    noise = sigma * RandomSource(4).normal(np.size(exact))
+    result = json.loads(out)["result"]
+    assert result["mechanism"] == "gaussian"
+    assert result["sensitivity"] == sensitivity
+    assert np.array_equal(np.ravel(result["value"]), noise + exact)
+    _, named, _ = run_cli(capsys, *argv, "--mechanism", "gaussian")
+    assert named == out
+
+
+@pytest.mark.parametrize("budget,mechanism,message", [
+    (["--epsilon", "0.5", "--delta", "1e-5"], "laplace",
+     "the Laplace mechanism requires a pure budget"),
+    (["--epsilon", "1"], "gaussian",
+     "the Gaussian mechanism requires delta > 0")])
+@pytest.mark.parametrize("statistic", sorted(_GAUSSIAN_STATS))
+def test_a_mechanism_the_budget_does_not_pick_exits_3_uncharged(
+        capsys, data_csv, tmp_path, statistic, budget, mechanism, message):
+    ledger = tmp_path / "led.jsonl"
+    code, out, err = run_cli(capsys, "stat", statistic, "--input", data_csv,
+                             *budget, "--mechanism", mechanism,
+                             *_GAUSSIAN_STATS[statistic], "--ledger",
+                             str(ledger))
+    assert code == 3 and out == ""
+    assert err == f"dpkit: {message}\n"
+    assert not ledger.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--utility", "0,inf,2"], "utilities must not be NaN or +inf"),
+    (["--utility", "0,nan,2"], "utilities must not be NaN or +inf"),
+    (["--utility", "0,1,2", "--measure", "1,nan,1"],
+     "measure weights must be finite and nonnegative"),
+    (["--utility", "0,1,2", "--sensitivity", "nan"],
+     "utility sensitivity must be finite and nonnegative"),
+    (["--utility", "0,1,2", "--sensitivity", "inf"],
+     "utility sensitivity must be finite and nonnegative"),
+    (["--utility=-inf,-inf"], "every utility of positive measure is -inf")],
+    ids=["inf-utility", "nan-utility", "nan-measure", "nan-sensitivity",
+         "inf-sensitivity", "all-minus-inf"])
+def test_exponential_refuses_non_numbers_naming_the_input(capsys, tmp_path,
+                                                          flags, message):
+    ledger = tmp_path / "led.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the run
+        code, out, err = run_cli(capsys, "mech", "exponential", *flags,
+                                 "--epsilon", "1", "--seed", "1",
+                                 "--ledger", str(ledger))
+    assert code == 3 and out == ""
+    assert err == f"dpkit: {message}\n"
+    assert not ledger.exists()
 
 
 def test_reports_are_byte_identical_across_runs(capsys, data_csv):
@@ -254,7 +339,11 @@ _UNREAD_FLAGS = [
      "--method applies to fit logit|svm only"),
     ("fit", "linreg", ["--huber-h", "3"], "--huber-h applies to fit svm only"),
     ("fit", "linreg", ["--weight-upper-bound", "9"],
-     "--weight-upper-bound applies to fit logit|svm only"),
+     "--weight-upper-bound applies to fit svm only, with --weights-column"),
+    ("fit", "logit", ["--weight-upper-bound", "0.01"],
+     "--weight-upper-bound applies to fit svm only, with --weights-column"),
+    ("fit", "svm", ["--weight-upper-bound", "0.01"],
+     "--weight-upper-bound applies to fit svm only, with --weights-column"),
     ("fit", "logit", ["--huber-h", "3"], "--huber-h applies to fit svm only"),
     ("fit", "svm", ["--rff-dim", "20"],
      "--rff-dim applies to fit svm only, with --kernel gaussian"),
@@ -338,12 +427,23 @@ def test_header_only_csv_exits_3_uncharged(capsys, tmp_path, command, model,
     assert not ledger.exists() and not model_path.exists()
 
 
+def _weighted_csv(clf_csv, tmp_path, weight="1"):
+    """The a,b,label CSV with a weight column w of one value."""
+    lines = Path(clf_csv).read_text().splitlines()
+    path = tmp_path / "weighted.csv"
+    path.write_text("\n".join([lines[0] + ",w"] + [
+        f"{line},{weight}" for line in lines[1:]]) + "\n")
+    return str(path)
+
+
 def test_model_flags_a_model_reads_are_accepted(capsys, clf_csv, data_csv,
                                                 tmp_path):
     model_path = str(tmp_path / "m.json")
     for argv in (
-            _model_command("fit", "logit", clf_csv, "--method", "objective",
-                           "--weight-upper-bound", "2"),
+            _model_command("fit", "logit", clf_csv, "--method", "objective"),
+            _model_command("fit", "svm", _weighted_csv(clf_csv, tmp_path),
+                           "--weights-column", "w", "--weight-upper-bound",
+                           "2"),
             _model_command("fit", "svm", clf_csv, "--method", "objective",
                            "--huber-h", "0.3", "--kernel", "linear"),
             _model_command("fit", "svm", clf_csv, "--kernel", "gaussian",
@@ -398,7 +498,8 @@ def _sweep_cases():
 # value, the subjects that read it), where _ALL is every subject. A flag of
 # the parser missing here fails test_every_flag_is_classified, so each new
 # flag must be classified. The svm of _base_argv has a linear kernel, which
-# reads neither --rff-dim nor --kernel-param.
+# reads neither --rff-dim nor --kernel-param, and no --weights-column, so it
+# reads no --weight-upper-bound.
 _ALL = None
 _COMMON = {"--seed": ("3", _ALL), "--ledger": ("led.jsonl", _ALL),
            "--cap": ("1", _ALL), "--tag": ("t", _ALL)}
@@ -430,7 +531,7 @@ _FLAG_READS = {
     "fit": {
         **_FIT_READS, "--epsilon": ("1", _ALL), "--delta": ("0", _ALL),
         "--variant": ("approximate", _ALL), "--gamma": ("1", _ALL),
-        "--weight-upper-bound": ("1", ("logit", "svm")),
+        "--weight-upper-bound": ("1", ()),
         "--kernel": ("linear", ("svm",)), "--weights-column": ("w", ("svm",)),
         "--rff-dim": ("20", ()), "--kernel-param": ("0.5", ())},
     "tune": {
@@ -1089,6 +1190,28 @@ def test_classifier_fit_refuses_delta_uncharged(capsys, clf_csv, tmp_path,
     assert not ledger.exists() and not model_path.exists()
 
 
+def test_weight_bound_scales_the_noise_of_unit_weights(capsys, clf_csv,
+                                                      tmp_path):
+    # Weights of all 1 under --weight-upper-bound 2 draw Gamma-radial noise
+    # of scale 2 * 2 / (gamma * eps), as any weights under that bound do.
+    from dpkit import Bounds, ErmConfig, PrivacyBudget, RandomSource
+    from dpkit.erm import sample_sphere_gamma
+    from dpkit.models import fit_svm
+
+    code, out, err = run_cli(capsys, *_model_command(
+        "fit", "svm", _weighted_csv(clf_csv, tmp_path), "--weights-column",
+        "w", "--weight-upper-bound", "2"), "--seed", "5",
+        "--output", str(tmp_path / "m.json"))
+    assert code == 0, err
+    rows = np.loadtxt(clf_csv, delimiter=",", skiprows=1)
+    base = fit_svm(rows[:, :2], rows[:, 2], [Bounds(-1.0, 1.0)] * 2,
+                   ErmConfig(PrivacyBudget(1e8), 1.0))
+    noise = sample_sphere_gamma(2, 2.0 * 2.0 / (1.0 * 1.0), RandomSource(5))
+    want = base.coefficients + base.scaler.unscale_coefficients(noise)
+    got = json.loads(out)["result"]["coefficients"]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-6)
+
+
 @pytest.mark.parametrize("model,flag", [
     ("logit", "--weight-upper-bound"), ("svm", "--weight-upper-bound"),
     ("logit", "--gamma"), ("svm", "--gamma"), ("linreg", "--gamma")])
@@ -1096,13 +1219,21 @@ def test_classifier_fit_refuses_delta_uncharged(capsys, clf_csv, tmp_path,
 def test_fit_refuses_non_finite_gamma_and_weight_bound_uncharged(
         capsys, clf_csv, tmp_path, model, flag, value):
     # A NaN or infinite constant was charged and then fitted a NaN model,
-    # or divided by zero; it is refused before anything is spent.
+    # or divided by zero; it is refused before anything is spent. Only a
+    # weighted svm reads the weight bound; logit refuses the flag itself.
+    path, flags = clf_csv, [flag, value]
+    message = f"{flag[2:].replace('-', '_')} must be finite and positive"
+    if flag == "--weight-upper-bound" and model == "svm":
+        path = _weighted_csv(clf_csv, tmp_path, "0.5")
+        flags += ["--weights-column", "w"]
+    elif flag == "--weight-upper-bound":
+        message = "--weight-upper-bound applies to fit svm only"
     ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
     code, out, err = run_cli(capsys, *_model_command(
-        "fit", model, clf_csv, flag, value), "--ledger", str(ledger),
+        "fit", model, path, *flags), "--ledger", str(ledger),
         "--output", str(model_path))
     assert code == 3 and out == ""
-    assert f"{flag[2:].replace('-', '_')} must be finite and positive" in err
+    assert message in err
     _one_line_error(err)
     assert not ledger.exists() and not model_path.exists()
 

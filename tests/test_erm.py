@@ -249,14 +249,47 @@ def test_cms_weight_bound_shrinks_noise_via_beta():
     X, y = _toy_classification(50, 2, seed=3)
     norms = {}
     for ub in (1.0, 4.0):
-        cfg = ErmConfig(PrivacyBudget(1.0), 1.0, weight_upper_bound=ub)
+        cfg = ErmConfig(PrivacyBudget(1.0), 1.0)
         base = erm_cms(X, y, logistic_loss(), ErmConfig(HUGE, 1.0),
                        rng=RandomSource(0))
         draws = [erm_cms(X, y, logistic_loss(), cfg,
                          weights=np.minimum(np.ones(50), ub),
+                         weight_upper_bound=ub,
                          rng=RandomSource(s)) for s in range(40)]
         norms[ub] = np.mean([np.linalg.norm(d - base) for d in draws])
     assert norms[4.0] > 2.0 * norms[1.0]
+
+
+def test_cms_unweighted_fit_reads_no_weight_bound():
+    # Every unweighted row has weight 1, so the noise is that of bound 1.
+    X, y = _toy_classification(60, 2, seed=2)
+    cfg = ErmConfig(PrivacyBudget(1.0), 0.5)
+    assert "weight_upper_bound" not in ErmConfig.__dataclass_fields__
+    plain = erm_cms(X, y, huber_loss(), cfg, rng=RandomSource(9))
+    for ub in (0.01, math.nan):
+        assert np.array_equal(erm_cms(X, y, huber_loss(), cfg,
+                                      weight_upper_bound=ub,
+                                      rng=RandomSource(9)), plain)
+
+
+@pytest.mark.parametrize("ub", [0.0, -1.0, math.nan, math.inf])
+def test_cms_refuses_a_weight_bound_that_is_not_finite_and_positive(ub):
+    X, y = _toy_classification(20, 2)
+    with pytest.raises(ValueError, match="^weight_upper_bound must be "
+                                         "finite and positive$"):
+        erm_cms(X, y, huber_loss(), ErmConfig(PrivacyBudget(1.0), 1.0),
+                weights=np.zeros(20), weight_upper_bound=ub,
+                rng=RandomSource(0))
+
+
+def test_cms_refuses_non_finite_rows():
+    X, y = _toy_classification(20, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        Xb = X.copy()
+        Xb[4, 1] = bad
+        with pytest.raises(ValueError, match="row l2 norms must be finite"):
+            erm_cms(Xb, y, huber_loss(), ErmConfig(PrivacyBudget(1.0), 1.0),
+                    rng=RandomSource(0))
 
 
 def test_cms_objective_slack_branch():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -426,6 +427,31 @@ def test_exponential_validation():
         exponential_mechanism(np.zeros(2),
                               PrivacyBudget(1.0, 0.1, APPROXIMATE), 1.0,
                               rng=FixedUniform(0.5))
+
+
+def test_exponential_refuses_nan_and_infinite_inputs():
+    budget = PrivacyBudget(1.0)
+    for args, message in (
+            (([0.0, 1.0], math.nan), "sensitivity must be finite"),
+            (([0.0, 1.0], math.inf), "sensitivity must be finite"),
+            (([0.0, math.inf], 1.0), "must not be NaN or \\+inf"),
+            (([0.0, math.nan], 1.0), "must not be NaN or \\+inf"),
+            (([0.0, 1.0], 1.0, [1.0, math.nan]), "measure weights must be"),
+            (([0.0, 1.0], 1.0, [1.0, math.inf]), "measure weights must be"),
+            (([-math.inf, 1.0], 1.0, [1.0, 0.0]), "positive measure is -inf")):
+        utility, sens, *measure = args
+        with pytest.raises(ValueError, match=message):
+            exponential_mechanism(np.array(utility), budget, sens,
+                                  *measure, FixedUniform(0.5))
+    # -inf is a legal utility: weight 0, never selected, also where twice
+    # the sensitivity is past the float range.
+    for u in (0.001, 0.5, 0.999):
+        for sens in (1.0, 1e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert exponential_mechanism(
+                    np.array([0.0, -math.inf, 0.0]), budget, sens,
+                    rng=FixedUniform(u)) != 1
 
 
 def test_exponential_threshold_selection():

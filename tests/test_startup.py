@@ -127,3 +127,11 @@ def test_gaussian_module_run_matches_in_process_report(capsys, tmp_path):
         "--mechanism", "gaussian", "--seed", "1"))
     assert report["result"]["mechanism"] == "gaussian"
     assert 0.0 < report["result"]["value"] < 20.0
+
+
+def test_exponential_refusal_prints_no_numpy_warning():
+    # An infinite utility made numpy warn on stderr above the refusal.
+    done = _python("-m", "dpkit", "mech", "exponential", "--utility",
+                   "0,inf,2", "--epsilon", "1", "--seed", "1")
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == "dpkit: utilities must not be NaN or +inf\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -157,10 +158,12 @@ def test_pooled_cov_value():
 # -- histogram and table ---------------------------------------------------------
 
 def test_count_sensitivity_table():
-    assert count_sensitivity(BOUNDED, LAPLACE) == 2.0
-    assert count_sensitivity(BOUNDED, GAUSSIAN) == pytest.approx(math.sqrt(2))
-    assert count_sensitivity(UNBOUNDED, LAPLACE) == 1.0
-    assert count_sensitivity(UNBOUNDED, GAUSSIAN) == 1.0
+    # The budget picks the norm: l1 under a pure budget, l2 otherwise.
+    pure, approx = PrivacyBudget(1.0), PrivacyBudget(0.5, 1e-6, APPROXIMATE)
+    assert count_sensitivity(BOUNDED, pure) == 2.0
+    assert count_sensitivity(BOUNDED, approx) == pytest.approx(math.sqrt(2))
+    assert count_sensitivity(UNBOUNDED, pure) == 1.0
+    assert count_sensitivity(UNBOUNDED, approx) == 1.0
 
 
 def test_histogram_exact_counts_when_noiseless():
@@ -318,8 +321,8 @@ _COUNT_REQUESTS = {
 
 def _reference_counts(counts, req, seed, allow_negative):
     """The release of ``counts`` by the reference noise formulas."""
-    sens = count_sensitivity(req.neighbor, req.mechanism)
-    if req.mechanism == LAPLACE:
+    sens = count_sensitivity(req.neighbor, req.budget)
+    if req.budget.delta == 0.0:
         noisy = reference_laplace(counts, sens / req.budget.epsilon, seed)
     else:
         noisy = reference_gaussian(counts, gaussian_sigma(req.budget, sens),
@@ -423,14 +426,39 @@ def test_gaussian_mean_release():
 
 
 def test_stat_request_validation():
-    with pytest.raises(ValueError):
-        StatRequest(PrivacyBudget(1.0), mechanism=GAUSSIAN)  # needs delta
-    with pytest.raises(ValueError):
-        StatRequest(PrivacyBudget(1.0, 0.1, APPROXIMATE), mechanism=LAPLACE)
+    with pytest.raises(ValueError, match="^the Gaussian mechanism requires "
+                                         "delta > 0$"):
+        StatRequest(PrivacyBudget(1.0), mechanism=GAUSSIAN)
+    with pytest.raises(ValueError, match="^the Laplace mechanism requires a "
+                                         "pure budget$"):
+        StatRequest(PrivacyBudget(1.0, 0.1, APPROXIMATE), LAPLACE)
+    with pytest.raises(ValueError, match="must be 'laplace' or 'gaussian'"):
+        StatRequest(PrivacyBudget(1.0), "exponential")
     with pytest.raises(ValueError):
         StatRequest(PrivacyBudget(1.0), neighbor="weird")
     with pytest.raises(ValueError):
         StatRequest(PrivacyBudget(1.0), neighbor="both")
+
+
+def test_the_budget_picks_the_mechanism():
+    # A request holds no mechanism; a tag that names the budget's choice is
+    # accepted and kept nowhere.
+    assert [f.name for f in dataclasses.fields(StatRequest)] == [
+        "budget", "neighbor"]
+    approx = PrivacyBudget(0.5, 1e-6, APPROXIMATE)
+    assert StatRequest(approx, GAUSSIAN) == StatRequest(approx)
+    assert dataclasses.replace(StatRequest(approx, GAUSSIAN),
+                               neighbor=UNBOUNDED) == StatRequest(
+        approx, neighbor=UNBOUNDED)
+    for budget, mechanism in ((PrivacyBudget(1.0), LAPLACE),
+                              (approx, GAUSSIAN)):
+        x = np.arange(10.0)
+        res = mean_dp(x, Bounds(0, 10), StatRequest(budget), RandomSource(3))
+        assert res.mechanism == mechanism
+        counts = histogram_dp(x, HistogramSpec([0, 5, 10]),
+                              StatRequest(budget), RandomSource(3))
+        assert counts.mechanism == mechanism
+        assert counts.sensitivity == count_sensitivity(BOUNDED, budget)
 
 
 @pytest.mark.parametrize("release", [
