@@ -13,16 +13,13 @@ On disk a ledger is JSON Lines, one entry per line. ``BudgetLedger.charge``
 appends one line under an exclusive ``flock`` (POSIX), so concurrent
 processes charging the same file neither lose entries nor pass the cap.
 
-Next to the ledger, ``charge`` keeps a sidecar, ``<ledger>.totals``: one
-line holding the ledger's byte length, its CRC-32, the entry count and the
-exact epsilon and delta totals, followed by a CRC-32 of the line itself. It
-is a cache, safe to delete: a charge trusts it only when it is a regular
-file (not a symlink) of the ledger's owner and both the length and the
-CRC-32 match the ledger bytes it has just read under the lock, and otherwise
-parses every entry, as it would with no sidecar. A file of any other kind
-or owner under the sidecar's name is never overwritten. With a current
-sidecar a charge does no per-entry work in Python. It is rewritten in place
-under the same lock after each append; ``save`` and ``load`` ignore it.
+Each line that ``charge`` or ``save`` writes ends in a ``"totals"`` field:
+the entry count and the exact epsilon and delta totals up to and including
+that line, then a CRC-32 of every ledger byte before those CRC digits. A
+charge trusts the last line's totals only when that CRC matches the bytes it
+has just read under the lock, and otherwise parses every entry, as it would
+on a ledger whose lines have no totals. With a verified last line a charge
+does no per-entry work in Python. ``load`` ignores the field.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ import fcntl
 import json
 import math
 import os
-import stat
 import zlib
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -136,14 +132,21 @@ class BudgetLedger:
 
     @staticmethod
     def entry_to_line(entry: LedgerEntry) -> str:
+        """The entry's own JSON, without the running totals."""
         return json.dumps({"op": entry.operation_name, "eps": entry.epsilon,
                            "delta": entry.delta, "tag": entry.partition_tag,
                            "seq": entry.seq}, sort_keys=True)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in self._entries:
-                fh.write(self.entry_to_line(entry) + "\n")
+        lines, eps_units, delta_units, crc = [], 0, 0, 0
+        for count, entry in enumerate(self._entries, 1):
+            eps_units += _units(entry.epsilon)
+            delta_units += _units(entry.delta)
+            line = _line(entry, count, eps_units, delta_units, crc)
+            crc = zlib.crc32(line, crc)
+            lines.append(line)
+        with open(path, "wb") as fh:
+            fh.write(b"".join(lines))
 
     @classmethod
     def charge(cls, path, operation_name: str, epsilon: float,
@@ -154,23 +157,22 @@ class BudgetLedger:
         The ledger is read and the new entry is checked against ``cap`` and
         appended while an exclusive lock is held, so the check sees every
         charge that finished before it. A refused charge raises and writes
-        nothing; in particular it creates neither the ledger nor its
-        sidecar. The check needs only the entry count and the two totals,
-        which the sidecar holds when it matches the ledger bytes; otherwise
-        every entry is parsed and checked.
+        nothing; in particular it does not create the ledger. The check
+        needs only the entry count and the two totals, which the last line
+        holds when its CRC-32 matches the ledger bytes; otherwise every
+        entry is parsed and checked.
         """
         entry = LedgerEntry(operation_name, float(epsilon), float(delta),
                             partition_tag)
         if not os.path.exists(path):
             _check_cap(cap, 0, 0, entry)  # before opening creates the file
-        sidecar = os.fspath(path) + ".totals"
         with open(path, "ab+") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)  # released when fh closes
-            owner = os.fstat(fh.fileno())
             fh.seek(0)
             data = fh.read()
-            crc = zlib.crc32(data)
-            totals = _read_sidecar(sidecar, owner, len(data), crc)
+            crc = zlib.crc32(data[:-_CRC_TAIL])
+            totals = _last_totals(data, crc)
+            crc = zlib.crc32(data[-_CRC_TAIL:], crc)
             if totals is None:
                 records = _parse_records(data.decode("utf-8"), path)
                 totals = (len(records), *_exact_totals(records))
@@ -178,14 +180,12 @@ class BudgetLedger:
             entry = replace(entry, seq=count)
             eps_units, delta_units = _check_cap(cap, eps_units, delta_units,
                                                 entry)
-            line = (cls.entry_to_line(entry) + "\n").encode("utf-8")
-            if data and not data.endswith(b"\n"):
-                line = b"\n" + line  # a hand-edited last line lacks one
-            fh.write(line)
+            # A hand-edited last line may lack its newline; one write mends
+            # it and appends, so a crash tears at most one line.
+            mend = b"\n" if data and not data.endswith(b"\n") else b""
+            fh.write(mend + _line(entry, count + 1, eps_units, delta_units,
+                                  zlib.crc32(mend, crc)))
             fh.flush()
-            _write_sidecar(sidecar, owner, len(data) + len(line),
-                           zlib.crc32(line, crc), count + 1, eps_units,
-                           delta_units)
         return entry
 
     @classmethod
@@ -207,67 +207,51 @@ class BudgetLedger:
         return ledger
 
 
-def _open_sidecar(sidecar: str, owner: os.stat_result, flags: int) -> int:
-    """A descriptor for ``sidecar`` opened with ``flags``. Raise OSError
-    unless it is a regular file with one link, owned by the ledger's owner
-    on the ledger's device (``owner`` is the ledger's stat). A symlink is
-    not followed and a FIFO does not block, so a file planted under the
-    sidecar's name by anyone else is neither trusted nor overwritten."""
-    fd = os.open(sidecar, flags | os.O_NOFOLLOW | os.O_NONBLOCK, 0o666)
-    st = os.fstat(fd)
-    if (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
-            and st.st_uid == owner.st_uid and st.st_dev == owner.st_dev):
-        return fd
-    os.close(fd)
-    raise OSError(f"{sidecar} is not the ledger's own sidecar")
+# A line ends in its CRC-32, as 8 hex digits, and '"}\n'.
+_CRC_TAIL = 11
 
 
-def _read_sidecar(sidecar: str, owner: os.stat_result, length: int, crc: int
-                  ) -> tuple[int, int, int] | None:
-    """The entry count and exact totals that ``sidecar`` holds for a ledger
-    of ``length`` bytes with CRC-32 ``crc``, or None when it is missing,
-    torn, not the ledger's own (see ``_open_sidecar``), or was written for
-    other bytes."""
-    try:
-        with open(_open_sidecar(sidecar, owner, os.O_RDONLY), "rb") as fh:
-            text = fh.read()
-    except OSError:
+def _pack(units: int) -> str:
+    """``units`` as the hex of its odd part and a binary exponent, so that
+    0x7ef9db22d0e561 << 1018 is ``7ef9db22d0e561p1018``."""
+    shift = max((units & -units).bit_length() - 1, 0)
+    return f"{units >> shift:x}p{shift}"
+
+
+def _unpack(text: bytes) -> int:
+    """The units that ``_pack`` wrote as ``text``; ValueError for text it
+    could not have written, such as an exponent past every float total."""
+    odd, _, shift = text.partition(b"p")
+    if not 0 <= int(shift) <= 2 * _UNIT_BITS:
+        raise ValueError("exponent out of range")
+    return int(odd, 16) << int(shift)
+
+
+def _line(entry: LedgerEntry, count: int, eps_units: int, delta_units: int,
+          crc: int) -> bytes:
+    """The ledger line of ``entry`` as the ``count``-th entry, whose exact
+    totals through it are ``eps_units``/``delta_units``, after ledger bytes
+    of CRC-32 ``crc``. The line's own CRC-32 covers every ledger byte before
+    its digits."""
+    body = (BudgetLedger.entry_to_line(entry)[:-1] +
+            f', "totals": "{count} {_pack(eps_units)} {_pack(delta_units)} '
+            ).encode("utf-8")
+    return body + b'%08x"}\n' % zlib.crc32(body, crc)
+
+
+def _last_totals(data: bytes, crc: int) -> tuple[int, int, int] | None:
+    """The entry count and exact totals that the last line of the ledger
+    bytes ``data`` holds, or None unless that line ends in a "totals" field
+    whose CRC-32 digits equal ``crc``, the CRC-32 of every byte before
+    them. Any other last line, torn or written without totals, gives None."""
+    _, found, field = data.rpartition(b'"totals": "')
+    fields = field.split(b" ")
+    if not found or len(fields) != 4 or fields[3] != b'%08x"}\n' % crc:
         return None
-    body, _, check = text.rpartition(b" ")
-    fields = body.split()
-    if len(fields) != 5 or check != b"%08x\n" % zlib.crc32(body):
-        return None
     try:
-        seen_length, seen_crc, count, eps_units, delta_units = (
-            int(f, 16) for f in fields)
+        return int(fields[0]), _unpack(fields[1]), _unpack(fields[2])
     except ValueError:
         return None
-    if seen_length != length or seen_crc != crc:
-        return None
-    return count, eps_units, delta_units
-
-
-def _write_sidecar(sidecar: str, owner: os.stat_result, length: int,
-                   crc: int, count: int, eps_units: int,
-                   delta_units: int) -> None:
-    """Rewrite ``sidecar`` in place for a ledger of ``length`` bytes with
-    CRC-32 ``crc``. Opening without O_TRUNC and cutting the file to size
-    afterwards took about 5 us on ext4 (2-vCPU VM), where a truncating
-    rewrite took about 95 us. A write torn by a crash fails the line's own
-    CRC-32."""
-    if os.geteuid() != owner.st_uid:
-        return  # a sidecar this process made would not be trusted
-    body = b"%x %x %x %x %x" % (length, crc, count, eps_units, delta_units)
-    text = body + b" %08x\n" % zlib.crc32(body)
-    try:
-        fd = _open_sidecar(sidecar, owner, os.O_WRONLY | os.O_CREAT)
-        try:
-            os.pwrite(fd, text, 0)
-            os.ftruncate(fd, len(text))
-        finally:
-            os.close(fd)
-    except OSError:
-        pass  # the entry is on the ledger; the next charge parses it all
 
 
 def _parse_records(text: str, path) -> list[dict]:

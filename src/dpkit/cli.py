@@ -88,7 +88,9 @@ _SUBJECT_FLAGS["tune"] = _SUBJECT_FLAGS["fit"]
 _GAUSSIAN = (", with --kernel gaussian", lambda a: a.kernel == "gaussian")
 _CONDITIONS = {"rff-dim": _GAUSSIAN, "kernel-param": _GAUSSIAN,
                "weight-upper-bound": (", with --weights-column",
-                                      lambda a: a.weights_column is not None)}
+                                      lambda a: a.weights_column is not None),
+               "weights-column": (", with --method output",
+                                  lambda a: a.method == "output")}
 
 
 def _subject_flags(args, subject: str) -> None:
@@ -211,19 +213,24 @@ def _budget(args) -> PrivacyBudget:
                          args.variant or APPROXIMATE)
 
 
-def _report(command: str, result, epsilon: float, delta: float) -> dict:
+def _report(command: str, result, epsilon: float, delta: float) -> str:
+    """The run report as strict JSON text: a value that is not finite
+    raises ValueError rather than print as NaN or Infinity."""
     # No seed: whoever knows it can replay the noise and subtract it.
-    return {"command": command, "epsilon_used": epsilon, "delta_used": delta,
-            "result": result}
+    return json.dumps({"command": command, "epsilon_used": epsilon,
+                       "delta_used": delta, "result": result},
+                      sort_keys=True, indent=2, allow_nan=False)
 
 
 def _release(args, command: str, epsilon: float, delta: float,
-             result) -> dict:
-    """Charge (epsilon, delta) to --ledger under --cap, then build the report.
+             result) -> str:
+    """Build the report, then charge (epsilon, delta) to --ledger under
+    --cap, and return the report.
 
-    The one path by which a command that spends budget reports: a refused
-    charge raises before anything is printed or written, and so does a
-    --cap or --tag without a --ledger to hold it.
+    The one path by which a command that spends budget reports: a report
+    that cannot be printed and a refused charge raise before anything is
+    charged, printed or written, and so does a --cap or --tag without a
+    --ledger to hold it.
     """
     cap = None if args.cap is None else _parse_cap(args.cap)
     if cap is not None and not args.ledger:
@@ -232,10 +239,11 @@ def _release(args, command: str, epsilon: float, delta: float,
     if args.tag is not None and not args.ledger:
         raise ValueError("--tag needs --ledger; without a ledger no tag "
                          "is recorded")
+    report = _report(command, result, epsilon, delta)
     if args.ledger:
         BudgetLedger.charge(args.ledger, command, epsilon, delta, args.tag,
                             cap)
-    return _report(command, result, epsilon, delta)
+    return report
 
 
 def _stat_payload(res) -> dict:
@@ -261,7 +269,7 @@ def _groups(columns, values: np.ndarray, group_column: str):
     return [values[index == k] for k in range(labels.size)]
 
 
-def _cmd_stat(args) -> dict:
+def _cmd_stat(args) -> str:
     name = args.statistic
     _subject_flags(args, name)
     columns = _read_csv(args.input)
@@ -346,7 +354,7 @@ def _fitter(args, columns, bounds, budget, gamma):
                                      rng)
 
 
-def _cmd_fit(args) -> dict:
+def _cmd_fit(args) -> str:
     _subject_flags(args, args.model)
     columns, X, y, bounds = _training_set(args)
     rng = RandomSource(args.seed)
@@ -360,7 +368,7 @@ def _cmd_fit(args) -> dict:
     return report
 
 
-def _cmd_tune(args) -> dict:
+def _cmd_tune(args) -> str:
     _subject_flags(args, args.model)
     columns, X, y, bounds = _training_set(args)
     rng = RandomSource(args.seed)
@@ -384,7 +392,7 @@ def _cmd_tune(args) -> dict:
     return report
 
 
-def _cmd_predict(args) -> dict:
+def _cmd_predict(args) -> str:
     # Post-processing of a released model: reads no ledger, spends nothing.
     model = TrainedModel.load(args.model)
     values = predict(model, _features(_read_csv(args.input), args),
@@ -396,7 +404,7 @@ def _cmd_predict(args) -> dict:
 # -- mech --------------------------------------------------------------------
 
 
-def _cmd_mech(args) -> dict:
+def _cmd_mech(args) -> str:
     _subject_flags(args, args.mechanism)
     budget = _budget(args)
     rng = RandomSource(args.seed)
@@ -422,7 +430,7 @@ def _cmd_mech(args) -> dict:
 # -- budget ------------------------------------------------------------------
 
 
-def _cmd_budget(args) -> dict:
+def _cmd_budget(args) -> str:
     _subject_flags(args, args.action)
     try:
         ledger = BudgetLedger.load(args.ledger)
@@ -478,7 +486,8 @@ def _add_stat(sub):
         "quantile", "median", "histogram", "table"])
     st.add_argument("--input", required=True, help="CSV path or - for stdin")
     st.add_argument("--column")
-    st.add_argument("--columns", help="two column names, comma separated")
+    st.add_argument("--columns", help="column names, comma separated: two "
+                    "for cov and pooled-cov, any number for table")
     st.add_argument("--group-column")
     st.add_argument("--bounds", help="'lower,upper' per column, semicolon "
                     "separated for multiple columns")
@@ -520,7 +529,7 @@ def _add_fit(sub):
     ft.add_argument("--kernel-param", type=float,
                     help="svm with --kernel gaussian; default 1/p")
     ft.add_argument("--huber-h", type=float, help="svm; default 0.5")
-    ft.add_argument("--weights-column", help="svm")
+    ft.add_argument("--weights-column", help="svm with --method output")
     ft.add_argument("--weight-upper-bound", type=float,
                     help="svm with --weights-column; default 1")
     ft.add_argument("--output", required=True, help="model JSON path")
@@ -609,9 +618,7 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        # Strict JSON: a non-finite value is refused, not printed as NaN.
-        text = json.dumps(args.handler(args), sort_keys=True, indent=2,
-                          allow_nan=False)
+        text = args.handler(args)
     except BudgetExhaustedError as exc:
         print(f"dpkit: {exc}", file=sys.stderr)
         return 4

@@ -231,8 +231,8 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
     both paths' sensitivity bounds assume. Weights lie in [0,
     weight_upper_bound], which scales the output noise; without weights
     every row weighs 1. The objective path reads the loss curvature bound
-    and rejects non-uniform weights. Raises SolverNotConvergedError instead
-    of releasing a point at which the solver did not converge.
+    and takes no weights. Raises SolverNotConvergedError instead of
+    releasing a point at which the solver did not converge.
     """
     if rng is None:
         rng = RandomSource()  # seeded from OS entropy
@@ -247,6 +247,11 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
     if cfg.budget.variant != PURE:
         raise ValueError("classification-path ERM provides pure DP only")
 
+    if weights is not None and cfg.perturbation != "output":
+        # Refused before the values are read, so that whether a fit runs
+        # does not depend on them.
+        raise ValueError("objective perturbation takes no weights; use the "
+                         "output path")
     ub = 1.0 if weights is None else weight_upper_bound  # unweighted: 1
     if not (0.0 < ub < math.inf):
         raise ValueError("weight_upper_bound must be finite and positive")
@@ -256,8 +261,6 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
             raise ValueError("weights must match the number of rows")
         if not np.all((weights >= 0.0) & (weights <= ub + 1e-12)):
             raise ValueError("weights must lie in [0, weight_upper_bound]")
-        if np.all(weights == 1.0):
-            weights = None  # uniform: the objective skips the multiplies
 
     eps = cfg.budget.epsilon
 
@@ -269,9 +272,6 @@ def erm_cms(X, y, loss: LossSpec, cfg: ErmConfig, weights=None,
         return theta + sample_sphere_gamma(p, 1.0 / beta, rng)
 
     # Objective perturbation.
-    if weights is not None:
-        raise ValueError("objective perturbation does not support "
-                         "non-uniform weights; use the output path")
     c = loss.curvature
     eps_prime = eps - 2.0 * math.log1p(c / cfg.gamma)
     if eps_prime > 0.0:

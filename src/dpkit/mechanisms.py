@@ -74,8 +74,8 @@ class PrivacyBudget:
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown DP variant: {self.variant!r}")
-        if not (self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ValueError("epsilon must be finite and positive")
         if not (0.0 <= self.delta < 1.0):
             raise ValueError("delta must lie in [0, 1)")
         if (self.delta == 0.0) != (self.variant == PURE):

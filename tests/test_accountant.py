@@ -1,3 +1,4 @@
+import io
 import math
 import multiprocessing
 import os
@@ -177,18 +178,16 @@ def test_refused_charge_writes_nothing(tmp_path):
     assert exc.value.remaining_epsilon == 1.0
     with pytest.raises(ValueError):
         BudgetLedger.charge(path, "x", 0.0)
-    assert not path.exists()
-
-    assert not _sidecar(path).exists()
+    assert os.listdir(tmp_path) == []
 
     BudgetLedger.charge(path, "x", 0.75, cap=(1.0, 0.0))
-    before, sidecar = path.read_bytes(), _sidecar(path).read_bytes()
+    before = path.read_bytes()
     with pytest.raises(BudgetExhaustedError):
         BudgetLedger.charge(path, "y", 0.5, cap=(1.0, 0.0))
     with pytest.raises(BudgetExhaustedError):
         BudgetLedger.charge(path, "y", 0.1, 0.1, cap=(1.0, 0.0))
     assert path.read_bytes() == before
-    assert _sidecar(path).read_bytes() == sidecar
+    assert os.listdir(tmp_path) == ["ledger.jsonl"]
 
 
 @pytest.mark.parametrize("line,message", [
@@ -248,14 +247,16 @@ def test_totals_past_the_largest_float_are_refused(tmp_path):
     # The exact totals are integers and never overflow, but the float that
     # every report and cap check reads does.
     path = tmp_path / "ledger.jsonl"
-    BudgetLedger.charge(path, "x", 1e308)
+    x = BudgetLedger.charge(path, "x", 1e308)
     one = path.read_bytes()
     with pytest.raises(ValueError, match="past the largest float"):
-        BudgetLedger.charge(path, "y", 1e308)  # on the sidecar's totals
-    _remove(path)
+        BudgetLedger.charge(path, "y", 1e308)  # on the last line's totals
+    assert path.read_bytes() == one
+    old = BudgetLedger.entry_to_line(x) + "\n"  # a line with no totals
+    path.write_text(old)
     with pytest.raises(ValueError, match="past the largest float"):
         BudgetLedger.charge(path, "y", 1e308)  # on a scan of the entries
-    assert path.read_bytes() == one and not _sidecar(path).exists()
+    assert path.read_text() == old
     ledger = BudgetLedger.load(path)
     with pytest.raises(ValueError, match="past the largest float"):
         ledger.record("y", 1e308)
@@ -267,18 +268,13 @@ def test_totals_past_the_largest_float_are_refused(tmp_path):
                               "largest float")
 
 
-# -- the totals sidecar ---------------------------------------------------------
+# -- the running totals on each line ----------------------------------------
 
-def _sidecar(path):
-    return path.with_name(path.name + ".totals")
-
-
-def _sidecar_totals(path):
-    """(count, epsilon, delta) from the sidecar of ``path`` if it is current
-    for the ledger's bytes, else None."""
+def _line_totals(path):
+    """(count, epsilon, delta) from the last line of the ledger at ``path``
+    if its CRC-32 verifies, else None."""
     data = path.read_bytes()
-    found = accountant._read_sidecar(str(_sidecar(path)), os.stat(path),
-                                     len(data), zlib.crc32(data))
+    found = accountant._last_totals(data, zlib.crc32(data[:-11]))
     if found is None:
         return None
     count, eps, delta = found
@@ -298,11 +294,11 @@ def scans(monkeypatch):
     return seen
 
 
-def test_charge_with_a_current_sidecar_parses_no_entry(tmp_path,
-                                                       monkeypatch):
+def test_charge_on_a_verified_last_line_parses_no_entry(tmp_path,
+                                                        monkeypatch):
     path = tmp_path / "ledger.jsonl"
     BudgetLedger.charge(path, "first", 0.1)
-    assert _sidecar_totals(path) == (1, 0.1, 0.0)
+    assert _line_totals(path) == (1, 0.1, 0.0)
 
     def refuse(text, path):
         raise AssertionError("the ledger was parsed")
@@ -319,34 +315,30 @@ def test_charge_with_a_current_sidecar_parses_no_entry(tmp_path,
     eps = math.fsum(e.epsilon for e in ledger.entries)
     delta = math.fsum(e.delta for e in ledger.entries)
     assert exc.value.remaining_epsilon == 0.35 - eps
-    assert _sidecar_totals(path) == (21, eps, delta)
+    assert _line_totals(path) == (21, eps, delta)
+    assert os.listdir(tmp_path) == ["ledger.jsonl"]
 
 
-def _remove(path):
-    _sidecar(path).unlink()
-
-
-def _garble(path):
-    _sidecar(path).write_bytes(b"not a sidecar\n")
-
-
-def _tear(path):
-    data = _sidecar(path).read_bytes()
-    _sidecar(path).write_bytes(data[:len(data) // 2])
-
-
-def _zero_the_totals(path):
-    # A write torn between two versions: the ledger's length and CRC-32
-    # still match, but the line's own checksum does not.
-    fields = _sidecar(path).read_bytes().split(b" ")
-    fields[3] = fields[4] = b"0"
-    _sidecar(path).write_bytes(b" ".join(fields))
-
-
-def _save_one_more(path):
+def test_charge_after_save_parses_no_entry(tmp_path, scans):
+    path = tmp_path / "ledger.jsonl"
+    for i in range(3):
+        BudgetLedger.charge(path, f"op{i}", 0.1)
     ledger = BudgetLedger.load(path)
     ledger.record("saved", 0.5)
     ledger.save(path)
+    scans.clear()
+    # 0.3 + 0.5 + 0.15 passes the cap of 0.9; the saved 0.5 is counted.
+    with pytest.raises(BudgetExhaustedError):
+        BudgetLedger.charge(path, "next", 0.15, cap=(0.9, 0.0))
+    assert BudgetLedger.charge(path, "next", 0.05, cap=(0.9, 0.0)).seq == 4
+    assert scans == []
+
+
+def _old_format(path):
+    # A ledger as written before lines carried totals.
+    entries = BudgetLedger.load(path).entries
+    path.write_text("".join(BudgetLedger.entry_to_line(e) + "\n"
+                            for e in entries))
 
 
 def _append_by_hand(path):
@@ -355,101 +347,139 @@ def _append_by_hand(path):
                  + "\n")
 
 
+def _edit_an_earlier_eps(path):
+    data = path.read_bytes()
+    edited = data.replace(b'"eps": 0.1,', b'"eps": 0.6,', 1)
+    assert len(edited) == len(data) and edited != data
+    path.write_bytes(edited)
+
+
+def _edit_the_last_totals(path):
+    # Zero totals with the old CRC: the digits no longer match the bytes.
+    head, _, field = path.read_bytes().rpartition(b'"totals": "')
+    crc = field.split(b" ")[3]
+    path.write_bytes(head + b'"totals": "3 0p0 0p0 ' + crc)
+
+
+def _garble_the_last_totals(path):
+    data = path.read_bytes()
+    path.write_bytes(data.replace(data.rpartition(b'"totals": "')[2],
+                                  b'not totals"}\n'))
+
+
+def _tear_the_crc(path):
+    # A CRC cut short, the line closed again by hand.
+    data = path.read_bytes()
+    path.write_bytes(data[:-7] + b'"}\n')
+
+
+def _tag_of_hex_digits(path):
+    # A line without totals whose tag ends as a CRC would.
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(BudgetLedger.entry_to_line(
+            LedgerEntry("hand", 0.5, partition_tag="0123abcd", seq=3))
+            + "\n")
+
+
 @pytest.mark.parametrize("spoil,stale", [
-    (_remove, False), (_garble, False), (_tear, False),
-    (_zero_the_totals, False), (_save_one_more, True),
-    (_append_by_hand, True)],
-    ids=["missing", "garbage", "torn", "torn-totals", "saved", "appended"])
-def test_charge_scans_past_a_missing_torn_or_stale_sidecar(tmp_path, scans,
-                                                           spoil, stale):
+    (_old_format, False), (_append_by_hand, True),
+    (_edit_an_earlier_eps, True), (_edit_the_last_totals, False),
+    (_garble_the_last_totals, False), (_tear_the_crc, False),
+    (_tag_of_hex_digits, True)],
+    ids=["old-format", "appended", "edited-eps", "edited-totals",
+         "garbled-totals", "torn-crc", "hex-tag"])
+def test_charge_parses_past_a_last_line_it_cannot_verify(tmp_path, scans,
+                                                         spoil, stale):
     path = tmp_path / "ledger.jsonl"
     for i in range(3):
         BudgetLedger.charge(path, f"op{i}", 0.1)
     spoil(path)
     before = path.read_bytes()
+    entries = BudgetLedger.load(path).entries
     scans.clear()
-    # 0.3 + 0.5 fits the cap; with the stale case's extra 0.5 it does not.
+    # 0.3 + 0.5 fits the cap; with a stale case's extra 0.5 it does not.
+    spent = math.fsum(e.epsilon for e in entries)
+    assert (spent > 0.4) == stale
     if stale:
         with pytest.raises(BudgetExhaustedError) as exc:
             BudgetLedger.charge(path, "next", 0.5, cap=(0.9, 0.0))
-        assert exc.value.remaining_epsilon == 0.9 - math.fsum([0.1] * 3
-                                                              + [0.5])
+        assert exc.value.remaining_epsilon == 0.9 - spent
         assert path.read_bytes() == before
+        assert len(scans) == 1
+        scans.clear()  # a refusal writes nothing, so the next one parses
     else:
         assert BudgetLedger.charge(path, "next", 0.5,
                                    cap=(0.9, 0.0)).seq == 3
-    assert len(scans) == 1
     BudgetLedger.charge(path, "after", 0.05)
-    assert len(scans) == (2 if stale else 1)  # a refusal leaves it stale
+    for i in range(3):
+        BudgetLedger.charge(path, f"later{i}", 0.01)
+    assert len(scans) == 1
     ledger = BudgetLedger.load(path)
-    assert _sidecar_totals(path) == (
+    assert _line_totals(path) == (
         len(ledger.entries), math.fsum(e.epsilon for e in ledger.entries),
         0.0)
+    assert [e.seq for e in ledger.entries[3:]] == \
+        list(range(3, len(ledger.entries)))
 
 
-@pytest.mark.parametrize("make", [os.mkdir, os.mkfifo],
-                         ids=["directory", "fifo"])
-def test_charge_works_where_the_sidecar_cannot_be_written(tmp_path, scans,
-                                                          make):
+def test_a_torn_last_line_is_refused_as_a_full_parse_refuses_it(tmp_path):
     path = tmp_path / "ledger.jsonl"
-    make(_sidecar(path))  # neither readable nor writable as a file
+    for i in range(3):
+        BudgetLedger.charge(path, f"op{i}", 0.1)
+    torn = path.read_bytes()[:-20]  # a write cut short in its CRC field
+    path.write_bytes(torn)
+    messages = []
+    for read in (lambda: BudgetLedger.charge(path, "y", 0.1),
+                 lambda: BudgetLedger.load(path)):
+        with pytest.raises(ValueError) as exc:
+            read()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert path.read_bytes() == torn
+
+
+def _forged_zero_totals(path, planted):
+    planted.write_text("0 0 0 0 0 00000000\n")
+
+
+def _symlink_to_forged(path, planted):
+    target = path.with_name("elsewhere")
+    _forged_zero_totals(path, target)
+    os.symlink(target, planted)
+
+
+@pytest.mark.parametrize("plant", [
+    _forged_zero_totals, _symlink_to_forged,
+    lambda path, planted: os.mkfifo(planted),
+    lambda path, planted: os.mkdir(planted)],
+    ids=["forged", "symlink", "fifo", "directory"])
+def test_a_planted_totals_file_is_never_opened(tmp_path, monkeypatch, plant):
+    path = tmp_path / "ledger.jsonl"
+    planted = path.with_name(path.name + ".totals")
+    plant(path, planted)
+    before = {p.name: os.lstat(p) for p in tmp_path.iterdir()}
+    opened = []
+    real_open = os.open
+
+    def watching(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+    monkeypatch.setattr(os, "open", watching)
+    monkeypatch.setattr("builtins.open", lambda file, *a, **k: (
+        opened.append(os.fspath(file)), io.open(file, *a, **k))[1])
     for i in range(3):
         assert BudgetLedger.charge(path, f"op{i}", 0.25,
                                    cap=(0.75, 0.0)).seq == i
     with pytest.raises(BudgetExhaustedError):
         BudgetLedger.charge(path, "over", 0.25, cap=(0.75, 0.0))
-    assert len(scans) == 4
+    monkeypatch.undo()
+    assert set(opened) == {os.fspath(path)}
     assert len(BudgetLedger.load(path).entries) == 3
-
-
-def _forge_zero_totals(path, forged):
-    """Write to ``forged`` a well-formed sidecar that matches the bytes of
-    the ledger at ``path`` but claims that nothing was spent."""
-    data = path.read_bytes()
-    body = b"%x %x %x %x %x" % (len(data), zlib.crc32(data), 0, 0, 0)
-    forged.write_bytes(body + b" %08x\n" % zlib.crc32(body))
-    return forged.read_bytes()
-
-
-@pytest.mark.parametrize("link", [os.symlink, os.link],
-                         ids=["symlink", "hard-link"])
-def test_a_linked_sidecar_is_neither_trusted_nor_written(tmp_path, scans,
-                                                         link):
-    path = tmp_path / "ledger.jsonl"
-    for i in range(3):
-        BudgetLedger.charge(path, f"op{i}", 0.25)
-    _sidecar(path).unlink()
-    target = tmp_path / "elsewhere"
-    forged = _forge_zero_totals(path, target)
-    link(target, _sidecar(path))
-    scans.clear()
-    with pytest.raises(BudgetExhaustedError):
-        BudgetLedger.charge(path, "over", 0.5, cap=(1.0, 0.0))
-    BudgetLedger.charge(path, "fits", 0.25, cap=(1.0, 0.0))
-    assert len(scans) == 2
-    assert target.read_bytes() == forged
-    assert len(BudgetLedger.load(path).entries) == 4
-
-
-@pytest.mark.skipif(os.geteuid() != 0, reason="chown needs root")
-def test_a_sidecar_of_another_owner_is_neither_trusted_nor_written(tmp_path,
-                                                                    scans):
-    path = tmp_path / "ledger.jsonl"
-    for i in range(3):
-        BudgetLedger.charge(path, f"op{i}", 0.25)
-    forged = _forge_zero_totals(path, _sidecar(path))
-    os.chown(_sidecar(path), os.getuid() + 1, -1)
-    scans.clear()
-    with pytest.raises(BudgetExhaustedError):
-        BudgetLedger.charge(path, "over", 0.5, cap=(1.0, 0.0))
-    BudgetLedger.charge(path, "fits", 0.25, cap=(1.0, 0.0))
-    assert len(scans) == 2
-    assert _sidecar(path).read_bytes() == forged
-    # The ledger's owner trusts a sidecar only it could have written.
-    _sidecar(path).unlink()
-    os.chown(path, os.getuid() + 1, -1)
-    BudgetLedger.charge(path, "other", 0.125)
-    assert not _sidecar(path).exists()
+    after = {p.name: os.lstat(p) for p in tmp_path.iterdir()}
+    assert after.keys() == before.keys() | {"ledger.jsonl"}
+    for name, st in before.items():
+        assert (after[name].st_mtime_ns, after[name].st_size) == \
+            (st.st_mtime_ns, st.st_size)
 
 
 def test_a_same_length_hand_edit_is_seen(tmp_path):
@@ -465,7 +495,7 @@ def test_a_same_length_hand_edit_is_seen(tmp_path):
         BudgetLedger.charge(path, "next", 0.001, cap=(0.01, 0.0))
     assert path.read_bytes() == edited
     BudgetLedger.charge(path, "next", 0.001)
-    assert _sidecar_totals(path)[1] == math.fsum([0.009] + [0.001] * 5)
+    assert _line_totals(path)[1] == math.fsum([0.009] + [0.001] * 5)
 
 
 def _random_amount(rng):
@@ -484,7 +514,7 @@ def test_exact_totals_equal_fsum_bit_for_bit(tmp_path):
                                   _random_amount(rng)]))
         BudgetLedger.charge(path, "op", eps[-1], deltas[-1])
         ledger.record("op", eps[-1], deltas[-1])
-        assert _sidecar_totals(path) == (i + 1, math.fsum(eps),
+        assert _line_totals(path) == (i + 1, math.fsum(eps),
                                          math.fsum(deltas))
         assert ledger.sequential_total() == (math.fsum(eps),
                                              math.fsum(deltas))
@@ -492,8 +522,8 @@ def test_exact_totals_equal_fsum_bit_for_bit(tmp_path):
         ledger.sequential_total()
 
 
-# The ledger that a seeded CLI session leaves, as the ledger format has
-# always written it: the sidecar changes nothing in it.
+# The ledger that a seeded CLI session leaves: each line's entry as the
+# ledger format has always written it, then its running totals and CRC-32.
 SESSION = [
     ["mech", "laplace", "--values", "1,2,3", "--sensitivities", "1,1,1",
      "--epsilon", "0.25", "--seed", "1"],
@@ -508,13 +538,14 @@ SESSION = [
 ]
 SESSION_LEDGER = (
     '{"delta": 0.0, "eps": 0.25, "op": "mech laplace", "seq": 0, '
-    '"tag": null}\n'
+    '"tag": null, "totals": "1 1p1072 0p0 ae0f8a08"}\n'
     '{"delta": 1e-06, "eps": 0.5, "op": "mech gaussian", "seq": 1, '
-    '"tag": null}\n'
+    '"tag": null, "totals": "2 3p1072 10c6f7a0b5ed8dp1002 4f6ba3cd"}\n'
     '{"delta": 0.0, "eps": 0.1, "op": "stat mean", "seq": 2, '
-    '"tag": "east"}\n'
+    '"tag": "east", "totals": "3 6ccccccccccccdp1019 10c6f7a0b5ed8dp1002 '
+    '8e55d98f"}\n'
     '{"delta": 0.0, "eps": 0.15, "op": "mech exponential", "seq": 3, '
-    '"tag": null}\n')
+    '"tag": null, "totals": "4 1p1074 10c6f7a0b5ed8dp1002 ec7d54c1"}\n')
 
 
 def test_seeded_session_ledger_is_byte_identical(tmp_path, capsys):

@@ -349,12 +349,31 @@ _UNREAD_FLAGS = [
      "--rff-dim applies to fit svm only, with --kernel gaussian"),
     ("fit", "svm", ["--kernel", "linear", "--kernel-param", "3"],
      "--kernel-param applies to fit svm only, with --kernel gaussian"),
+    ("fit", "svm", ["--method", "objective", "--weights-column", "w"],
+     "--weights-column applies to fit svm only, with --method output"),
     ("tune", "linreg", ["--method", "objective"],
      "--method applies to tune logit|svm only"),
     ("tune", "logit", ["--huber-h", "3"], "--huber-h applies to tune svm only"),
     ("tune", "linreg", ["--huber-h", "3"],
      "--huber-h applies to tune svm only"),
 ]
+
+
+@pytest.mark.parametrize("weight", ["1", "0.5", "missing"])
+def test_objective_svm_refuses_weights_before_reading_them(
+        capsys, clf_csv, tmp_path, weight):
+    # All-ones weights, other weights and an unreadable input are refused
+    # alike, so the exit code cannot depend on a private column.
+    path = (str(tmp_path / "absent.csv") if weight == "missing"
+            else _weighted_csv(clf_csv, tmp_path, weight))
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    code, out, err = run_cli(capsys, *_model_command(
+        "fit", "svm", path, "--method", "objective", "--weights-column", "w",
+        "--weight-upper-bound", "2"), "--ledger", str(ledger), "--output",
+        str(model_path))
+    assert (code, out, err) == (3, "", "dpkit: --weights-column applies to "
+                                "fit svm only, with --method output\n")
+    assert not ledger.exists() and not model_path.exists()
 
 
 def _model_command(command, model, path, *flags):
@@ -904,7 +923,7 @@ def test_infinite_epsilon_exits_3_uncharged(capsys, tmp_path):
             "1,1,1", "--ledger", str(ledger), "--cap", "1", "--seed", "1"]
     code, out, err = run_cli(capsys, *argv, "--epsilon", "inf")
     assert code == 3 and out == ""
-    assert "entry epsilon must be positive and finite" in err
+    assert err == "dpkit: epsilon must be finite and positive\n"
     _one_line_error(err)
     assert not ledger.exists()
     assert run_cli(capsys, *argv, "--epsilon", "5")[0] == 4
@@ -1085,14 +1104,102 @@ def test_gaussian_svm_refuses_bounds_uncharged(capsys, clf_csv, tmp_path):
     assert not ledger.exists() and not model_path.exists()
 
 
-def test_non_finite_report_exits_3(capsys):
-    # An infinite input value stays infinite under any noise.
+def test_non_finite_report_exits_3(capsys, tmp_path):
+    # An infinite input value stays infinite under any noise. The report is
+    # refused before the charge, so the ledger is never created.
+    ledger = tmp_path / "led.jsonl"
     code, out, err = run_cli(capsys, "mech", "laplace", "--values", "1,inf",
                              "--sensitivities", "1,1", "--epsilon", "1",
-                             "--seed", "1")
+                             "--seed", "1", "--ledger", str(ledger))
     assert code == 3 and out == ""
     assert "not JSON compliant" in err
     _one_line_error(err)
+    assert not ledger.exists()
+
+
+def test_non_finite_model_exits_3_uncharged_and_unwritten(capsys, clf_csv,
+                                                          tmp_path):
+    # Noise of scale 2 / (gamma * eps) past the float range: the fitted
+    # coefficients are infinite, so neither the charge nor the model write
+    # may happen.
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    code, out, err = run_cli(capsys, "fit", "logit", "--input", clf_csv,
+                             "--label-column", "label", "--feature-columns",
+                             "a,b", "--bounds=-1,1;-1,1", "--epsilon",
+                             "1e-10", "--gamma", "1e-300", "--seed", "3",
+                             "--ledger", str(ledger), "--output",
+                             str(model_path))
+    assert code == 3 and out == ""
+    assert "not JSON compliant" in err
+    _one_line_error(err)
+    assert not ledger.exists() and not model_path.exists()
+
+
+_INFINITE_EPSILON = [
+    ["mech", "exponential", "--utility", "0,1", "--epsilon", "inf"],
+    ["stat", "mean", "--column", "x", "--bounds", "5,10", "--epsilon", "inf"],
+    ["stat", "histogram", "--column", "x", "--breaks", "5,7,10",
+     "--epsilon", "inf"],
+    ["fit", "logit", "--epsilon", "inf", "--gamma", "1"],
+    ["fit", "linreg", "--epsilon", "inf", "--gamma", "1"],
+    ["tune", "logit", "--epsilon-train", "inf", "--epsilon-select", "1"],
+    ["tune", "svm", "--epsilon-train", "1", "--epsilon-select", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", _INFINITE_EPSILON, ids=[
+    "mech-exponential", "stat-mean", "stat-histogram", "fit-logit",
+    "fit-linreg", "tune-train", "tune-select"])
+def test_infinite_epsilon_of_every_command_exits_3_unwritten(
+        capsys, data_csv, clf_csv, tmp_path, argv):
+    # At an infinite epsilon the noise is zero: the release would be the
+    # exact statistic or the noise-free minimizer.
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    command, subject = argv[:2]
+    if command in ("fit", "tune"):
+        bounds = "-1,1;-1,1" + (";0,1" if subject == "linreg" else "")
+        argv = argv + ["--input", clf_csv, "--label-column", "label",
+                       "--feature-columns", "a,b", f"--bounds={bounds}",
+                       "--output", str(model_path)]
+        if command == "tune":
+            argv += ["--gammas", "0.1,1"]
+    elif command == "stat":
+        argv = argv + ["--input", data_csv]
+    code, out, err = run_cli(capsys, *argv, "--seed", "3", "--ledger",
+                             str(ledger))
+    assert (code, out, err) == (
+        3, "", "dpkit: epsilon must be finite and positive\n")
+    assert not ledger.exists() and not model_path.exists()
+
+
+@pytest.mark.parametrize("bounds", ["a,10", "5,ten", "5,"],
+                         ids=["lower", "upper", "empty"])
+def test_non_numeric_bounds_exit_3_uncharged(capsys, data_csv, tmp_path,
+                                             bounds):
+    ledger = tmp_path / "led.jsonl"
+    code, out, err = run_cli(capsys, "stat", "mean", "--input", data_csv,
+                             "--column", "x", "--bounds", bounds,
+                             "--epsilon", "1", "--ledger", str(ledger))
+    assert (code, out) == (3, "")
+    assert err == f"dpkit: bounds must be numeric, got {bounds!r}\n"
+    assert not ledger.exists()
+
+
+@pytest.mark.parametrize("command", ["stat", "fit"])
+def test_empty_csv_exits_3_uncharged(capsys, tmp_path, command):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    if command == "stat":
+        argv = ["stat", "mean", "--input", str(empty), "--column", "x",
+                "--bounds", "5,10", "--epsilon", "1"]
+    else:
+        argv = _model_command("fit", "logit", empty) + [
+            "--output", str(model_path)]
+    code, out, err = run_cli(capsys, *argv, "--ledger", str(ledger))
+    assert (code, out) == (3, "")
+    assert err == "dpkit: input CSV is empty; a header row is required\n"
+    assert not ledger.exists() and not model_path.exists()
 
 
 @pytest.mark.parametrize("statistic,flags,missing", [

@@ -234,7 +234,7 @@ def test_cms_unit_weights_match_unweighted_draw_for_draw():
     assert np.allclose(a, b, atol=1e-9)
 
 
-@pytest.mark.parametrize("perturbation", ["output", "objective"])
+@pytest.mark.parametrize("perturbation", ["output"])
 def test_cms_unit_weights_give_the_unweighted_fit(perturbation):
     X, y = _toy_classification(300, 3, seed=12)
     cfg = ErmConfig(PrivacyBudget(2.0), 1.0, perturbation)
@@ -242,6 +242,20 @@ def test_cms_unit_weights_give_the_unweighted_fit(perturbation):
     b = erm_cms(X, y, huber_loss(), cfg, weights=np.ones(300),
                 rng=RandomSource(4))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("weights", [
+    np.ones(60), np.full(60, 0.5), np.full(60, np.nan), np.ones(7)],
+    ids=["ones", "halves", "nan", "wrong-length"])
+def test_cms_objective_refuses_any_weights(weights):
+    # Whatever their values, so that whether the fit runs cannot depend on
+    # a private column.
+    X, y = _toy_classification(60, 2, seed=2)
+    cfg = ErmConfig(PrivacyBudget(1.0), 0.5, "objective")
+    with pytest.raises(ValueError, match="^objective perturbation takes no "
+                                         "weights; use the output path$"):
+        erm_cms(X, y, huber_loss(), cfg, weights=weights,
+                rng=RandomSource(0))
 
 
 def test_cms_weight_bound_shrinks_noise_via_beta():

@@ -151,6 +151,15 @@ def test_sensitivity_vector_validation():
                 mechanism(np.zeros(1), budget, sens, rng=FixedUniform(0.5))
 
 
+def test_budget_refuses_an_epsilon_that_is_not_finite_and_positive():
+    # At an infinite epsilon every mechanism adds zero noise.
+    for epsilon in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="^epsilon must be finite and "
+                                             "positive$"):
+            PrivacyBudget(epsilon)
+    assert PrivacyBudget(1e308).epsilon == 1e308
+
+
 def test_allocation_validation():
     with pytest.raises(ValueError):
         BudgetAllocation([0.5, 0.6])
