@@ -12,6 +12,8 @@ by a few ulp."""
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -57,8 +59,70 @@ _EXP_M2 = 0.13533528323661269189  # exp(-2)
 # stay in cache. On a 2-vCPU x86-64 VM, 1M uniforms took about 30 ms in
 # blocks of 2^14 to 2^17 (2^14 up to 10% slower than 2^15), 44 ms in 2^13
 # (call overhead) and 56 ms in 2^20 (cache misses); 2^15 keeps the scratch
-# small.
+# small. Each of two ranges holds its own rows: at 2^16 a 1M-cell Gaussian
+# release peaked at 20.2 MiB, against 17.7 MiB at 2^15.
 _BLOCK = 1 << 15
+# The Normal quantile's tail pass runs once per this many blocks. Its 30 or
+# so numpy calls on one block's tails (27% of it) were too short for two
+# threads to gain on: each waited on the other for the GIL, and 1M uniforms
+# took 14.9 ms on two threads against 20.5 ms on one. Once per two blocks
+# they took 13.1 ms (2-vCPU VM), and the tails still fit in the centre
+# pass's rows.
+_TAIL_BLOCKS = 2
+# A loop over at least this many elements runs in two ranges, one on a
+# helper thread, when the process may run on two CPUs. Starting and joining
+# the thread costs about 75 us (2-vCPU VM); the vectors of count releases
+# reach 1M cells, while those of scalar releases and model fits stay far
+# below this.
+_SPLIT_MIN = 1 << 16
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _parts(n: int) -> int:
+    """The number of ranges ``_in_ranges`` splits a loop of ``n`` elements
+    into: 2 from _SPLIT_MIN elements on, when the process may run on two
+    CPUs or more, else 1."""
+    return 2 if n >= _SPLIT_MIN and _cpus() >= 2 else 1
+
+
+def _in_ranges(fn, n: int, parts: int | None = None) -> None:
+    """Run the range function ``fn(part, lo, hi)`` over [0, n): as
+    fn(0, 0, n), or, when ``parts`` (default ``_parts(n)``) is 2, as
+    fn(0, 0, n // 2) here and fn(1, n // 2, n) on a helper thread.
+
+    ``fn`` must give each element the same bits whichever range holds it.
+    Callers allocate each part's scratch before the call, because glibc
+    gives every thread its own malloc arena and keeps what a helper thread
+    frees in it. ``fn`` must not call what a tracer may wrap (the public
+    kernels, ``RandomSource`` methods), whose spans belong to the calling
+    thread. The helper thread is joined before return, and its exception
+    is raised here, never reported by ``threading.excepthook``."""
+    if (parts or _parts(n)) == 1:
+        fn(0, 0, n)
+        return
+    mid, failed = n // 2, []
+
+    def second():
+        try:
+            fn(1, mid, n)
+        except BaseException as exc:  # raised again on the calling thread
+            failed.append(exc)
+
+    helper = threading.Thread(target=second, daemon=True)
+    helper.start()
+    try:
+        fn(0, 0, mid)
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
 
 
 def _polevl(x, coeffs, out):
@@ -72,31 +136,36 @@ def _polevl(x, coeffs, out):
     return out
 
 
-def _tail_ratio(z, pq, where=True):
-    """z P(z) / Q(z), in Cephes' order, for the tail table ``pq``."""
-    p, q = _polevl(z, pq, np.empty((2, z.size)))
+def _tail_ratio(z, pq, out, where=True):
+    """z P(z) / Q(z), in Cephes' order, for the tail table ``pq``, in the
+    first row of ``out``, of shape (2, z.size)."""
+    p, q = _polevl(z, pq, out)
     p *= z
     return np.divide(p, q, out=p, where=where)
 
 
-def _ndtri_tail(t):
+def _ndtri_tail(t, rows):
     """ndtri(t) for t at most exp(-2) from 0 or 1: x0 - z P(z)/Q(z), with
     x = sqrt(-2 log y), y = min(t, 1 - t), x0 = x - log(x)/x and z = 1/x,
-    negative below 1/2. ``t`` is a scratch copy and is overwritten."""
-    y = np.subtract(1.0, t)
-    np.minimum(t, y, out=y)
-    x = np.log(y, out=y)
+    negative below 1/2. ``t`` is a scratch copy and is overwritten;
+    ``rows``, of shape (4, t.size), is scratch whose first row receives and
+    returns the result."""
+    x0, z, x, _ = rows
+    np.subtract(1.0, t, out=x)
+    np.minimum(t, x, out=x)
+    np.log(x, out=x)
     x *= -2.0
     np.sqrt(x, out=x)
-    z = np.divide(1.0, x)
-    x0 = np.log(x)
+    np.divide(1.0, x, out=z)
+    np.log(x, out=x0)
     x0 /= x
     np.subtract(x, x0, out=x0)
     # P1/Q1 has a pole near x = 8.8, so it is divided out only where x < 8.
-    x1 = _tail_ratio(z, _PQ1, where=x < 8.0)
-    deep = np.flatnonzero(x >= 8.0)
+    # P and Q go in the last two rows, over x.
+    near, deep = x < 8.0, np.flatnonzero(x >= 8.0)
+    x1 = _tail_ratio(z, _PQ1, rows[2:], where=near)
     if deep.size:
-        x1[deep] = _tail_ratio(z[deep], _PQ2)
+        x1[deep] = _tail_ratio(z[deep], _PQ2, np.empty((2, deep.size)))
     x0 -= x1
     t -= 0.5
     return np.copysign(x0, t, out=x0)
@@ -120,54 +189,101 @@ def normal_quantile(u: np.ndarray, out: np.ndarray | None = None
         raise ValueError("out must be a C-contiguous float64 array of the "
                          "uniforms' shape")
     flat_u, flat_out = u.reshape(-1), out.reshape(-1)
-    work = np.empty((3, min(u.size, _BLOCK)))
-    for start in range(0, u.size, _BLOCK):
-        ub = flat_u[start:start + _BLOCK]
-        x = flat_out[start:start + _BLOCK]
-        y2, p, q = work[:, :ub.size]
-        tails = np.flatnonzero((ub <= _EXP_M2) | (ub > 1.0 - _EXP_M2))
-        t = ub[tails]
-        # The centre formula, (y + y (y^2 P0(y^2) / Q0(y^2))) sqrt(2 pi),
-        # over the whole block; Q0 has no root on |y| <= 1/2, so the tail
-        # elements stay finite until they are overwritten.
-        y = np.subtract(ub, 0.5, out=x)
-        np.multiply(y, y, out=y2)
-        _polevl(y2, _P0, p)
-        p *= y2
-        p /= _polevl(y2, _Q0, q)
-        p *= y
-        x += p
-        x *= _S2PI
-        if tails.size:
-            x[tails] = _ndtri_tail(t)
+    parts = _parts(u.size)
+    # Each range's work serves as three rows for the centre pass of one
+    # block, then as four rows, as long as the tails of _TAIL_BLOCKS blocks,
+    # for their tail pass; more tails than fit get scratch of their own.
+    work = np.empty((parts, 3 * min(u.size, _BLOCK)))
+
+    def quantiles(part, lo, hi):
+        for span_lo in range(lo, hi, _TAIL_BLOCKS * _BLOCK):
+            span_hi = min(span_lo + _TAIL_BLOCKS * _BLOCK, hi)
+            span = flat_u[span_lo:span_hi]
+            tails = np.flatnonzero((span <= _EXP_M2)
+                                   | (span > 1.0 - _EXP_M2))
+            t = span[tails]
+            for start in range(span_lo, span_hi, _BLOCK):
+                ub = flat_u[start:min(start + _BLOCK, span_hi)]
+                x = flat_out[start:start + ub.size]
+                y2, p, q = work[part, :3 * ub.size].reshape(3, -1)
+                # The centre formula, (y + y (y^2 P0(y^2) / Q0(y^2)))
+                # sqrt(2 pi), over the whole block; Q0 has no root on
+                # |y| <= 1/2, so the tail elements stay finite until they
+                # are overwritten.
+                y = np.subtract(ub, 0.5, out=x)
+                np.multiply(y, y, out=y2)
+                _polevl(y2, _P0, p)
+                p *= y2
+                p /= _polevl(y2, _Q0, q)
+                p *= y
+                x += p
+                x *= _S2PI
+            if tails.size:
+                rows = (work[part, :4 * t.size].reshape(4, -1)
+                        if 4 * t.size <= work.shape[1]
+                        else np.empty((4, t.size)))
+                flat_out[span_lo:span_hi][tails] = _ndtri_tail(t, rows)
+
+    _in_ranges(quantiles, u.size, parts)
     return out
 
 
 def laplace_noise(u: np.ndarray, scale,
                   out: np.ndarray | None = None) -> np.ndarray:
     """Laplace(0, scale) noise by the inverse CDF, -scale sign(v)
-    log1p(-2|v|) with v = u - 0.5; u = 0.5 gives exactly 0. ``scale``
-    broadcasts against ``u``, and the result has at least one dimension.
+    log1p(-2|v|) with v = u - 0.5; u = 0.5 gives exactly 0. ``scale`` is
+    one value or one per uniform, and the result has at least one
+    dimension.
 
     As in numpy, ``out`` receives the result and is returned. It must be a
-    float64 array of the broadcast shape and may be ``u`` itself: u is read
-    once, into the kernel's one work array, before out is written. Without
-    ``out`` the result is a new array and ``u`` is left as it is."""
+    C-contiguous float64 array of u's shape and may be ``u`` itself: each
+    block of u is read into the kernel's work array before out is written
+    over it. Without ``out`` the result is a new array and ``u`` is left as
+    it is."""
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     scale = np.asarray(scale, dtype=np.float64)
     if not np.all(scale >= 0.0):
         raise ValueError("Laplace scale must be nonnegative")
-    # In place, in the operand order of the formula, so the bits are the
-    # same. np.sign writes to out, never over v: numpy's sign with its
-    # input as its output took 7.8 ms per 1M elements, against 1.4 ms into
-    # another array (2-vCPU VM).
-    v = u - 0.5
-    noise = np.multiply(-scale, np.sign(v, out=out), out=out)
-    np.abs(v, out=v)
-    v *= -2.0
-    np.log1p(v, out=v)
-    noise *= v
-    return noise
+    if scale.size != 1 and scale.shape != u.shape:
+        raise ValueError("Laplace scale must be one value or one per uniform")
+    if out is None:
+        out = np.empty(u.shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == u.shape and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float64 array of the "
+                         "uniforms' shape")
+    flat_u, flat_out = u.reshape(-1), out.reshape(-1)
+    # A single scale is negated once; a vector of scales is multiplied in
+    # and the product negated, which gives the same bits, since rounding a
+    # product is symmetric in sign.
+    if scale.size == 1:
+        neg_scale, flat_scale = -scale.reshape(()), None
+    else:
+        flat_scale = scale.reshape(-1)
+    parts = _parts(flat_out.size)
+    work = np.empty((parts, min(flat_out.size, _BLOCK)))
+
+    def noise(part, lo, hi):
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            x, v = flat_out[start:stop], work[part, :stop - start]
+            np.subtract(flat_u[start:stop], 0.5, out=v)
+            # np.sign writes to x, never over v: numpy's sign with its input
+            # as its output took 7.8 ms per 1M elements, against 1.4 ms into
+            # another array (2-vCPU VM).
+            np.sign(v, out=x)
+            if flat_scale is None:
+                x *= neg_scale
+            else:
+                x *= flat_scale[start:stop]
+                np.negative(x, out=x)
+            np.abs(v, out=v)
+            v *= -2.0
+            np.log1p(v, out=v)
+            x *= v
+
+    _in_ranges(noise, flat_out.size, parts)
+    return out
 
 
 def rff_features(x: np.ndarray, freqs: np.ndarray,

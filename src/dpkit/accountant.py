@@ -256,12 +256,23 @@ def _last_totals(data: bytes, crc: int) -> tuple[int, int, int] | None:
 
 def _parse_records(text: str, path) -> list[dict]:
     """The ledger lines in ``text`` as dicts, one per non-blank line, with
-    the amounts checked as ``LedgerEntry`` checks them."""
+    the amounts checked as ``LedgerEntry`` checks them. A line that is not
+    one JSON value, such as one torn by a crash, is refused by its number."""
     lines = [line for line in text.splitlines() if line.strip()]
-    records = json.loads("[" + ",".join(lines) + "]")
-    if len(records) != len(lines):
-        raise ValueError(f"ledger {path} holds a line that is not one "
-                         "JSON entry")
+    try:
+        records = json.loads("[" + ",".join(lines) + "]")
+    except json.JSONDecodeError:
+        records = None
+    if records is None or len(records) != len(lines):
+        # Lines that are each one JSON value join into one JSON array of as
+        # many values, so some line fails on its own.
+        for k, line in enumerate(text.splitlines(), 1):
+            try:
+                if line.strip():
+                    json.loads(line)
+            except json.JSONDecodeError:
+                raise ValueError(f"ledger {path} line {k} is not one JSON "
+                                 "entry") from None
     for rec in records:
         _check_amounts(rec["eps"], rec["delta"])
     return records

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -370,10 +371,16 @@ def _cmd_fit(args) -> str:
 
 def _cmd_tune(args) -> str:
     _subject_flags(args, args.model)
-    columns, X, y, bounds = _training_set(args)
-    rng = RandomSource(args.seed)
     train_budget = PrivacyBudget(args.epsilon_train)
     select_budget = PrivacyBudget(args.epsilon_select)
+    # Disjoint folds: the m training releases compose in parallel, then the
+    # selection composes sequentially on top.
+    eps_total = train_budget.epsilon + select_budget.epsilon
+    if eps_total == math.inf:
+        raise ValueError("--epsilon-train plus --epsilon-select must be "
+                         "finite")
+    columns, X, y, bounds = _training_set(args)
+    rng = RandomSource(args.seed)
     candidates = [Candidate(f"gamma={g}", _fitter(args, columns, bounds,
                                                   train_budget, g))
                   for g in map(float, args.gammas.split(","))]
@@ -382,9 +389,6 @@ def _cmd_tune(args) -> str:
     else:
         result = tune_classification(candidates, X, y, select_budget, rng)
 
-    # Disjoint folds: the m training releases compose in parallel, then the
-    # selection composes sequentially on top.
-    eps_total = train_budget.epsilon + select_budget.epsilon
     report = _release(args, f"tune {args.model}", eps_total, 0.0,
                       {"model_path": args.output, "selected": result.name,
                        "index": result.index})

@@ -50,10 +50,35 @@ class RandomSource:
         ``Generator.random`` gives k / 2^53 exactly, and adding 2^-54 in
         place rounds as k + 0.5 does, since scaling by a power of two
         commutes with rounding. For k = 2^53 - 1 the midpoint rounds up to
-        1.0; that one value is clamped to the largest float below 1."""
-        u = self._gen.random(1 if size is None else size)
-        u += 2.0 ** -54
-        np.minimum(u, _BELOW_ONE, out=u)
+        1.0; that one value is clamped to the largest float below 1.
+
+        A draw that ``_kernels._in_ranges`` splits takes its second range
+        from a copy of the bit generator advanced past the first, so it
+        gives the words of one sequential draw, and the generator ends as
+        many words on either way."""
+        shape = 1 if size is None else size
+        n = (math.prod(shape) if isinstance(shape, (tuple, list))
+             else int(shape))
+        parts = _kernels._parts(n)
+        if parts == 1:
+            u, gens = self._gen.random(shape), None
+        else:
+            u, twin = np.empty(shape), np.random.PCG64(0)
+            twin.state = self._gen.bit_generator.state
+            gens = (self._gen, np.random.Generator(twin))
+        flat = u.reshape(-1)
+
+        def draw(part, lo, hi):
+            block = flat[lo:hi]
+            if gens is not None:
+                gens[part].bit_generator.advance(lo)
+                gens[part].random(out=block)
+            block += 2.0 ** -54
+            np.minimum(block, _BELOW_ONE, out=block)
+
+        _kernels._in_ranges(draw, n, parts)
+        if gens is not None:  # the copy drew the last word
+            self._gen.bit_generator.state = twin.state
         return u[0] if size is None else u
 
     def normal(self, size=None):
@@ -113,18 +138,25 @@ def _sensitivities(values, sensitivities, alloc) -> np.ndarray:
 
 def _add_noise(values, budget: PrivacyBudget, scale,
                rng: RandomSource) -> np.ndarray:
-    """``values`` plus noise of ``scale``, which broadcasts over them:
+    """``values`` plus noise of ``scale``, one value or one per coordinate:
     Laplace of that scale under a pure budget, Normal of that standard
     deviation otherwise. Every coordinate consumes one uniform from
     ``rng``; the noise is written over the uniforms and ``values`` is
     added to it in place."""
+    n = values.shape[0]
     if budget.variant == PURE:
-        u = rng.uniform(values.shape[0])
-        noise = _kernels.laplace_noise(u, scale, out=u)
+        u = rng.uniform(n)
+        noise, sigma = _kernels.laplace_noise(u, scale, out=u), None
     else:
-        noise = rng.normal(values.shape[0])
-        noise *= scale
-    noise += values
+        noise, sigma = rng.normal(n), np.asarray(scale, dtype=np.float64)
+
+    def add(part, lo, hi):
+        block = noise[lo:hi]
+        if sigma is not None:
+            block *= sigma if sigma.ndim == 0 else sigma[lo:hi]
+        block += values[lo:hi]
+
+    _kernels._in_ranges(add, n)
     return noise
 
 
@@ -135,8 +167,8 @@ def joint_mechanism(values, budget: PrivacyBudget, sensitivity: float,
     A pure budget adds Laplace noise of scale sensitivity/eps, taking the
     sensitivity as an l1 norm; any other adds N(0, sigma^2) with sigma =
     gaussian_sigma(budget, sensitivity), taking it as an l2 norm. Besides
-    ``values`` a release holds the noise array and, for Laplace noise, one
-    work array of the kernel.
+    ``values`` a release holds the noise array and the kernels' work rows
+    of 2^15 elements.
     """
     sensitivity = float(sensitivity)
     if not (0.0 <= sensitivity < math.inf):

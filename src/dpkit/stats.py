@@ -22,6 +22,7 @@ from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
+from . import _kernels
 from .mechanisms import (APPROXIMATE, PROBABILISTIC, PURE, PrivacyBudget,
                          RandomSource, exponential_mechanism,
                          joint_mechanism)
@@ -66,6 +67,11 @@ class StatRequest:
 
 @dataclass(frozen=True)
 class HistogramSpec:
+    """Declared bin edges and what is done to the noisy counts: clamped at
+    0 unless ``allow_negative``, then, if ``normalize``, divided by their
+    total times the bin widths, a density. A total that is not positive,
+    as when every clamped cell is 0, is left as it is: the vector is
+    returned clamped but not normalized."""
     breaks: np.ndarray  # declared edges, never derived from the data
     normalize: bool = False
     allow_negative: bool = False
@@ -240,7 +246,17 @@ def histogram_dp(x, spec: HistogramSpec, req: StatRequest, rng: RandomSource):
     # values make the edge search sequential, and NaNs (sorted last) drop out.
     xs = np.sort(np.clip(x, edges[0], edges[-1]))
     xs = xs[:np.searchsorted(xs, edges[-1], side="right")]
-    bins = np.searchsorted(edges[:-1], xs, side="right") - 1
+    # A value's bin is the number of inner edges at or below it. The search
+    # runs in blocks, so that a helper thread allocates no row-sized array.
+    inner, bins = edges[1:-1], np.empty(xs.size, np.intp)
+
+    def search(part, lo, hi):
+        for start in range(lo, hi, _kernels._BLOCK):
+            stop = min(start + _kernels._BLOCK, hi)
+            bins[start:stop] = np.searchsorted(inner, xs[start:stop],
+                                               side="right")
+
+    _kernels._in_ranges(search, xs.size)
     counts = np.bincount(bins, minlength=edges.size - 1)
     del xs, bins  # per-row arrays, freed before the release's cell buffers
 

@@ -434,7 +434,7 @@ def test_a_torn_last_line_is_refused_as_a_full_parse_refuses_it(tmp_path):
         with pytest.raises(ValueError) as exc:
             read()
         messages.append(str(exc.value))
-    assert messages[0] == messages[1]
+    assert messages == [f"ledger {path} line 3 is not one JSON entry"] * 2
     assert path.read_bytes() == torn
 
 

@@ -1172,6 +1172,23 @@ def test_infinite_epsilon_of_every_command_exits_3_unwritten(
     assert not ledger.exists() and not model_path.exists()
 
 
+def test_tune_budget_past_the_largest_float_exits_3_unwritten(
+        capsys, tmp_path):
+    # Each epsilon is finite but their sum, the charge, is not. The input
+    # does not exist: the refusal comes before the CSV is read.
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    code, out, err = run_cli(
+        capsys, "tune", "logit", "--epsilon-train", "1e308",
+        "--epsilon-select", "1e308", "--input", str(tmp_path / "none.csv"),
+        "--label-column", "label", "--feature-columns", "a,b",
+        "--bounds=-1,1;-1,1", "--gammas", "0.1,1", "--output",
+        str(model_path), "--seed", "3", "--ledger", str(ledger))
+    assert (code, out, err) == (
+        3, "", "dpkit: --epsilon-train plus --epsilon-select must be "
+        "finite\n")
+    assert not ledger.exists() and not model_path.exists()
+
+
 @pytest.mark.parametrize("bounds", ["a,10", "5,ten", "5,"],
                          ids=["lower", "upper", "empty"])
 def test_non_numeric_bounds_exit_3_uncharged(capsys, data_csv, tmp_path,

@@ -263,6 +263,13 @@ def test_gaussian_sigma_probabilistic_below_approximate():
     assert gaussian_sigma(p, 1.0) < gaussian_sigma(a, 1.0)
 
 
+def test_gaussian_sigma_refuses_a_pure_budget_and_a_negative_sensitivity():
+    with pytest.raises(ValueError, match="^Gaussian mechanism needs delta"):
+        gaussian_sigma(PrivacyBudget(1.0), 1.0)
+    with pytest.raises(ValueError, match="^sensitivity must be nonnegative"):
+        gaussian_sigma(PrivacyBudget(0.5, 0.05, APPROXIMATE), -1e-300)
+
+
 def test_gaussian_sigma_rejects_large_epsilon_approximate_only():
     with pytest.raises(ValueError):
         gaussian_sigma(PrivacyBudget(1.0, 0.05, APPROXIMATE), 1.0)
