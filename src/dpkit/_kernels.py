@@ -69,6 +69,7 @@ _BLOCK = 1 << 15
 # they took 13.1 ms (2-vCPU VM), and the tails still fit in the centre
 # pass's rows.
 _TAIL_BLOCKS = 2
+_SPAN = _TAIL_BLOCKS * _BLOCK
 # A loop over at least this many elements runs in two ranges, one on a
 # helper thread, when the process may run on two CPUs. Starting and joining
 # the thread costs about 75 us (2-vCPU VM); the vectors of count releases
@@ -101,7 +102,7 @@ def _in_ranges(fn, n: int, parts: int | None = None) -> None:
     Callers allocate each part's scratch before the call, because glibc
     gives every thread its own malloc arena and keeps what a helper thread
     frees in it. ``fn`` must not call what a tracer may wrap (the public
-    kernels, ``RandomSource`` methods), whose spans belong to the calling
+    kernels, ``RandomSource.uniform``), whose spans belong to the calling
     thread. The helper thread is joined before return, and its exception
     is raised here, never reported by ``threading.excepthook``."""
     if (parts or _parts(n)) == 1:
@@ -171,6 +172,84 @@ def _ndtri_tail(t, rows):
     return np.copysign(x0, t, out=x0)
 
 
+def _out(u, out):
+    """``out``, checked as the kernels' result for ``u``, or a new array."""
+    if out is None:
+        return np.empty(u.shape)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == u.shape and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float64 array of the "
+                         "uniforms' shape")
+    return out
+
+
+def _normal_spans(u, x, work):
+    """ndtri of the flat uniforms ``u``, refused unless strictly inside
+    (0, 1), into ``x``, which may be ``u``. ``work``, 3 min(u.size, _BLOCK)
+    long, holds three rows for a block's centre pass, then four, as long as
+    the tails of _TAIL_BLOCKS blocks, for their tail pass."""
+    for span_lo in range(0, u.size, _SPAN):
+        span = u[span_lo:span_lo + _SPAN]
+        if not (span.min() > 0.0 and span.max() < 1.0):  # NaN too
+            raise ValueError("uniform variates must lie strictly inside "
+                             "(0, 1)")
+        tails = np.flatnonzero((span <= _EXP_M2) | (span > 1.0 - _EXP_M2))
+        t = span[tails]
+        for start in range(span_lo, span_lo + span.size, _BLOCK):
+            ub, xb = u[start:start + _BLOCK], x[start:start + _BLOCK]
+            y2, p, q = work[:3 * ub.size].reshape(3, -1)
+            # The centre formula, (y + y (y^2 P0(y^2) / Q0(y^2)))
+            # sqrt(2 pi), over the whole block; Q0 has no root on
+            # |y| <= 1/2, so the tail elements stay finite until they
+            # are overwritten.
+            y = np.subtract(ub, 0.5, out=xb)
+            np.multiply(y, y, out=y2)
+            _polevl(y2, _P0, p)
+            p *= y2
+            p /= _polevl(y2, _Q0, q)
+            p *= y
+            xb += p
+            xb *= _S2PI
+        if tails.size:
+            rows = (work[:4 * t.size].reshape(4, -1)
+                    if 4 * t.size <= work.size else np.empty((4, t.size)))
+            x[span_lo:span_lo + span.size][tails] = _ndtri_tail(t, rows)
+
+
+def _laplace_scale(scale, shape):
+    """``scale`` as one value (0-d) or one per element of ``shape``, flat."""
+    scale = np.asarray(scale, dtype=np.float64)
+    if not np.all(scale >= 0.0):
+        raise ValueError("Laplace scale must be nonnegative")
+    if scale.size != 1 and scale.shape != shape:
+        raise ValueError("Laplace scale must be one value or one per uniform")
+    return scale.reshape(() if scale.size == 1 else -1)
+
+
+def _laplace_blocks(u, x, work, scale):
+    """Laplace noise of ``scale`` (from ``_laplace_scale``) for the flat
+    uniforms ``u`` into ``x``, which may be ``u``, a block at a time."""
+    for start in range(0, u.size, _BLOCK):
+        xb = x[start:start + _BLOCK]
+        v = np.subtract(u[start:start + _BLOCK], 0.5, out=work[:xb.size])
+        # np.sign writes to x, never over v: numpy's sign with its input as
+        # its output took 7.8 ms per 1M elements, against 1.4 ms into
+        # another array (2-vCPU VM).
+        np.sign(v, out=xb)
+        # A single scale is negated; a vector of scales is multiplied in and
+        # the product negated, which gives the same bits, since rounding a
+        # product is symmetric in sign.
+        if scale.ndim:
+            xb *= scale[start:start + _BLOCK]
+            np.negative(xb, out=xb)
+        else:
+            xb *= -scale
+        np.abs(v, out=v)
+        v *= -2.0
+        np.log1p(v, out=v)
+        xb *= v
+
+
 def normal_quantile(u: np.ndarray, out: np.ndarray | None = None
                     ) -> np.ndarray:
     """Inverse standard normal CDF, elementwise, for u strictly in (0, 1).
@@ -180,51 +259,9 @@ def normal_quantile(u: np.ndarray, out: np.ndarray | None = None
     block of u is read before out is written over it. Without ``out`` the
     result is a new array and ``u`` is left as it is."""
     u = np.asarray(u, dtype=np.float64)
-    if u.size and not (u.min() > 0.0 and u.max() < 1.0):
-        raise ValueError("uniform variates must lie strictly inside (0, 1)")
-    if out is None:
-        out = np.empty(u.shape)
-    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
-              and out.shape == u.shape and out.flags.c_contiguous):
-        raise ValueError("out must be a C-contiguous float64 array of the "
-                         "uniforms' shape")
-    flat_u, flat_out = u.reshape(-1), out.reshape(-1)
-    parts = _parts(u.size)
-    # Each range's work serves as three rows for the centre pass of one
-    # block, then as four rows, as long as the tails of _TAIL_BLOCKS blocks,
-    # for their tail pass; more tails than fit get scratch of their own.
-    work = np.empty((parts, 3 * min(u.size, _BLOCK)))
-
-    def quantiles(part, lo, hi):
-        for span_lo in range(lo, hi, _TAIL_BLOCKS * _BLOCK):
-            span_hi = min(span_lo + _TAIL_BLOCKS * _BLOCK, hi)
-            span = flat_u[span_lo:span_hi]
-            tails = np.flatnonzero((span <= _EXP_M2)
-                                   | (span > 1.0 - _EXP_M2))
-            t = span[tails]
-            for start in range(span_lo, span_hi, _BLOCK):
-                ub = flat_u[start:min(start + _BLOCK, span_hi)]
-                x = flat_out[start:start + ub.size]
-                y2, p, q = work[part, :3 * ub.size].reshape(3, -1)
-                # The centre formula, (y + y (y^2 P0(y^2) / Q0(y^2)))
-                # sqrt(2 pi), over the whole block; Q0 has no root on
-                # |y| <= 1/2, so the tail elements stay finite until they
-                # are overwritten.
-                y = np.subtract(ub, 0.5, out=x)
-                np.multiply(y, y, out=y2)
-                _polevl(y2, _P0, p)
-                p *= y2
-                p /= _polevl(y2, _Q0, q)
-                p *= y
-                x += p
-                x *= _S2PI
-            if tails.size:
-                rows = (work[part, :4 * t.size].reshape(4, -1)
-                        if 4 * t.size <= work.shape[1]
-                        else np.empty((4, t.size)))
-                flat_out[span_lo:span_hi][tails] = _ndtri_tail(t, rows)
-
-    _in_ranges(quantiles, u.size, parts)
+    out = _out(u, out)
+    _normal_spans(u.reshape(-1), out.reshape(-1),
+                  np.empty(3 * min(u.size, _BLOCK)))
     return out
 
 
@@ -241,48 +278,10 @@ def laplace_noise(u: np.ndarray, scale,
     over it. Without ``out`` the result is a new array and ``u`` is left as
     it is."""
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    scale = np.asarray(scale, dtype=np.float64)
-    if not np.all(scale >= 0.0):
-        raise ValueError("Laplace scale must be nonnegative")
-    if scale.size != 1 and scale.shape != u.shape:
-        raise ValueError("Laplace scale must be one value or one per uniform")
-    if out is None:
-        out = np.empty(u.shape)
-    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
-              and out.shape == u.shape and out.flags.c_contiguous):
-        raise ValueError("out must be a C-contiguous float64 array of the "
-                         "uniforms' shape")
-    flat_u, flat_out = u.reshape(-1), out.reshape(-1)
-    # A single scale is negated once; a vector of scales is multiplied in
-    # and the product negated, which gives the same bits, since rounding a
-    # product is symmetric in sign.
-    if scale.size == 1:
-        neg_scale, flat_scale = -scale.reshape(()), None
-    else:
-        flat_scale = scale.reshape(-1)
-    parts = _parts(flat_out.size)
-    work = np.empty((parts, min(flat_out.size, _BLOCK)))
-
-    def noise(part, lo, hi):
-        for start in range(lo, hi, _BLOCK):
-            stop = min(start + _BLOCK, hi)
-            x, v = flat_out[start:stop], work[part, :stop - start]
-            np.subtract(flat_u[start:stop], 0.5, out=v)
-            # np.sign writes to x, never over v: numpy's sign with its input
-            # as its output took 7.8 ms per 1M elements, against 1.4 ms into
-            # another array (2-vCPU VM).
-            np.sign(v, out=x)
-            if flat_scale is None:
-                x *= neg_scale
-            else:
-                x *= flat_scale[start:stop]
-                np.negative(x, out=x)
-            np.abs(v, out=v)
-            v *= -2.0
-            np.log1p(v, out=v)
-            x *= v
-
-    _in_ranges(noise, flat_out.size, parts)
+    scale = _laplace_scale(scale, u.shape)
+    out = _out(u, out)
+    _laplace_blocks(u.reshape(-1), out.reshape(-1),
+                    np.empty(min(u.size, _BLOCK)), scale)
     return out
 
 

@@ -13,7 +13,9 @@ mechanism is a pure function of (inputs, seed).
 
 from __future__ import annotations
 
+import copy
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,36 +52,28 @@ class RandomSource:
         ``Generator.random`` gives k / 2^53 exactly, and adding 2^-54 in
         place rounds as k + 0.5 does, since scaling by a power of two
         commutes with rounding. For k = 2^53 - 1 the midpoint rounds up to
-        1.0; that one value is clamped to the largest float below 1.
-
-        A draw that ``_kernels._in_ranges`` splits takes its second range
-        from a copy of the bit generator advanced past the first, so it
-        gives the words of one sequential draw, and the generator ends as
-        many words on either way."""
-        shape = 1 if size is None else size
-        n = (math.prod(shape) if isinstance(shape, (tuple, list))
-             else int(shape))
-        parts = _kernels._parts(n)
-        if parts == 1:
-            u, gens = self._gen.random(shape), None
-        else:
-            u, twin = np.empty(shape), np.random.PCG64(0)
-            twin.state = self._gen.bit_generator.state
-            gens = (self._gen, np.random.Generator(twin))
-        flat = u.reshape(-1)
-
-        def draw(part, lo, hi):
-            block = flat[lo:hi]
-            if gens is not None:
-                gens[part].bit_generator.advance(lo)
-                gens[part].random(out=block)
-            block += 2.0 ** -54
-            np.minimum(block, _BELOW_ONE, out=block)
-
-        _kernels._in_ranges(draw, n, parts)
-        if gens is not None:  # the copy drew the last word
-            self._gen.bit_generator.state = twin.state
+        1.0; that one value is clamped to the largest float below 1."""
+        u = self._fill(self._gen, np.empty(1 if size is None else size))
         return u[0] if size is None else u
+
+    def _fill(self, gen, out):
+        """``out`` filled with the uniforms of ``uniform``, from ``gen``."""
+        gen.random(out=out)
+        out += 2.0 ** -54
+        np.minimum(out, _BELOW_ONE, out=out)
+        return out
+
+    @contextmanager
+    def _streams(self, parts: int, mid: int):
+        """The generators of a draw in ``parts`` ranges split at ``mid``:
+        this source's own, then a copy advanced by ``mid`` words. The source
+        draws on from the last, as one sequential draw would leave it."""
+        gens = [self._gen]
+        if parts == 2:
+            gens.append(copy.deepcopy(self._gen))
+            gens[1].bit_generator.advance(mid)
+        yield gens
+        self._gen = gens[-1]
 
     def normal(self, size=None):
         """Standard normals via the inverse CDF of one uniform each: the one
@@ -141,22 +135,28 @@ def _add_noise(values, budget: PrivacyBudget, scale,
     """``values`` plus noise of ``scale``, one value or one per coordinate:
     Laplace of that scale under a pure budget, Normal of that standard
     deviation otherwise. Every coordinate consumes one uniform from
-    ``rng``; the noise is written over the uniforms and ``values`` is
-    added to it in place."""
-    n = values.shape[0]
-    if budget.variant == PURE:
-        u = rng.uniform(n)
-        noise, sigma = _kernels.laplace_noise(u, scale, out=u), None
-    else:
-        noise, sigma = rng.normal(n), np.asarray(scale, dtype=np.float64)
+    ``rng``. Each span of cells is drawn, shaped, scaled and added in one
+    pass, in the ranges of ``_kernels._in_ranges``."""
+    n, gaussian = values.shape[0], budget.variant != PURE
+    scale = (np.asarray(scale, dtype=np.float64) if gaussian
+             else _kernels._laplace_scale(scale, (n,)))
+    noise, parts = np.empty(n), _kernels._parts(n)
+    work = np.empty((parts, (3 if gaussian else 1) * min(n, _kernels._BLOCK)))
 
-    def add(part, lo, hi):
-        block = noise[lo:hi]
-        if sigma is not None:
-            block *= sigma if sigma.ndim == 0 else sigma[lo:hi]
-        block += values[lo:hi]
+    with rng._streams(parts, n // 2) as gens:
+        def release(part, lo, hi):
+            for start in range(lo, hi, _kernels._SPAN):
+                stop = min(start + _kernels._SPAN, hi)
+                x = rng._fill(gens[part], noise[start:stop])
+                span_scale = scale[start:stop] if scale.ndim else scale
+                if gaussian:
+                    _kernels._normal_spans(x, x, work[part])
+                    x *= span_scale
+                else:
+                    _kernels._laplace_blocks(x, x, work[part], span_scale)
+                x += values[start:stop]
 
-    _kernels._in_ranges(add, n)
+        _kernels._in_ranges(release, n, parts)
     return noise
 
 

@@ -972,6 +972,51 @@ def test_missing_bounds_flag_exits_3(capsys, data_csv):
     _one_line_error(err)
 
 
+def test_fit_without_bounds_exits_3_uncharged_and_unwritten(capsys, clf_csv,
+                                                            tmp_path):
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    argv = [arg for arg in _model_command("fit", "logit", clf_csv)
+            if not arg.startswith("--bounds")]
+    code, out, err = run_cli(capsys, *argv, "--ledger", str(ledger),
+                             "--output", str(model_path))
+    assert code == 3 and out == ""
+    assert err == "dpkit: --bounds is required\n"
+    assert not ledger.exists() and not model_path.exists()
+
+
+@pytest.mark.parametrize("command", ["stat", "fit"])
+def test_text_cell_exits_3_naming_the_column_only(capsys, tmp_path, command):
+    rng = np.random.default_rng(4)
+    rows = [f"{u:.4f},{v:.4f},{int(u + v > 0)}"
+            for u, v in rng.uniform(-1, 1, (40, 2))]
+    rows[11] = "0.1,SECRET-cell,1"
+    path = tmp_path / "text.csv"
+    path.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    argv = (["stat", "mean", "--input", str(path), "--column", "b",
+             "--bounds=-1,1", "--epsilon", "1"] if command == "stat"
+            else _model_command("fit", "logit", path)
+            + ["--output", str(model_path)])
+    code, out, err = run_cli(capsys, *argv, "--ledger", str(ledger))
+    assert code == 3 and out == ""
+    assert err == "dpkit: column 'b' contains non-numeric values\n"
+    assert not ledger.exists() and not model_path.exists()
+
+
+@pytest.mark.parametrize("mechanism,flags", [
+    ("laplace", []), ("gaussian", ["--delta", "0.01"])])
+def test_alloc_of_the_wrong_length_exits_3_uncharged(capsys, tmp_path,
+                                                     mechanism, flags):
+    ledger = tmp_path / "led.jsonl"
+    code, out, err = run_cli(capsys, "mech", mechanism, "--values", "1,2,3",
+                             "--sensitivities", "1,1,1", "--alloc",
+                             "0.5,0.5", "--epsilon", "0.5", *flags,
+                             "--seed", "1", "--ledger", str(ledger))
+    assert code == 3 and out == ""
+    assert err == "dpkit: allocation length does not match values\n"
+    assert not ledger.exists()
+
+
 def test_refusal_message_reports_no_negative_remainder(capsys, tmp_path):
     ledger = str(tmp_path / "led.jsonl")
     charge = ("mech", "laplace", "--values", "1", "--sensitivities", "1",

@@ -69,15 +69,31 @@ def test_normal_quantile_in_place_matches_a_new_array(n):
     assert _ulps(want, ndtri(kept)).max(initial=0) <= 8
 
 
-def test_normal_quantile_keeps_the_shape_and_checks_out():
+def _laplace(u, out=None, scale=None):
+    """Laplace noise of one scale per uniform, its position plus 1, so that
+    a transposed input must carry its scales along."""
+    if scale is None:
+        scale = np.arange(1.0, u.size + 1.0).reshape(u.shape)
+    return _kernels.laplace_noise(u, scale, out=out)
+
+
+@pytest.mark.parametrize("kernel", [_kernels.normal_quantile, _laplace],
+                         ids=["normal", "laplace"])
+def test_normal_quantile_keeps_the_shape_and_checks_out(kernel):
     u = RandomSource(3).uniform((4, 5))
-    got = _kernels.normal_quantile(u.T)
+    got = kernel(u.T)
     assert got.shape == (5, 4)
-    assert got.tobytes() == _kernels.normal_quantile(u.T.copy()).tobytes()
+    assert got.tobytes() == kernel(u.T.copy()).tobytes()
     for out in (np.empty((4, 5), dtype=np.float32), np.empty((5, 4)),
                 np.empty((5, 4)).T):
-        with pytest.raises(ValueError):
-            _kernels.normal_quantile(u, out=out)
+        with pytest.raises(ValueError, match="^out must be a C-contiguous "
+                                             "float64 array"):
+            kernel(u, out=out)
+    if kernel is _laplace:
+        for scale in (np.ones(3), np.ones((5, 4)), np.ones(20)):
+            with pytest.raises(ValueError, match="^Laplace scale must be one "
+                                                 "value or one per uniform$"):
+                _laplace(u, scale=scale)
 
 
 @pytest.mark.parametrize("u", [[0.3, math.nan], [math.nan], [math.nan, 0.3]])

@@ -15,16 +15,17 @@ from oracles import (EXP_MECH_PROBS, SIGMA_APPROX, SIGMA_PROB,
                      reference_uniforms)
 
 
-class FixedUniform:
-    """Stand-in random source emitting a constant uniform value."""
+class FixedUniform(RandomSource):
+    """Stand-in random source emitting a constant uniform value, to
+    ``uniform`` and to the noise loop of a release alike."""
 
     def __init__(self, value):
+        super().__init__(0)
         self.value = value
 
-    def uniform(self, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
+    def _fill(self, gen, out):
+        out.fill(self.value)
+        return out
 
 
 # -- RandomSource -------------------------------------------------------------
@@ -76,13 +77,19 @@ def test_uniform_is_bitwise_the_integer_midpoint_formula(seed):
 
 class TopBits:
     """Stand-in generator whose ``random`` gives k / 2^53 for chosen k,
-    as ``Generator.random`` does for the top 53 bits k of a word."""
+    as ``Generator.random`` does for the top 53 bits k of a word, into
+    ``out`` when given."""
 
     def __init__(self, ks):
         self.ks = np.asarray(ks, dtype=np.int64)
 
-    def random(self, size=None):
-        return np.resize(self.ks, size).astype(np.float64) * 2.0 ** -53
+    def random(self, size=None, out=None):
+        shape = size if out is None else out.shape
+        got = np.resize(self.ks, shape).astype(np.float64) * 2.0 ** -53
+        if out is None:
+            return got
+        out[...] = got
+        return out
 
 
 _TOP = (1 << 53) - 1

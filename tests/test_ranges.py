@@ -1,6 +1,8 @@
-"""Loops of count releases run in two ranges, one on a helper thread, from
-2^16 elements on. Each range must give exactly the bytes of one pass, and
-the generator must end where one sequential draw leaves it."""
+"""The noise loop of a release and the histogram bin search run in two
+ranges, one on a helper thread, from 2^16 elements on; the uniform source
+and the public noise kernels run in one. Each range must give exactly the
+bytes of one pass, and the generator must end where one sequential draw
+leaves it."""
 
 import sys
 import threading
@@ -11,7 +13,7 @@ import pytest
 from dpkit import _kernels, mechanisms
 from dpkit.mechanisms import (APPROXIMATE, PrivacyBudget, RandomSource,
                               joint_mechanism)
-from dpkit.stats import HistogramSpec, StatRequest, histogram_dp
+from dpkit.stats import HistogramSpec, StatRequest, histogram_dp, table_dp
 
 from oracles import reference_uniforms
 
@@ -54,6 +56,15 @@ def _gaussian_vector(n):
     return mechanisms._add_noise(np.arange(n), budget, sigma, rng), rng
 
 
+def _laplace_alloc(n):
+    # Per-coordinate Laplace scales, as an allocation gives
+    # laplace_mechanism.
+    scale = np.random.default_rng(52).uniform(0.0, 3.0, n)
+    rng = RandomSource(53)
+    return mechanisms._add_noise(np.arange(n), PrivacyBudget(1.0), scale,
+                                 rng), rng
+
+
 def _histogram(n):
     # n values into n bins: both the bin search and the noise are split.
     x = np.random.default_rng(48).uniform(-0.1, 1.1, n)
@@ -71,8 +82,14 @@ RELEASES = {
     "joint-pure": _joint(PrivacyBudget(1.0)),
     "joint-approximate": _joint(PrivacyBudget(0.5, 1e-6, APPROXIMATE)),
     "gaussian-vector": _gaussian_vector,
+    "alloc-laplace": _laplace_alloc,
     "histogram": _histogram,
 }
+# Helper threads that a release of 2^16 elements or more starts on two
+# CPUs: one for its noise loop, and one more for a histogram's bin search.
+# The uniform source and the public kernels start none.
+HELPERS = {"joint-pure": 1, "joint-approximate": 1, "gaussian-vector": 1,
+           "alloc-laplace": 1, "histogram": 2}
 
 
 @pytest.fixture
@@ -99,7 +116,8 @@ def test_two_ranges_give_the_bytes_of_one(monkeypatch, threads_started, name,
     assert not threads_started
     monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
     two, two_rng = release(n)
-    assert bool(threads_started) == (n >= 2**16)
+    assert len(threads_started) == (HELPERS.get(name, 0) if n >= 2**16
+                                    else 0)
     assert two.dtype == one.dtype and two.shape == one.shape
     assert two.tobytes() == one.tobytes()
     if one_rng is not None:  # the next draw continues the one stream
@@ -120,6 +138,22 @@ def test_one_cpu_takes_one_range(monkeypatch):
     monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
     assert _kernels._parts(2**16 - 1) == 1
     assert _kernels._parts(2**16) == 2
+
+
+def test_a_million_cell_release_starts_one_helper_per_split_loop(
+        monkeypatch, threads_started):
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
+    req = StatRequest(PrivacyBudget(1.0))
+    cats = [f"c{i:02d}" for i in range(100)]
+    factors = [[cats[(7 * i + k) % 100] for i in range(1000)]
+               for k in range(3)]
+    assert table_dp(factors, [cats] * 3, req, RandomSource(1)).value.size \
+        == 10**6
+    assert len(threads_started) == 1  # the noise loop
+    x = np.random.default_rng(2).uniform(0.0, 1.0, 2**16)
+    spec = HistogramSpec(np.linspace(0.0, 1.0, 10**6 + 1))
+    assert histogram_dp(x, spec, req, RandomSource(1)).value.size == 10**6
+    assert len(threads_started) == 1 + 2  # the bin search, the noise loop
 
 
 @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "helper"])

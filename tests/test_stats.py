@@ -307,6 +307,23 @@ def test_table_zero_length_factors_give_zero_table():
     assert np.array_equal(res.value, np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("release,message", [
+    (lambda rng: cov_dp([0.5], [0.5], Bounds(0, 1), Bounds(0, 1), PURE_REQ,
+                        rng), "covariance needs at least 2 observations"),
+    (lambda rng: histogram_dp([], HistogramSpec([0.0, 1.0]), PURE_REQ, rng),
+     "histogram needs at least one observation"),
+    (lambda rng: table_dp([["a"], ["x"]], [["a", "b"]], PURE_REQ, rng),
+     "one category set per factor is required"),
+], ids=["cov-of-one-row", "histogram-of-no-rows",
+        "table-with-fewer-category-sets"])
+def test_a_release_refuses_its_malformed_input_before_any_draw(release,
+                                                               message):
+    rng = RandomSource(11)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        release(rng)
+    assert rng.uniform(3).tobytes() == RandomSource(11).uniform(3).tobytes()
+
+
 @pytest.mark.parametrize("mechanism", [LAPLACE, GAUSSIAN])
 @pytest.mark.parametrize("cells", [7, 1_000_000])
 def test_count_noise_uses_the_stated_sensitivity(cells, mechanism):
@@ -387,9 +404,9 @@ def test_count_releases_are_bitwise_the_reference_formulas(mechanism,
 def test_million_cell_release_peak_memory(kind, mechanism, limit_mib):
     """A 1M-cell release of 2e5 rows holds the integer counts (7.6 MiB)
     and one float array of as many cells: the uniforms, overwritten by the
-    noise and then the release. Beyond that the kernels hold a few rows of
-    2^15 elements for each of their two ranges; 15.8 MiB in all for Laplace
-    and 17.7 MiB for Gaussian noise, whose tail pass also gathers. The
+    noise and then the release. Beyond that the noise loop holds a few rows
+    of 2^15 elements for each of its two ranges; 15.9 MiB in all for Laplace
+    and 17.4 MiB for Gaussian noise, whose tail pass also gathers. The
     per-row arrays of the counting are freed before the release."""
     req = _COUNT_REQUESTS[mechanism]
     rng = np.random.default_rng(13)
