@@ -21,9 +21,11 @@ the seed: without ``--seed`` each run draws fresh noise. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import math
+import os
+import re
 import sys
 
 import numpy as np
@@ -148,54 +150,175 @@ def _parse_cap(text: str) -> tuple[float, float]:
     return float(values[0]), float(values[1]) if values.size > 1 else 0.0
 
 
-def _read_csv(path: str) -> dict[str, list[str]]:
-    """Columns of a CSV file (or stdin for ``-``) by header name.
+# numpy's C tokenizer reads the CSV dialect of the csv module's default:
+# comma separated, '"' quotes ('""' inside them), no comments.
+_CSV = {"delimiter": ",", "quotechar": '"', "comments": None, "ndmin": 1}
+# The longest field dpkit reads, in characters: the csv module's default
+# field size limit.
+_FIELD_LIMIT = 131_072
+_UNREADABLE = ("input is not UTF-8 CSV text, or a field of it is over the "
+               "csv field size limit")
+_EMPTY = "input CSV is empty; a header row is required"
 
-    A header row is required and empty rows are skipped. A row with more or
-    fewer fields than the header is an error, which names no row. Of two
-    columns with one name the last wins. Bytes that are not UTF-8 and a
-    field past the csv module's size limit are one error, which names the
-    input only: the decoder's and the parser's own messages quote a byte
-    and its offset, or a limit a cell passed.
+
+# Fields as numpy's tokenizer reads them: a quote opens a quoted part only
+# at the start of a field, '""' in it is one quote, and the text after its
+# closing quote runs on to the next comma or line end, quotes read as they
+# are. _RECORD is a line of whole fields, every quoted part closed.
+_QUOTED = re.compile(r'[^"]*(?:""[^"]*)*')
+_UNQUOTED = re.compile(r"[^,\r\n]*")
+_FIELD = rf'(?:"{_QUOTED.pattern}"(?!")|(?!")){_UNQUOTED.pattern}'
+_RECORD = re.compile(rf"{_FIELD}(?:,{_FIELD})*\r?\n?")
+
+
+def _lines(fh):
+    """The lines of ``fh``, refusing a field over _FIELD_LIMIT characters.
+
+    A line no longer than the limit that starts outside a quoted field and
+    closes each quoted part it opens holds whole fields no longer than
+    itself. Any other line is measured field by field, and a quoted field
+    left open at its end carries its length on to the next line, so the
+    limit applies to a field however many lines it spans."""
+    open_field = None
+    for line in fh:
+        if (open_field is not None or len(line) > _FIELD_LIMIT
+                or '"' in line and not _RECORD.fullmatch(line)):
+            open_field = _open_field(line, open_field)
+        yield line
+
+
+def _open_field(line: str, open_field):
+    """The length of the quoted field left open at the end of ``line``, or
+    None when the line ends its record. ``open_field`` is the length of the
+    quoted field open at its start, or None. A field over _FIELD_LIMIT
+    characters, its quotes not counted, is refused."""
+    pos = 0
+    while True:
+        if open_field is None and not line.startswith('"', pos):
+            length = 0
+        else:
+            if open_field is None:  # a quoted part opens here
+                open_field, pos = 0, pos + 1
+            body = _QUOTED.match(line, pos)
+            open_field += len(body[0]) - body[0].count('"') // 2
+            if open_field > _FIELD_LIMIT:
+                raise ValueError(_UNREADABLE)
+            if body.end() == len(line):  # the field goes on to the next line
+                return open_field
+            length, pos = open_field, body.end() + 1
+        rest = _UNQUOTED.match(line, pos)
+        if length + len(rest[0]) > _FIELD_LIMIT:
+            raise ValueError(_UNREADABLE)
+        open_field, pos = None, rest.end() + 1
+        if not line.startswith(",", rest.end()):
+            return None
+
+
+def _rows(lines):
+    """``lines`` from the first that is not blank on, or None when every
+    line is blank: numpy's parser skips blank lines, but warns when no row
+    is left."""
+    for line in lines:
+        if line.strip("\r\n"):
+            return itertools.chain((line,), lines)
+    return None
+
+
+def _refusal(exc: ValueError, header: list[str]) -> ValueError:
+    """The error to raise for ``exc``, raised while the input was read.
+
+    dpkit's own errors are raised as they are. The decoder's message quotes
+    a byte and its offset, and numpy's parser quotes a cell and numbers its
+    row, so of theirs only the fact stated is kept: a row as wide as no
+    header, or a column with a cell that is not a number. Any other is
+    input that is not CSV text."""
+    message = str(exc)
+    if message in (_EMPTY, _UNREADABLE):
+        return exc
+    ragged = re.match(r"the dtype passed requires \d+ columns but (\d+) "
+                      "were found", message)
+    if ragged:
+        return ValueError(f"a row of the input has {ragged[1]} fields; the "
+                          f"header has {len(header)}")
+    cell = re.match(r"could not convert string .*, column (\d+)\.$",
+                    message)
+    if cell:
+        return ValueError(f"column {header[int(cell[1]) - 1]!r} contains "
+                          "non-numeric values")
+    return ValueError(_UNREADABLE)
+
+
+def _read_csv(path: str, numbers=(), labels=()) -> dict:
+    """Columns of a CSV file (or stdin for ``-``) by header name, parsed in
+    one pass of numpy's C tokenizer.
+
+    The columns named in ``numbers`` come back as float arrays, parsed by
+    numpy's float grammar, and those in ``labels`` as lists of str; given
+    neither, every column comes back as text. A column named in both comes
+    back as text, for ``_numeric_column`` to cast. Every other column is parsed
+    into a one-character placeholder and dropped, so each row must still be
+    exactly as wide as the header; a row that is not is an error, which
+    names no row. A named column the header lacks is left out. A header row
+    is required and blank lines are skipped. Of two columns with one name
+    the last wins. A cell that is not a number refuses its column by a
+    message that names the column only. Bytes that are not UTF-8 and a
+    field over _FIELD_LIMIT characters are one error, which names the input
+    only: the decoder's message quotes a byte and its offset.
     """
+    if not numbers and not labels:
+        numbers, labels = (), None
     fh = sys.stdin if path == "-" else open(path, newline="",
                                             encoding="utf-8")
+    header = []
     try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("input CSV is empty; a header row is required")
-        rows = list(reader)
-    except (UnicodeDecodeError, csv.Error):
-        raise ValueError("input is not UTF-8 CSV text, or a field of it is "
-                         "over the csv field size limit") from None
+        # No field of a file of at most _FIELD_LIMIT bytes can pass it.
+        small = (fh is not sys.stdin
+                 and os.fstat(fh.fileno()).st_size <= _FIELD_LIMIT)
+        lines = fh if small else _lines(fh)
+        rows = _rows(lines)
+        if rows is None:
+            raise ValueError(_EMPTY)
+        header = np.loadtxt(rows, dtype=object, max_rows=1, **_CSV).tolist()
+        # Of two columns with one name, the last is read.
+        last = {name: i for i, name in enumerate(header)}
+        read = {i: name for name, i in last.items()
+                if labels is None or name in numbers or name in labels}
+        kinds = {i: object if labels is None or name in labels
+                 else np.float64 for i, name in read.items()}
+        dtype = [(f"c{i}", kinds.get(i, "U1")) for i in range(len(header))]
+        rows = _rows(lines)
+        table = None if rows is None else np.loadtxt(rows, dtype=dtype,
+                                                     **_CSV)
+    except ValueError as exc:  # UnicodeDecodeError too
+        raise _refusal(exc, header) from None
     finally:
         if fh is not sys.stdin:
             fh.close()
-    width = len(header)
-    if set(map(len, rows)) - {width}:
-        for row in rows:
-            if row and len(row) != width:
-                raise ValueError(f"a row of the input has {len(row)} "
-                                 f"fields; the header has {width}")
-        rows = [row for row in rows if row]
-    if not rows:
-        return {name: [] for name in header}
-    return {name: list(col) for name, col in zip(header, zip(*rows))}
+    columns = {}
+    for i, name in read.items():
+        numeric = kinds[i] is np.float64
+        if table is None:
+            columns[name] = np.empty(0) if numeric else []
+        else:
+            field = table[f"c{i}"]
+            columns[name] = field.copy() if numeric else field.tolist()
+    return columns
 
 
-def _column(columns: dict, name: str) -> list[str]:
+def _column(columns: dict, name: str):
     if name not in columns:
         raise ValueError(f"no column named {name!r} in the input")
     return columns[name]
 
 
 def _numeric_column(columns: dict, name: str) -> np.ndarray:
-    """The column ``name`` as floats. A cell that is not a number, NaN
-    included, refuses the column by a message that names it only."""
+    """The column ``name`` of a ``_read_csv`` result as floats. A column
+    read as labels too is text, which numpy's str cast reads by float()'s
+    grammar. A cell that is not a number, NaN included, refuses the column
+    by a message that names it only."""
     cells = _column(columns, name)
     try:
-        values = np.array([float(v) for v in cells])
+        values = np.asarray(cells, dtype=np.float64)
     except ValueError:
         values = None
     if values is None or np.isnan(values).any():
@@ -273,12 +396,17 @@ def _groups(columns, values: np.ndarray, group_column: str):
 def _cmd_stat(args) -> str:
     name = args.statistic
     _subject_flags(args, name)
-    columns = _read_csv(args.input)
+    names = [] if args.columns is None else args.columns.split(",")
+    if name == "table":
+        columns = _read_csv(args.input, labels=names)
+    else:
+        columns = _read_csv(
+            args.input, names if args.column is None else [args.column],
+            [] if args.group_column is None else [args.group_column])
     budget = _budget(args)
     req = StatRequest(budget, args.mechanism, args.neighbor)
     rng = RandomSource(args.seed)
     x = None if args.column is None else _numeric_column(columns, args.column)
-    names = None if args.columns is None else args.columns.split(",")
     if name.endswith("cov") and len(names) != 2:
         raise ValueError("--columns needs two column names, comma separated")
     bounds = (None if args.bounds is None else
@@ -327,7 +455,8 @@ def _features(columns, args) -> np.ndarray:
 def _training_set(args):
     """The input's columns, features, labels and bounds of a fit or tune;
     an svm given no --bounds gets None, as its Gaussian kernel needs."""
-    columns = _read_csv(args.input)
+    columns = _read_csv(args.input, args.feature_columns.split(",") + [
+        c for c in (args.label_column, args.weights_column) if c is not None])
     X = _features(columns, args)
     y = _numeric_column(columns, args.label_column)
     pairs = X.shape[1] + (args.model == "linreg")
@@ -399,8 +528,8 @@ def _cmd_tune(args) -> str:
 def _cmd_predict(args) -> str:
     # Post-processing of a released model: reads no ledger, spends nothing.
     model = TrainedModel.load(args.model)
-    values = predict(model, _features(_read_csv(args.input), args),
-                     raw_value=args.raw)
+    columns = _read_csv(args.input, args.feature_columns.split(","))
+    values = predict(model, _features(columns, args), raw_value=args.raw)
     return _report("predict",
                    {"predictions": [float(v) for v in values]}, 0.0, 0.0)
 

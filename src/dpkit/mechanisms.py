@@ -214,17 +214,28 @@ def gaussian_sigma(budget: PrivacyBudget, delta2f: float) -> float:
         raise ValueError("Gaussian mechanism needs delta > 0")
     if delta2f < 0.0:
         raise ValueError("sensitivity must be nonnegative")
-    if delta2f == 0.0:
-        return 0.0
-    eps, dlt = budget.epsilon, budget.delta
-    if budget.variant == APPROXIMATE:
-        if eps >= 1.0:
+    return float(_gaussian_sigmas(budget.variant, np.array([budget.epsilon]),
+                                  np.array([budget.delta]),
+                                  np.array([delta2f]))[0])
+
+
+def _gaussian_sigmas(variant: str, eps: np.ndarray, dlt: np.ndarray,
+                     sens: np.ndarray) -> np.ndarray:
+    """The Gaussian calibration of each (eps_i, dlt_i) budget of ``variant``
+    and nonnegative sensitivity sens_i, with one Normal quantile call in all.
+    A sensitivity of 0 gets the scale 0 under any budget."""
+    if variant == APPROXIMATE:
+        if np.any((eps >= 1.0) & (sens != 0.0)):
             raise ValueError(
                 "approximate-DP Gaussian calibration requires epsilon < 1; "
                 "use the probabilistic variant for larger budgets")
-        return delta2f * math.sqrt(2.0 * math.log(1.25 / dlt)) / eps
-    q = _kernels.normal_quantile(np.array([dlt / 2.0]))[0]
-    return delta2f * (math.sqrt(q * q + 2.0 * eps) - q) / (2.0 * eps)
+        return np.array([d * math.sqrt(2.0 * math.log(1.25 / t)) / e
+                         if d else 0.0 for d, e, t in
+                         zip(sens.tolist(), eps.tolist(), dlt.tolist())])
+    quantiles = _kernels.normal_quantile(dlt / 2.0)
+    return np.array([d * (math.sqrt(q * q + 2.0 * e) - q) / (2.0 * e)
+                     if d else 0.0 for d, e, q in
+                     zip(sens.tolist(), eps.tolist(), quantiles.tolist())])
 
 
 def gaussian_mechanism(values, budget: PrivacyBudget, sensitivities,
@@ -245,14 +256,19 @@ def gaussian_mechanism(values, budget: PrivacyBudget, sensitivities,
     values = np.atleast_1d(np.asarray(values, dtype=np.float64))
     delta = _sensitivities(values, sensitivities, alloc)
     if alloc is None:
+        # fsum is exact, so the sensitivity does not depend on the order
+        # of a sum, which a BLAS dot product takes from its thread count.
         return joint_mechanism(values, budget,
-                               math.sqrt(float(delta @ delta)), rng)
-    sigmas = np.empty(values.shape[0])
-    for i, prop in enumerate(alloc.proportions):
-        sub = PrivacyBudget(budget.epsilon * prop, budget.delta * prop,
-                            budget.variant)
-        sigmas[i] = gaussian_sigma(sub, float(delta[i]))
-    return _add_noise(values, budget, sigmas, rng)
+                               math.sqrt(math.fsum(delta * delta)), rng)
+    # Coordinate i gets the budget (eps * alloc_i, delta * alloc_i). Scaling
+    # by a positive share is monotone, so the budgets of the smallest and
+    # the largest share are refused exactly when any coordinate's would be.
+    eps = budget.epsilon * alloc.proportions
+    dlt = budget.delta * alloc.proportions
+    for i in (np.argmin(alloc.proportions), np.argmax(alloc.proportions)):
+        PrivacyBudget(float(eps[i]), float(dlt[i]), budget.variant)
+    return _add_noise(values, budget,
+                      _gaussian_sigmas(budget.variant, eps, dlt, delta), rng)
 
 
 def exponential_mechanism(utility, budget: PrivacyBudget, sens_u: float,

@@ -6,9 +6,11 @@ import json
 import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpkit.accountant import BudgetLedger, exceeds_cap
 from dpkit.cli import build_parser, main
@@ -1601,6 +1603,101 @@ def test_read_csv_matches_dictreader(tmp_path, monkeypatch, text):
     assert _read_csv("-") == _dictreader_columns(text)
 
 
+# Header names, duplicates among them, and label cells: commas, quotes, line
+# breaks of every kind, spaces, digits and a non-ASCII letter.
+_NAMES = st.sampled_from(["x", "y", "g", "h, i", 'q"', "n\nl", " x"])
+_LABELS = st.text(st.sampled_from(["a", "b", " ", ",", '"', "\n", "\r",
+                                   "1", ".", "\u00e9"]), max_size=6)
+
+
+@st.composite
+def _csv_inputs(draw):
+    """CSV text written by the csv module, blank lines added, and the names
+    read as numbers and as labels. A name read as numbers holds fixed-point
+    decimals in each of its columns; the others hold labels."""
+    header = draw(st.lists(_NAMES, min_size=1, max_size=5))
+    kinds = {name: draw(st.sampled_from(["number", "label", "unread"]))
+             for name in header}
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = []
+        for name in header:
+            if kinds[name] == "number":
+                k = draw(st.integers(-10 ** 7, 10 ** 7))
+                digits = draw(st.integers(0, 6))
+                row.append(f"{'-' if k < 0 else ''}{abs(k) // 10 ** digits}"
+                           + (f".{abs(k) % 10 ** digits:0{digits}d}"
+                              if digits else ""))
+            else:
+                row.append(draw(_LABELS))
+        rows.append(row)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for row in [header] + rows:
+        # Written with the terminator "\r\n", so that a field holding either
+        # character is quoted, and then ended in ``end``.
+        out = io.StringIO(newline="")
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        lines.append(out.getvalue()[:-2] + end)
+    for _ in range(draw(st.integers(0, 3))):  # blank lines after the header
+        lines.insert(draw(st.integers(1, len(lines))),
+                     draw(st.sampled_from(["\n", "\r\n"])))
+    numbers = sorted(n for n, kind in kinds.items() if kind == "number")
+    labels = sorted(n for n, kind in kinds.items() if kind == "label")
+    return "".join(lines), numbers, labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(_csv_inputs())
+def test_read_csv_matches_dictreader_on_generated_csv(tmp_path_factory,
+                                                     case):
+    """Numbers are float() of the reference's cells bit for bit, and labels
+    its strings, read through a path and through stdin alike."""
+    from dpkit.cli import _read_csv
+    text, numbers, labels = case
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_bytes(text.encode())
+    want = _dictreader_columns(text)
+    for source in (str(path), "-"):
+        with mock.patch("sys.stdin", io.StringIO(text, newline="")):
+            if not numbers and not labels:
+                assert _read_csv(source) == want
+                continue
+            got = _read_csv(source, numbers, labels)
+        assert sorted(got) == sorted(numbers + labels)
+        for name in numbers:
+            assert got[name].dtype == np.float64
+            assert got[name].tobytes() == np.array(
+                [float(v) for v in want[name]], dtype=np.float64).tobytes()
+        for name in labels:
+            assert got[name] == want[name]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_inputs(), st.integers(1, 8))
+def test_the_field_limit_refuses_what_the_csv_module_refused(case, limit):
+    """At a small limit, the input is refused exactly when the csv module
+    at that field size limit refuses it, quoted fields across lines too."""
+    from dpkit import cli
+    text = case[0]
+    previous = csv.field_size_limit(limit)
+    try:
+        list(csv.reader(io.StringIO(text, newline="")))
+        want = None
+    except csv.Error:
+        want = cli._UNREADABLE
+    finally:
+        csv.field_size_limit(previous)
+    with mock.patch.object(cli, "_FIELD_LIMIT", limit), \
+            mock.patch("sys.stdin", io.StringIO(text, newline="")):
+        try:
+            cli._read_csv("-")
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+    assert got == want
+
+
 @pytest.mark.parametrize("text,row,fields", [
     ("g,x\na,1\nb\na,3\n", 3, 1),
     ("g,x\na,1\n\nb,2,9\n", 4, 3),
@@ -1632,6 +1729,88 @@ def test_unreadable_csv_exits_3_naming_only_the_input(capsys, tmp_path,
     assert err == ("dpkit: input is not UTF-8 CSV text, or a field of it is "
                    "over the csv field size limit\n")
     assert not ledger.exists()
+
+
+def _stat_mean(capsys, path, *flags):
+    return run_cli(capsys, "stat", "mean", "--input", str(path), "--column",
+                   "x", "--bounds", "0,5", "--epsilon", "1", "--seed", "1",
+                   *flags)
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\u0661"],
+                         ids=["underscore", "arabic-indic-digit"])
+def test_numbers_follow_numpys_grammar(capsys, tmp_path, cell):
+    # float() reads both cells; numpy's parser, which ingest uses, does not.
+    path, ledger = tmp_path / "n.csv", tmp_path / "led.jsonl"
+    path.write_text(f"x\n1\n{cell}\n", encoding="utf-8")
+    code, out, err = _stat_mean(capsys, path, "--ledger", str(ledger))
+    assert (code, out) == (3, "")
+    assert err == "dpkit: column 'x' contains non-numeric values\n"
+    assert not ledger.exists()
+
+
+_LONG = 131_072
+
+
+@pytest.mark.parametrize("header,row,code", [
+    ("g,x", "g" * _LONG + ",1", 0),
+    ("g,x,h", "g" * 70_000 + ",1," + "h" * 70_000, 0),
+    ("g,x", "g" * (_LONG + 1) + ",1", 3),
+    ("g,x", '"' + "g," * (_LONG // 2) + 'g",1', 3),
+    # A quoted field is measured whole, its line breaks counted, over as
+    # many lines as it spans.
+    ("g,x", '"' + "g" * 65_535 + "\n" + "g" * 65_536 + '",1', 0),
+    ("g,x", '"' + "g" * 70_000 + "\n" + "g" * 70_000 + '",1', 3),
+    ("g,x", '"a\n' + "g," * 70_000 + '",1', 3),
+    ("g,x", '"' + "g" * 70_000 + '""\n' + "g" * 70_000 + '",1', 3),
+    # Text after a closing quote belongs to its field; a quote past a
+    # field's start is text.
+    ("g,x", '"g"' + "g" * _LONG + ",1", 3),
+    ("g,x", 'g"' + "g" * (_LONG - 2) + ",1", 0),
+], ids=["at-the-limit", "long-line-of-short-fields", "unread-column",
+        "quoted-commas", "two-lines-at-the-limit", "two-lines-over",
+        "long-continuation-line", "two-lines-with-an-escaped-quote",
+        "after-the-closing-quote", "quote-inside-a-field"])
+def test_the_field_limit_is_per_field(capsys, tmp_path, header, row, code):
+    path, ledger = tmp_path / "long.csv", tmp_path / "led.jsonl"
+    path.write_text(f"{header}\n{row}\n")
+    got, _, err = _stat_mean(capsys, path, "--ledger", str(ledger))
+    assert got == code
+    if code:
+        assert err == ("dpkit: input is not UTF-8 CSV text, or a field of "
+                       "it is over the csv field size limit\n")
+        assert not ledger.exists()
+
+
+def test_blank_lines_before_the_header_are_skipped(capsys, tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text("\n\r\nx\n2\n\n4\n")
+    code, out, _ = run_cli(capsys, "stat", "mean", "--input", str(path),
+                           "--column", "x", "--bounds", "0,5", "--epsilon",
+                           "1e6", "--seed", "1")
+    assert code == 0 and abs(json.loads(out)["result"]["value"] - 3) < 1e-3
+    path.write_text("\n\n")
+    code, _, err = _stat_mean(capsys, path)
+    assert code == 3
+    assert err == "dpkit: input CSV is empty; a header row is required\n"
+
+
+@pytest.mark.parametrize("statistic,flags", [
+    ("pooled-var", ["--column", "x", "--bounds", "5,10"]),
+    ("pooled-cov", ["--columns", "x,y", "--bounds", "5,10;0,1"]),
+], ids=["pooled-var", "pooled-cov"])
+def test_a_value_column_can_be_its_group_column(capsys, tmp_path, statistic,
+                                                 flags):
+    # The column is read as numbers and as labels; its groups are its text,
+    # so "6" and "6.0" are two groups, as in a copy of it named k.
+    path = tmp_path / "g.csv"
+    path.write_text("x,y,k\n6,0.1,6\n6.0,0.2,6.0\n7,0.3,7\n6,0.4,6\n"
+                    "7,0.5,7\n6.0,0.6,6.0\n")
+    runs = [run_cli(capsys, "stat", statistic, "--input", str(path), *flags,
+                    "--group-column", group, "--epsilon", "100", "--seed",
+                    "0") for group in ("x", "k")]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
+    assert json.loads(runs[0][1])["result"]["detail"]["groups"] == 3
 
 
 # -- noise secrecy -----------------------------------------------------------

@@ -557,3 +557,26 @@ def test_kst_refuses_a_probabilistic_budget():
     with pytest.raises(ValueError, match="pure or approximate DP only"):
         erm_kst(X, y, PrivacyBudget(0.5, 1e-5, PROBABILISTIC), 1.0,
                 RandomSource(0))
+
+
+# -- refusals of malformed calls -----------------------------------------------
+
+def test_erm_config_refuses_an_unknown_perturbation():
+    with pytest.raises(ValueError, match="perturbation must be 'output' or "
+                       "'objective'"):
+        ErmConfig(PrivacyBudget(1.0), 1.0, "input")
+
+
+def test_erm_refuses_a_vector_of_another_length_than_the_rows():
+    X, y = _toy_classification(n=20)
+    cfg = ErmConfig(PrivacyBudget(1.0), 1.0)
+    with pytest.raises(ValueError, match="labels must be a vector matching "
+                       "the rows of X"):
+        erm_cms(X, y[:-1], logistic_loss(), cfg, rng=RandomSource(0))
+    with pytest.raises(ValueError, match="weights must match the number of "
+                       "rows"):
+        erm_cms(X, y, logistic_loss(), cfg, weights=np.ones(19),
+                rng=RandomSource(0))
+    with pytest.raises(ValueError, match="targets must be a vector matching "
+                       "the rows of X"):
+        erm_kst(X, y[:, None], PrivacyBudget(1.0), 1.0, rng=RandomSource(0))

@@ -1,18 +1,25 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+from dpkit import mechanisms
 from dpkit.mechanisms import (APPROXIMATE, PROBABILISTIC, PURE,
                               BudgetAllocation, PrivacyBudget, RandomSource,
-                              exponential_mechanism, gaussian_mechanism,
-                              gaussian_sigma, joint_mechanism,
-                              laplace_mechanism)
+                              _gaussian_sigmas, exponential_mechanism,
+                              gaussian_mechanism, gaussian_sigma,
+                              joint_mechanism, laplace_mechanism)
 
 from oracles import (EXP_MECH_PROBS, SIGMA_APPROX, SIGMA_PROB,
                      reference_gaussian, reference_laplace,
                      reference_uniforms)
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(mechanisms.__file__)))
 
 
 class FixedUniform(RandomSource):
@@ -387,6 +394,93 @@ def test_mech_releases_are_bitwise_the_reference_formulas():
             for a, d in zip(alloc.proportions, deltas)])
         assert got.tobytes() == \
             reference_gaussian(values, sigmas, 6).tobytes()
+
+
+def _gaussian_release_bytes(n):
+    """A seeded unallocated Gaussian release over n values."""
+    g = np.random.default_rng(0)
+    values, sens = g.normal(size=n), g.uniform(0, 2, n)
+    budget = PrivacyBudget(0.5, 1e-6, APPROXIMATE)
+    return gaussian_mechanism(values, budget, sens,
+                              rng=RandomSource(5)).tobytes()
+
+
+def test_gaussian_joint_sensitivity_does_not_depend_on_the_thread_count():
+    """The l2 sensitivity is sqrt(fsum(delta_i^2)). A BLAS dot product
+    sums in an order its thread count picks: at n = 2^17 its last bit
+    differed between one thread and two, and so did the seeded release."""
+    n = 2 ** 17
+    g = np.random.default_rng(0)
+    values, sens = g.normal(size=n), g.uniform(0, 2, n)
+    budget = PrivacyBudget(0.5, 1e-6, APPROXIMATE)
+    joint = joint_mechanism(values, budget,
+                            math.sqrt(math.fsum((sens * sens).tolist())),
+                            RandomSource(5))
+    here = _gaussian_release_bytes(n)
+    assert here == joint.tobytes()
+    one_thread = {**os.environ, "PYTHONPATH": SRC}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS"):
+        one_thread[var] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, test_mechanisms as t; "
+         f"sys.stdout.write(t._gaussian_release_bytes({n}).hex())"],
+        capture_output=True, text=True, timeout=120, env=one_thread,
+        cwd=os.path.dirname(__file__))
+    assert done.returncode == 0, done.stderr
+    assert bytes.fromhex(done.stdout) == here
+
+
+def test_allocated_gaussian_sigmas_are_gaussian_sigma_of_each_coordinate():
+    n = 2 ** 17
+    g = np.random.default_rng(2)
+    sens = g.uniform(0, 2, n)
+    sens[::5] = 0.0
+    weights = g.uniform(0.5, 1.5, n)
+    alloc = BudgetAllocation(weights / weights.sum())
+    for variant, eps in ((APPROXIMATE, 0.5), (PROBABILISTIC, 3.0)):
+        got = _gaussian_sigmas(variant, eps * alloc.proportions,
+                               1e-6 * alloc.proportions, sens)
+        for i in range(0, n, 97):
+            a = alloc.proportions[i]
+            want = gaussian_sigma(PrivacyBudget(eps * a, 1e-6 * a, variant),
+                                  float(sens[i]))
+            assert got[i] == want, (variant, i)
+        # The mechanism adds noise of exactly these scales.
+        budget = PrivacyBudget(eps, 1e-6, variant)
+        assert gaussian_mechanism(np.zeros(n), budget, sens, alloc,
+                                  RandomSource(3)).tobytes() == (
+            mechanisms._add_noise(np.zeros(n), budget, got,
+                                  RandomSource(3)).tobytes())
+
+
+@pytest.mark.parametrize("budget,sens,alloc,message", [
+    # Coordinate 1's epsilon, 2 * 0.6, is past the approximate calibration.
+    (PrivacyBudget(2.0, 0.01, APPROXIMATE), [1.0, 1.0], [0.4, 0.6],
+     "approximate-DP Gaussian calibration requires epsilon < 1"),
+    # Coordinate 0's delta, 1e-300 * 1e-30, rounds to 0.
+    (PrivacyBudget(0.5, 1e-300, PROBABILISTIC), [1.0, 1.0],
+     [1e-30, 1.0 - 1e-30], "delta must be 0 exactly when the variant is "
+     "pure"),
+    # Coordinate 0's epsilon rounds to 0, and is refused before its delta.
+    (PrivacyBudget(1e-300, 1e-300, APPROXIMATE), [1.0, 1.0],
+     [1e-30, 1.0 - 1e-30], "epsilon must be finite and positive"),
+], ids=["epsilon-share-past-1", "delta-share-rounds-to-0",
+        "epsilon-share-rounds-to-0"])
+def test_allocated_gaussian_refuses_a_coordinate_budget(budget, sens, alloc,
+                                                        message):
+    with pytest.raises(ValueError, match=message):
+        gaussian_mechanism(np.zeros(2), budget, sens,
+                           BudgetAllocation(alloc), RandomSource(0))
+
+
+def test_allocated_gaussian_takes_a_large_epsilon_share_of_no_sensitivity():
+    # gaussian_sigma gives sensitivity 0 the scale 0 before it checks the
+    # epsilon, so such a coordinate is released exactly.
+    budget = PrivacyBudget(2.0, 0.01, APPROXIMATE)
+    out = gaussian_mechanism(np.array([3.0, 4.0]), budget, [0.0, 1.0],
+                             BudgetAllocation([0.6, 0.4]), RandomSource(0))
+    assert out[0] == 3.0 and out[1] != 4.0
 
 
 # -- exponential ---------------------------------------------------------------

@@ -577,3 +577,27 @@ def test_malformed_model_file_names_the_key(edit, key):
     edit(doc)
     with pytest.raises(ValueError, match=repr(key)):
         TrainedModel.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("dim,beta,message", [
+    (0, 1.0, "projection dimension must be positive"),
+    (-3, 1.0, "projection dimension must be positive"),
+    (10, 0.0, "kernel parameter must be positive"),
+    (10, -0.5, "kernel parameter must be positive"),
+])
+def test_rff_projection_refuses_a_bad_dimension_or_kernel_parameter(
+        dim, beta, message):
+    with pytest.raises(ValueError, match=message):
+        RffProjection.create(2, dim, beta, 1)
+
+
+def test_a_fit_refuses_a_bounds_list_of_another_length_than_the_columns():
+    y = np.array([0, 1, 0, 1])
+    cfg = ErmConfig(PrivacyBudget(1.0), 1.0)
+    # A vector is one column.
+    for X, pairs in ((np.zeros((4, 2)), 1), (np.zeros((4, 2)), 3),
+                     (np.zeros(4), 2)):
+        with pytest.raises(ValueError, match="one bounds pair per column is "
+                           "required"):
+            fit_logistic(X, y, [Bounds(-1, 1)] * pairs, cfg,
+                         rng=RandomSource(0))

@@ -204,3 +204,11 @@ def test_concurrent_callers_each_get_the_bytes_of_one_range(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert got == want
+
+
+@pytest.mark.parametrize("count,cpus", [(3, 3), (None, 1)])
+def test_cpus_without_an_affinity_call_is_the_cpu_count(monkeypatch, count,
+                                                        cpus):
+    monkeypatch.delattr(_kernels.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(_kernels.os, "cpu_count", lambda: count)
+    assert _kernels._cpus() == cpus

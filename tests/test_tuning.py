@@ -155,3 +155,11 @@ def test_tune_linreg_sensitivity_is_width_squared():
                          RandomSource(s)).index for s in range(200)]
     frac = np.mean(picks)
     assert 0.35 < frac < 0.65
+
+
+@pytest.mark.parametrize("X", [np.zeros((12, 1)), np.zeros(12)],
+                         ids=["matrix", "vector"])
+def test_tuning_refuses_labels_of_another_length_than_the_rows(X):
+    with pytest.raises(ValueError, match="labels must match the rows of X"):
+        tune_classification([_fixed_classifier([0.0])] * 2, X, np.zeros(11),
+                            HUGE, RandomSource(0))
