@@ -55,19 +55,21 @@ _PQ2 = np.array([
 
 _S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
-# Elements per block, so that the centre pass's three work arrays (768 KiB)
-# stay in cache. On a 2-vCPU x86-64 VM, 1M uniforms took about 30 ms in
-# blocks of 2^14 to 2^17 (2^14 up to 10% slower than 2^15), 44 ms in 2^13
-# (call overhead) and 56 ms in 2^20 (cache misses); 2^15 keeps the scratch
-# small. Each of two ranges holds its own rows: at 2^16 a 1M-cell Gaussian
-# release peaked at 20.2 MiB, against 17.7 MiB at 2^15.
-_BLOCK = 1 << 15
+# Elements per block: the centre pass's three work rows (1.5 MiB) stay in
+# cache, and a block costs about 35 numpy calls whatever its size. On a
+# 2-vCPU x86-64 VM a 1M-cell Gaussian count release, its noise written over
+# the counts, took (median ms, one thread / two) 33 / 49 in blocks of 2^13,
+# 30 / 30 in 2^14, 30 / 21 in 2^15, 29 / 17-19 in 2^16 and 33 / 20 in 2^17;
+# a Laplace release took 11-13 / 8-9 ms from 2^14 on. Two threads gain most
+# from fewer, longer calls, since at each call one range waits on the other
+# for the GIL.
+_BLOCK = 1 << 16
 # The Normal quantile's tail pass runs once per this many blocks. Its 30 or
 # so numpy calls on one block's tails (27% of it) were too short for two
-# threads to gain on: each waited on the other for the GIL, and 1M uniforms
-# took 14.9 ms on two threads against 20.5 ms on one. Once per two blocks
-# they took 13.1 ms (2-vCPU VM), and the tails still fit in the centre
-# pass's rows.
+# threads to gain on: each waited on the other for the GIL, and in blocks
+# of 2^15 1M uniforms took 14.9 ms on two threads against 20.5 ms on one.
+# Once per two blocks they took 13.1 ms (2-vCPU VM), and the tails still
+# fit in the centre pass's rows.
 _TAIL_BLOCKS = 2
 _SPAN = _TAIL_BLOCKS * _BLOCK
 # A loop over at least this many elements runs in two ranges, one on a

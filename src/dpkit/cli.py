@@ -21,12 +21,14 @@ the seed: without ``--seed`` each run draws fresh noise. Exit codes:
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import math
 import os
 import re
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -248,6 +250,27 @@ def _refusal(exc: ValueError, header: list[str]) -> ValueError:
     return ValueError(_UNREADABLE)
 
 
+@contextmanager
+def _text_input(path: str):
+    """The CSV input ``path`` as UTF-8 text with its line ends kept. For
+    ``-`` that is stdin's bytes, decoded so whatever locale the interpreter
+    opened stdin under, and left open; a stdin with no byte layer is read
+    as it is."""
+    if path != "-":
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+        return
+    raw = getattr(sys.stdin, "buffer", None)
+    if raw is None:
+        yield sys.stdin
+        return
+    fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+    try:
+        yield fh
+    finally:
+        fh.detach()  # closing the wrapper would close stdin
+
+
 def _read_csv(path: str, numbers=(), labels=()) -> dict:
     """Columns of a CSV file (or stdin for ``-``) by header name, parsed in
     one pass of numpy's C tokenizer.
@@ -267,33 +290,31 @@ def _read_csv(path: str, numbers=(), labels=()) -> dict:
     """
     if not numbers and not labels:
         numbers, labels = (), None
-    fh = sys.stdin if path == "-" else open(path, newline="",
-                                            encoding="utf-8")
     header = []
-    try:
-        # No field of a file of at most _FIELD_LIMIT bytes can pass it.
-        small = (fh is not sys.stdin
-                 and os.fstat(fh.fileno()).st_size <= _FIELD_LIMIT)
-        lines = fh if small else _lines(fh)
-        rows = _rows(lines)
-        if rows is None:
-            raise ValueError(_EMPTY)
-        header = np.loadtxt(rows, dtype=object, max_rows=1, **_CSV).tolist()
-        # Of two columns with one name, the last is read.
-        last = {name: i for i, name in enumerate(header)}
-        read = {i: name for name, i in last.items()
-                if labels is None or name in numbers or name in labels}
-        kinds = {i: object if labels is None or name in labels
-                 else np.float64 for i, name in read.items()}
-        dtype = [(f"c{i}", kinds.get(i, "U1")) for i in range(len(header))]
-        rows = _rows(lines)
-        table = None if rows is None else np.loadtxt(rows, dtype=dtype,
-                                                     **_CSV)
-    except ValueError as exc:  # UnicodeDecodeError too
-        raise _refusal(exc, header) from None
-    finally:
-        if fh is not sys.stdin:
-            fh.close()
+    with _text_input(path) as fh:
+        try:
+            # No field of a file of at most _FIELD_LIMIT bytes can pass it.
+            small = (path != "-"
+                     and os.fstat(fh.fileno()).st_size <= _FIELD_LIMIT)
+            lines = fh if small else _lines(fh)
+            rows = _rows(lines)
+            if rows is None:
+                raise ValueError(_EMPTY)
+            header = np.loadtxt(rows, dtype=object, max_rows=1,
+                                **_CSV).tolist()
+            # Of two columns with one name, the last is read.
+            last = {name: i for i, name in enumerate(header)}
+            read = {i: name for name, i in last.items()
+                    if labels is None or name in numbers or name in labels}
+            kinds = {i: object if labels is None or name in labels
+                     else np.float64 for i, name in read.items()}
+            dtype = [(f"c{i}", kinds.get(i, "U1"))
+                     for i in range(len(header))]
+            rows = _rows(lines)
+            table = None if rows is None else np.loadtxt(rows, dtype=dtype,
+                                                         **_CSV)
+        except ValueError as exc:  # UnicodeDecodeError too
+            raise _refusal(exc, header) from None
     columns = {}
     for i, name in read.items():
         numeric = kinds[i] is np.float64

@@ -130,57 +130,84 @@ def _sensitivities(values, sensitivities, alloc) -> np.ndarray:
     return sens
 
 
-def _add_noise(values, budget: PrivacyBudget, scale,
-               rng: RandomSource) -> np.ndarray:
+def _real_vector(values) -> np.ndarray:
+    """``values`` as an array of at least one dimension. Bool, integer and
+    float vectors are kept as they are: adding one to float64 noise casts it
+    exactly as a float copy would, so the bits are the same. Complex and
+    text vectors are refused by name; any other dtype is cast to float64."""
+    values = np.atleast_1d(np.asarray(values))
+    if values.dtype.kind == "c":
+        raise ValueError("values must be real numbers, not complex")
+    if values.dtype.kind in "US":
+        raise ValueError("values must be numbers, not text")
+    if not np.can_cast(values.dtype, np.float64):
+        values = values.astype(np.float64)
+    return values
+
+
+def _add_noise(values, budget: PrivacyBudget, scale, rng: RandomSource,
+               out: np.ndarray | None = None) -> np.ndarray:
     """``values`` plus noise of ``scale``, one value or one per coordinate:
     Laplace of that scale under a pure budget, Normal of that standard
     deviation otherwise. Every coordinate consumes one uniform from
-    ``rng``. Each span of cells is drawn, shaped, scaled and added in one
-    pass, in the ranges of ``_kernels._in_ranges``."""
+    ``rng``.
+
+    The result is written into ``out``, a float64 array as long as
+    ``values`` that may hold the same cells (an int64 vector's own cells,
+    viewed as float64), or into a new array. Each span of cells is copied
+    into a saved row, then the uniforms are drawn over the span's cells of
+    ``out``, shaped, scaled, and the saved values added back, in the ranges
+    of ``_kernels._in_ranges``."""
     n, gaussian = values.shape[0], budget.variant != PURE
     scale = (np.asarray(scale, dtype=np.float64) if gaussian
              else _kernels._laplace_scale(scale, (n,)))
-    noise, parts = np.empty(n), _kernels._parts(n)
+    if out is None:
+        out = np.empty(n)
+    parts = _kernels._parts(n)
     work = np.empty((parts, (3 if gaussian else 1) * min(n, _kernels._BLOCK)))
+    saved = np.empty((parts, min(n, _kernels._SPAN)), values.dtype)
 
     with rng._streams(parts, n // 2) as gens:
         def release(part, lo, hi):
             for start in range(lo, hi, _kernels._SPAN):
                 stop = min(start + _kernels._SPAN, hi)
-                x = rng._fill(gens[part], noise[start:stop])
+                kept = saved[part, :stop - start]
+                np.copyto(kept, values[start:stop])
+                x = rng._fill(gens[part], out[start:stop])
                 span_scale = scale[start:stop] if scale.ndim else scale
                 if gaussian:
                     _kernels._normal_spans(x, x, work[part])
                     x *= span_scale
                 else:
                     _kernels._laplace_blocks(x, x, work[part], span_scale)
-                x += values[start:stop]
+                x += kept
 
         _kernels._in_ranges(release, n, parts)
-    return noise
+    return out
 
 
 def joint_mechanism(values, budget: PrivacyBudget, sensitivity: float,
-                    rng: RandomSource) -> np.ndarray:
+                    rng: RandomSource, *, _out=None) -> np.ndarray:
     """Add iid noise calibrated once to the joint sensitivity of the vector.
 
     A pure budget adds Laplace noise of scale sensitivity/eps, taking the
     sensitivity as an l1 norm; any other adds N(0, sigma^2) with sigma =
-    gaussian_sigma(budget, sensitivity), taking it as an l2 norm. Besides
-    ``values`` a release holds the noise array and the kernels' work rows
-    of 2^15 elements.
+    gaussian_sigma(budget, sensitivity), taking it as an l2 norm. Bool,
+    integer and float vectors are released; complex and text vectors are
+    refused. The result is a new array, and ``values`` is left as it is.
+    Besides the two, each range of the noise loop holds a row of 2^17 saved
+    values and one work row of 2^16 elements for Laplace noise, or three
+    for Normal noise.
+
+    ``_out`` is private to count releases: their int64 counts viewed as
+    float64, which the released values overwrite.
     """
     sensitivity = float(sensitivity)
     if not (0.0 <= sensitivity < math.inf):
         raise ValueError("sensitivity must be finite and nonnegative")
-    # Integer and bool vectors are added as they are: the in-place add casts
-    # them to float64 exactly as a float copy would, so the bits are the same.
-    values = np.atleast_1d(np.asarray(values))
-    if not np.can_cast(values.dtype, np.float64):
-        values = values.astype(np.float64)
     scale = (sensitivity / budget.epsilon if budget.variant == PURE
              else gaussian_sigma(budget, sensitivity))
-    return _add_noise(values, budget, scale, rng)
+    return _add_noise(_real_vector(values), budget, scale, rng, _out)
 
 
 def laplace_mechanism(values, budget: PrivacyBudget, sensitivities,
@@ -198,7 +225,7 @@ def laplace_mechanism(values, budget: PrivacyBudget, sensitivities,
         rng = RandomSource()  # seeded from OS entropy
     if budget.variant != PURE:
         raise ValueError("Laplace mechanism requires a pure-DP budget")
-    values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    values = _real_vector(values)
     delta = _sensitivities(values, sensitivities, alloc)
     if alloc is None:
         noisy = joint_mechanism(values, budget, delta.sum(), rng)
@@ -253,7 +280,7 @@ def gaussian_mechanism(values, budget: PrivacyBudget, sensitivities,
     if budget.variant not in (APPROXIMATE, PROBABILISTIC):
         raise ValueError("Gaussian mechanism requires an approximate or "
                          "probabilistic budget")
-    values = np.atleast_1d(np.asarray(values, dtype=np.float64))
+    values = _real_vector(values)
     delta = _sensitivities(values, sensitivities, alloc)
     if alloc is None:
         # fsum is exact, so the sensitivity does not depend on the order
@@ -319,7 +346,8 @@ def exponential_mechanism(utility, budget: PrivacyBudget, sens_u: float,
             weights[active] = measure[active] * np.exp(
                 budget.epsilon * (utility[active] - best) / 2.0 / sens_u)
 
-    cumulative = np.cumsum(weights)
+    with np.errstate(over="ignore"):  # an infinite sum is refused below
+        cumulative = np.cumsum(weights)
     total = cumulative[-1]
     if not math.isfinite(total):  # finite measures can sum past the range
         raise ValueError("measure weights must have a finite sum")

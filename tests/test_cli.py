@@ -129,9 +129,14 @@ def test_a_mechanism_the_budget_does_not_pick_exits_3_uncharged(
      "utility sensitivity must be finite and nonnegative"),
     (["--utility", "0,1,2", "--sensitivity", "inf"],
      "utility sensitivity must be finite and nonnegative"),
-    (["--utility=-inf,-inf"], "every utility of positive measure is -inf")],
+    (["--utility=-inf,-inf"], "every utility of positive measure is -inf"),
+    (["--utility", "0,0", "--measure", "1.7e308,1.7e308"],
+     "measure weights must have a finite sum"),
+    (["--utility", "0,1,2", "--measure", "1,1"],
+     "measure length does not match utility")],
     ids=["inf-utility", "nan-utility", "nan-measure", "nan-sensitivity",
-         "inf-sensitivity", "all-minus-inf"])
+         "inf-sensitivity", "all-minus-inf", "overflowing-measure",
+         "short-measure"])
 def test_exponential_refuses_non_numbers_naming_the_input(capsys, tmp_path,
                                                           flags, message):
     ledger = tmp_path / "led.jsonl"

@@ -57,7 +57,8 @@ def test_normal_quantile_is_within_8_ulp_of_scipy(u):
     assert _ulps(got, ndtri(u)).max() <= 8
 
 
-@pytest.mark.parametrize("n", [0, 1, 2**15 - 1, 2**15 + 1, 3 * 2**15 + 7])
+@pytest.mark.parametrize("n", [0, 1, 2**15 - 1, 2**15 + 1, 3 * 2**15 + 7,
+                               2**16 - 1, 2**16 + 1, 3 * 2**16 + 7])
 def test_normal_quantile_in_place_matches_a_new_array(n):
     u = RandomSource(n).uniform(n)
     u[:3] = [2.0 ** -54, 1.0 - 2.0 ** -53, 0.5][:n]

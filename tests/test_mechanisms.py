@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -368,6 +369,55 @@ def test_joint_mechanism_is_bitwise_the_reference_for_each_input_type(
     want = reference_gaussian(values, gaussian_sigma(approx, 2.0), 4)
     assert got.tobytes() == want.tobytes()
     assert values.dtype == np.dtype(dtype)  # the input is not written
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, bool])
+def test_mechanisms_leave_the_caller_array_as_it_is(dtype):
+    """Every public mechanism writes its release into a new array, also
+    over 2^17 + 3 values, which the two ranges of the noise loop share."""
+    n = 2**17 + 3
+    values = (np.arange(n) % 5).astype(dtype)
+    kept = values.copy()
+    pure, approx = PrivacyBudget(1.0), PrivacyBudget(0.5, 1e-6, APPROXIMATE)
+    sens, alloc = np.ones(n), BudgetAllocation(np.full(n, 1.0 / n))
+    releases = [
+        joint_mechanism(values, pure, 2.0, RandomSource(1)),
+        joint_mechanism(values, approx, 2.0, RandomSource(2)),
+        laplace_mechanism(values, pure, sens, rng=RandomSource(3)),
+        laplace_mechanism(values, pure, sens, alloc, RandomSource(4)),
+        gaussian_mechanism(values, approx, sens, rng=RandomSource(5)),
+        gaussian_mechanism(values, approx, sens, alloc, RandomSource(6))]
+    assert values.dtype == kept.dtype
+    assert values.tobytes() == kept.tobytes()
+    for release in releases:
+        assert release.dtype == np.float64
+        assert not np.shares_memory(release, values)
+
+
+@pytest.mark.parametrize("values,message", [
+    (np.array([1.0 + 2.0j, 3.0]), "values must be real numbers, not complex"),
+    (np.array(["1", "2"]), "values must be numbers, not text"),
+    (np.array([b"1", b"2"]), "values must be numbers, not text")],
+    ids=["complex", "str", "bytes"])
+def test_mechanisms_refuse_complex_and_text_vectors(values, message):
+    pure, approx = PrivacyBudget(1.0), PrivacyBudget(0.5, 1e-6, APPROXIMATE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning before it
+        for release in (
+                lambda: joint_mechanism(values, pure, 1.0, RandomSource(1)),
+                lambda: laplace_mechanism(values, pure, [1.0, 1.0]),
+                lambda: gaussian_mechanism(values, approx, [1.0, 1.0])):
+            with pytest.raises(ValueError, match=message):
+                release()
+
+
+def test_an_object_vector_is_released_as_its_float_copy():
+    values = np.array([1, 2.5, Fraction(1, 3)], dtype=object)
+    pure = PrivacyBudget(1.0)
+    got = joint_mechanism(values, pure, 1.0, RandomSource(7))
+    want = joint_mechanism(values.astype(np.float64), pure, 1.0,
+                           RandomSource(7))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_mech_releases_are_bitwise_the_reference_formulas():

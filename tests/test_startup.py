@@ -130,8 +130,35 @@ def test_gaussian_module_run_matches_in_process_report(capsys, tmp_path):
 
 
 def test_exponential_refusal_prints_no_numpy_warning():
-    # An infinite utility made numpy warn on stderr above the refusal.
-    done = _python("-m", "dpkit", "mech", "exponential", "--utility",
-                   "0,inf,2", "--epsilon", "1", "--seed", "1")
-    assert done.returncode == 3 and done.stdout == ""
-    assert done.stderr == "dpkit: utilities must not be NaN or +inf\n"
+    # An infinite utility made numpy warn on stderr above the refusal, and
+    # so did measure weights whose sum overflows.
+    for flags, message in (
+            (["--utility", "0,inf,2"], "utilities must not be NaN or +inf"),
+            (["--utility", "0,0", "--measure", "1.7e308,1.7e308"],
+             "measure weights must have a finite sum")):
+        done = _python("-m", "dpkit", "mech", "exponential", *flags,
+                       "--epsilon", "1", "--seed", "1")
+        assert done.returncode == 3 and done.stdout == ""
+        assert done.stderr == f"dpkit: {message}\n"
+
+
+@pytest.mark.parametrize("data,code", [(b"x\n\xff\xfe7\n", 3),
+                                       (b"x\r1\r2\r3\r", 0)],
+                         ids=["not-utf8", "bare-cr"])
+def test_stdin_is_read_as_a_path_is_under_the_c_locale(tmp_path, data,
+                                                       code):
+    """stdin is decoded as UTF-8 with its line ends kept, as a path is
+    opened, whatever encoding and newline mode the interpreter gave it."""
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    env = {**os.environ, "PYTHONPATH": SRC, "LC_ALL": "C"}
+    for name in ("PYTHONIOENCODING", "PYTHONUTF8"):
+        env.pop(name, None)
+    argv = [sys.executable, "-m", "dpkit", "stat", "mean", "--column", "x",
+            "--bounds", "0,5", "--epsilon", "1", "--seed", "1", "--input"]
+    runs = [subprocess.run(argv + [source], input=stdin, capture_output=True,
+                           env=env, timeout=120)
+            for source, stdin in ((str(path), b""), ("-", data))]
+    assert runs[0].returncode == runs[1].returncode == code
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stderr == runs[1].stderr
