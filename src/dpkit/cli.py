@@ -29,6 +29,7 @@ import os
 import re
 import sys
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,77 +43,6 @@ from .stats import (Bounds, HistogramSpec, StatRequest, cov_dp, histogram_dp,
                     mean_dp, pooled_cov_dp, pooled_var_dp, quantile_dp,
                     require_bounded, sd_dp, table_dp, var_dp)
 from .tuning import Candidate, tune_classification, tune_linreg
-
-# -- what each subject reads -------------------------------------------------
-
-# The flags that not every subject of a command reads: command -> flag ->
-# (default, the subjects that read it). A subject is a statistic, model,
-# mechanism or budget action. Their parser default is None, so a flag given
-# to a subject that does not read it is refused rather than dropped, and a
-# _REQUIRED flag its subject reads must be given. tune shares fit's entries;
-# a flag absent from a command's parser takes its default. _CONDITIONS maps
-# a flag read only under a condition on other flags to the condition's text
-# and its test of the args.
-_REQUIRED = object()
-_SCALARS = ("mean", "var", "sd", "cov", "pooled-var", "pooled-cov")
-_SUBJECT_FLAGS = {
-    "stat": {
-        "column": (_REQUIRED, ("mean", "var", "sd", "pooled-var",
-                               "quantile", "median", "histogram")),
-        "columns": (_REQUIRED, ("cov", "pooled-cov", "table")),
-        "group-column": (_REQUIRED, ("pooled-var", "pooled-cov")),
-        "bounds": (_REQUIRED, _SCALARS + ("quantile", "median")),
-        "mechanism": (None, _SCALARS + ("histogram", "table")),
-        "q": (0.5, ("quantile",)),
-        "breaks": (_REQUIRED, ("histogram",)),
-        "normalize": (False, ("histogram",)),
-        "allow-negative": (False, ("histogram", "table")),
-        "categories": (_REQUIRED, ("table",)),
-        "approx-n-max": (False, ("pooled-var", "pooled-cov")),
-    },
-    "fit": {
-        "method": ("output", ("logit", "svm")),
-        "weight-upper-bound": (1.0, ("svm",)),
-        "huber-h": (0.5, ("svm",)),
-        "kernel": ("linear", ("svm",)),
-        "weights-column": (None, ("svm",)),
-        "rff-dim": (None, ("svm",)),
-        "kernel-param": (None, ("svm",)),
-    },
-    "mech": {
-        "values": (_REQUIRED, ("laplace", "gaussian")),
-        "sensitivities": (_REQUIRED, ("laplace", "gaussian")),
-        "utility": (_REQUIRED, ("exponential",)),
-        "measure": (None, ("exponential",)),
-        "sensitivity": (1.0, ("exponential",)),
-        "alloc": (None, ("laplace", "gaussian")),
-    },
-    "budget": {"cap": (_REQUIRED, ("check",))},
-}
-_SUBJECT_FLAGS["tune"] = _SUBJECT_FLAGS["fit"]
-_GAUSSIAN = (", with --kernel gaussian", lambda a: a.kernel == "gaussian")
-_CONDITIONS = {"rff-dim": _GAUSSIAN, "kernel-param": _GAUSSIAN,
-               "weight-upper-bound": (", with --weights-column",
-                                      lambda a: a.weights_column is not None),
-               "weights-column": (", with --method output",
-                                  lambda a: a.method == "output")}
-
-
-def _subject_flags(args, subject: str) -> None:
-    """Refuse each flag of ``args`` that ``subject`` does not read, refuse a
-    required flag it reads that was left out, and give the other flags it
-    reads that were left out their defaults."""
-    for flag, (default, readers) in _SUBJECT_FLAGS[args.cmd].items():
-        dest = flag.replace("-", "_")
-        needs, met = _CONDITIONS.get(flag, ("", None))
-        if getattr(args, dest, None) is None:
-            if subject in readers and default is _REQUIRED:
-                raise ValueError(f"--{flag} is required")
-            setattr(args, dest, default if subject in readers else None)
-        elif subject not in readers or not (met is None or met(args)):
-            raise ValueError(f"--{flag} applies to {args.cmd} "
-                             f"{'|'.join(readers)} only{needs}")
-
 
 # -- parsing helpers ---------------------------------------------------------
 
@@ -529,11 +459,12 @@ def _cmd_tune(args) -> str:
     if eps_total == math.inf:
         raise ValueError("--epsilon-train plus --epsilon-select must be "
                          "finite")
+    gammas = _parse_floats(args.gammas).tolist()
     columns, X, y, bounds = _training_set(args)
     rng = RandomSource(args.seed)
     candidates = [Candidate(f"gamma={g}", _fitter(args, columns, bounds,
                                                   train_budget, g))
-                  for g in map(float, args.gammas.split(","))]
+                  for g in gammas]
     if args.model == "linreg":
         result = tune_linreg(candidates, X, y, bounds[-1], select_budget, rng)
     else:
@@ -608,143 +539,167 @@ def _cmd_budget(args) -> str:
     return _report(f"budget {args.action}", result, 0.0, 0.0)
 
 
-# -- parser ------------------------------------------------------------------
+# -- what each command accepts -----------------------------------------------
 
-_SEED_HELP = ("seed of the noise stream, for replay and tests; anyone who "
-              "knows it can remove the noise from the output. Without it "
-              "each run seeds PCG64 (not a cryptographic generator) from "
-              "fresh OS entropy")
+# A subject is the choice of a command's positional argument: a statistic,
+# model, mechanism or budget action.
+_REQUIRED = object()
+_SCALARS = ("mean", "var", "sd", "cov", "pooled-var", "pooled-cov")
 _CAP_HELP = "ledger cap as 'epsilon[,delta]'; delta defaults to 0"
 
 
-def _add_budget_flags(p):
-    """--epsilon, --delta and --variant: the budget of a release."""
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--variant", choices=[APPROXIMATE, PROBABILISTIC])
+@dataclass(frozen=True)
+class _Flag:
+    """An argument of a command: its name and add_argument keywords. A flag
+    that not every subject reads also names the subjects that read it, the
+    value it takes when left out (_REQUIRED: none), and ``when``, the
+    condition under which they read it: '--other value', or '--other' for
+    any value given. The other flag is declared before it."""
+    name: str
+    kwargs: dict
+    readers: tuple = ()
+    left_out: object = None
+    when: str = ""
 
 
-def _add_common(p):
-    """Flags of the commands that draw noise and spend budget."""
-    p.add_argument("--seed", type=int, help=_SEED_HELP)
-    p.add_argument("--ledger",
-                   help="JSONL ledger file to append this spend to")
-    p.add_argument("--cap", help=_CAP_HELP)
-    p.add_argument("--tag", help="partition tag for parallel composition")
+def _flag(name: str, readers: tuple = (), left_out=None, when: str = "",
+          **kwargs) -> _Flag:
+    """The _Flag of ``name``. A flag with readers has the parser default
+    None, so that given to a subject that does not read it, it is refused
+    rather than dropped, and a help text that names its readers, condition
+    and default."""
+    if readers:
+        parts = [kwargs.get("help"), f"applies to {', '.join(readers)}"
+                 + (f" with {when}" if when else "")]
+        if left_out is _REQUIRED:
+            parts.append("required")
+        elif left_out is not None and left_out is not False:
+            parts.append(f"default {left_out}")
+        kwargs.update(default=None, help="; ".join(filter(None, parts)))
+    return _Flag(name, kwargs, readers, left_out, when)
 
 
-def _add_stat(sub):
-    st = sub.add_parser("stat", help="release a private statistic")
-    st.add_argument("statistic", choices=[
-        "mean", "var", "sd", "cov", "pooled-var", "pooled-cov",
-        "quantile", "median", "histogram", "table"])
-    st.add_argument("--input", required=True, help="CSV path or - for stdin")
-    st.add_argument("--column")
-    st.add_argument("--columns", help="column names, comma separated: two "
-                    "for cov and pooled-cov, any number for table")
-    st.add_argument("--group-column")
-    st.add_argument("--bounds", help="'lower,upper' per column, semicolon "
-                    "separated for multiple columns")
-    _add_budget_flags(st)
-    st.add_argument("--mechanism", choices=["laplace", "gaussian"],
-                    help="default: gaussian with --delta, else laplace")
-    st.add_argument("--neighbor", choices=["bounded", "unbounded"],
-                    default="bounded",
-                    help="unbounded (a row added or removed) applies to "
-                         "histogram and table only")
-    st.add_argument("--q", type=float, help="quantile; default 0.5")
-    st.add_argument("--breaks",
-                    help="histogram edges, comma separated and ascending")
-    st.add_argument("--normalize", action="store_true", default=None)
-    st.add_argument("--allow-negative", action="store_true", default=None)
-    st.add_argument("--categories",
-                    help="per factor: comma-separated labels, factors "
-                         "separated by semicolons")
-    st.add_argument("--approx-n-max", action="store_true", default=None)
-    _add_common(st)
-    st.set_defaults(handler=_cmd_stat)
+# A release's budget, and the flags of every command that spends budget.
+_BUDGET = (_flag("--epsilon", type=float, required=True),
+           _flag("--delta", type=float, default=0.0),
+           _flag("--variant", choices=[APPROXIMATE, PROBABILISTIC]))
+_SPEND = (_flag("--seed", type=int, help="seed of the noise stream, for "
+                "replay and tests; anyone who knows it can remove the noise "
+                "from the output. Without it each run seeds PCG64 (not a "
+                "cryptographic generator) from fresh OS entropy"),
+          _flag("--ledger", help="JSONL ledger file to append this spend to"),
+          _flag("--cap", help=_CAP_HELP),
+          _flag("--tag", help="partition tag for parallel composition"))
+# Arguments fit and tune share; predict shares two of them.
+_MODEL = _flag("model", choices=["logit", "svm", "linreg"])
+_INPUT = _flag("--input", required=True, help="CSV path or - for stdin")
+_LABEL = _flag("--label-column", required=True)
+_FEATURES = _flag("--feature-columns", required=True)
+_METHOD = _flag("--method", ("logit", "svm"), "output",
+                choices=["output", "objective"])
+_ADD_BIAS = _flag("--add-bias", action="store_true")
+_HUBER_H = _flag("--huber-h", ("svm",), 0.5, type=float)
+_OUTPUT = _flag("--output", required=True, help="model JSON path")
+
+# Subcommand name -> (its help, its handler, its arguments in parser
+# order), in help order.
+_COMMANDS = {
+    "stat": ("release a private statistic", _cmd_stat, (
+        _flag("statistic", choices=[*_SCALARS, "quantile", "median",
+                                    "histogram", "table"]),
+        _INPUT,
+        _flag("--column", ("mean", "var", "sd", "pooled-var", "quantile",
+                           "median", "histogram"), _REQUIRED),
+        _flag("--columns", ("cov", "pooled-cov", "table"), _REQUIRED,
+              help="column names, comma separated: two for cov and "
+                   "pooled-cov, any number for table"),
+        _flag("--group-column", ("pooled-var", "pooled-cov"), _REQUIRED),
+        _flag("--bounds", (*_SCALARS, "quantile", "median"), _REQUIRED,
+              help="'lower,upper' per column, semicolon separated for "
+                   "multiple columns"),
+        *_BUDGET,
+        _flag("--mechanism", (*_SCALARS, "histogram", "table"),
+              choices=["laplace", "gaussian"],
+              help="gaussian with --delta, else laplace when left out"),
+        _flag("--neighbor", choices=["bounded", "unbounded"],
+              default="bounded", help="unbounded (a row added or removed) "
+              "applies to histogram and table only"),
+        _flag("--q", ("quantile",), 0.5, type=float, help="quantile"),
+        _flag("--breaks", ("histogram",), _REQUIRED,
+              help="histogram edges, comma separated and ascending"),
+        _flag("--normalize", ("histogram",), False, action="store_true"),
+        _flag("--allow-negative", ("histogram", "table"), False,
+              action="store_true"),
+        _flag("--categories", ("table",), _REQUIRED,
+              help="per factor: comma-separated labels, factors separated "
+                   "by semicolons"),
+        _flag("--approx-n-max", ("pooled-var", "pooled-cov"), False,
+              action="store_true"),
+        *_SPEND)),
+    "fit": ("train a private model", _cmd_fit, (
+        _MODEL, _INPUT, _LABEL, _FEATURES, _flag("--bounds"), *_BUDGET,
+        _flag("--gamma", type=float, required=True), _METHOD, _ADD_BIAS,
+        _flag("--kernel", ("svm",), "linear", choices=["linear", "gaussian"]),
+        _flag("--rff-dim", ("svm",), when="--kernel gaussian", type=int),
+        _flag("--kernel-param", ("svm",), when="--kernel gaussian",
+              type=float,
+              help="beta of the kernel exp(-beta |x-y|^2); 1/p when left out"),
+        _HUBER_H, _flag("--weights-column", ("svm",), when="--method output"),
+        _flag("--weight-upper-bound", ("svm",), 1.0, when="--weights-column",
+              type=float),
+        _OUTPUT, *_SPEND)),
+    "predict": ("apply a saved model (costs nothing)", _cmd_predict, (
+        _flag("--model", required=True), _INPUT, _FEATURES,
+        _flag("--raw", action="store_true"))),
+    "tune": ("private selection over a gamma grid", _cmd_tune, (
+        _MODEL, _INPUT, _LABEL, _FEATURES, _flag("--bounds", required=True),
+        _flag("--gammas", required=True),
+        _flag("--epsilon-train", type=float, required=True),
+        _flag("--epsilon-select", type=float, required=True),
+        _METHOD, _HUBER_H, _ADD_BIAS, _OUTPUT, *_SPEND)),
+    "mech": ("run a raw mechanism", _cmd_mech, (
+        _flag("mechanism", choices=["laplace", "gaussian", "exponential"]),
+        _flag("--values", ("laplace", "gaussian"), _REQUIRED),
+        _flag("--sensitivities", ("laplace", "gaussian"), _REQUIRED),
+        _flag("--utility", ("exponential",), _REQUIRED),
+        _flag("--measure", ("exponential",)),
+        _flag("--sensitivity", ("exponential",), 1.0, type=float),
+        _flag("--alloc", ("laplace", "gaussian")),
+        *_BUDGET, *_SPEND)),
+    "budget": ("inspect or check a ledger", _cmd_budget, (
+        _flag("action", choices=["report", "check"]),
+        _flag("--ledger", required=True),
+        _flag("--cap", ("check",), _REQUIRED, help=_CAP_HELP))),
+}
+# Command -> its flags that not every subject reads. tune checks fit's, so
+# tune svm gets fit's defaults, --kernel linear too, for flags it lacks.
+_SUBJECT_READS = {name: [flag for flag in arguments if flag.readers]
+                  for name, (_, _, arguments) in _COMMANDS.items()}
+_SUBJECT_READS["tune"] = _SUBJECT_READS["fit"]
 
 
-def _add_fit(sub):
-    ft = sub.add_parser("fit", help="train a private model")
-    ft.add_argument("model", choices=["logit", "svm", "linreg"])
-    ft.add_argument("--input", required=True)
-    ft.add_argument("--label-column", required=True)
-    ft.add_argument("--feature-columns", required=True)
-    ft.add_argument("--bounds")
-    _add_budget_flags(ft)
-    ft.add_argument("--gamma", type=float, required=True)
-    ft.add_argument("--method", choices=["output", "objective"],
-                    help="logit and svm; default output")
-    ft.add_argument("--add-bias", action="store_true")
-    ft.add_argument("--kernel", choices=["linear", "gaussian"],
-                    help="svm; default linear")
-    ft.add_argument("--rff-dim", type=int, help="svm with --kernel gaussian")
-    ft.add_argument("--kernel-param", type=float,
-                    help="svm with --kernel gaussian; default 1/p")
-    ft.add_argument("--huber-h", type=float, help="svm; default 0.5")
-    ft.add_argument("--weights-column", help="svm with --method output")
-    ft.add_argument("--weight-upper-bound", type=float,
-                    help="svm with --weights-column; default 1")
-    ft.add_argument("--output", required=True, help="model JSON path")
-    _add_common(ft)
-    ft.set_defaults(handler=_cmd_fit)
+def _subject_flags(args, subject: str) -> None:
+    """Refuse each flag of ``args`` that ``subject`` does not read, refuse a
+    required flag it reads that was left out, and give the other flags it
+    reads that were left out their defaults."""
+    for flag in _SUBJECT_READS[args.cmd]:
+        dest = flag.name[2:].replace("-", "_")
+        if getattr(args, dest, None) is None:
+            if subject in flag.readers and flag.left_out is _REQUIRED:
+                raise ValueError(f"{flag.name} is required")
+            setattr(args, dest,
+                    flag.left_out if subject in flag.readers else None)
+        elif subject not in flag.readers or not _met(args, flag.when):
+            raise ValueError(f"{flag.name} applies to {args.cmd} "
+                             f"{'|'.join(flag.readers)} only"
+                             + (f", with {flag.when}" if flag.when else ""))
 
 
-def _add_predict(sub):
-    pr = sub.add_parser("predict", help="apply a saved model (costs nothing)")
-    pr.add_argument("--model", required=True)
-    pr.add_argument("--input", required=True)
-    pr.add_argument("--feature-columns", required=True)
-    pr.add_argument("--raw", action="store_true")
-    pr.set_defaults(handler=_cmd_predict)
-
-
-def _add_tune(sub):
-    tn = sub.add_parser("tune", help="private selection over a gamma grid")
-    tn.add_argument("model", choices=["logit", "svm", "linreg"])
-    tn.add_argument("--input", required=True)
-    tn.add_argument("--label-column", required=True)
-    tn.add_argument("--feature-columns", required=True)
-    tn.add_argument("--bounds", required=True)
-    tn.add_argument("--gammas", required=True)
-    tn.add_argument("--epsilon-train", type=float, required=True)
-    tn.add_argument("--epsilon-select", type=float, required=True)
-    tn.add_argument("--method", choices=["output", "objective"],
-                    help="logit and svm; default output")
-    tn.add_argument("--huber-h", type=float, help="svm; default 0.5")
-    tn.add_argument("--add-bias", action="store_true")
-    tn.add_argument("--output", required=True)
-    _add_common(tn)
-    tn.set_defaults(handler=_cmd_tune)
-
-
-def _add_mech(sub):
-    mc = sub.add_parser("mech", help="run a raw mechanism")
-    mc.add_argument("mechanism", choices=["laplace", "gaussian",
-                                          "exponential"])
-    mc.add_argument("--values")
-    mc.add_argument("--sensitivities")
-    mc.add_argument("--utility")
-    mc.add_argument("--measure")
-    mc.add_argument("--sensitivity", type=float, help="exponential; default 1")
-    mc.add_argument("--alloc")
-    _add_budget_flags(mc)
-    _add_common(mc)
-    mc.set_defaults(handler=_cmd_mech)
-
-
-def _add_budget(sub):
-    bd = sub.add_parser("budget", help="inspect or check a ledger")
-    bd.add_argument("action", choices=["report", "check"])
-    bd.add_argument("--ledger", required=True)
-    bd.add_argument("--cap", help=_CAP_HELP)
-    bd.set_defaults(handler=_cmd_budget)
-
-
-# Subcommand name -> the function that adds its subparser, in help order.
-_COMMANDS = {"stat": _add_stat, "fit": _add_fit, "predict": _add_predict,
-             "tune": _add_tune, "mech": _add_mech, "budget": _add_budget}
+def _met(args, when: str) -> bool:
+    """Whether ``args`` meet a _Flag's condition ``when``."""
+    other, _, value = when.partition(" ")
+    given = getattr(args, other[2:].replace("-", "_"), None)
+    return not when or (given == value if value else given is not None)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -762,7 +717,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
     sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
     for name in [command] if command else _COMMANDS:
-        _COMMANDS[name](sub)
+        summary, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for argument in arguments:
+            p.add_argument(argument.name, **argument.kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 

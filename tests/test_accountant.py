@@ -373,6 +373,13 @@ def _tear_the_crc(path):
     path.write_bytes(data[:-7] + b'"}\n')
 
 
+def _overflow_the_totals_exponent(path):
+    # Totals past every float total, under a CRC-32 that matches them.
+    head, _, _ = path.read_bytes().rpartition(b'"totals": "')
+    body = head + b'"totals": "3 1p%d 0p0 ' % (2 * accountant._UNIT_BITS + 1)
+    path.write_bytes(body + b'%08x"}\n' % zlib.crc32(body))
+
+
 def _tag_of_hex_digits(path):
     # A line without totals whose tag ends as a CRC would.
     with open(path, "a", encoding="utf-8") as fh:
@@ -385,9 +392,9 @@ def _tag_of_hex_digits(path):
     (_old_format, False), (_append_by_hand, True),
     (_edit_an_earlier_eps, True), (_edit_the_last_totals, False),
     (_garble_the_last_totals, False), (_tear_the_crc, False),
-    (_tag_of_hex_digits, True)],
+    (_overflow_the_totals_exponent, False), (_tag_of_hex_digits, True)],
     ids=["old-format", "appended", "edited-eps", "edited-totals",
-         "garbled-totals", "torn-crc", "hex-tag"])
+         "garbled-totals", "torn-crc", "exponent-out-of-range", "hex-tag"])
 def test_charge_parses_past_a_last_line_it_cannot_verify(tmp_path, scans,
                                                          spoil, stale):
     path = tmp_path / "ledger.jsonl"
@@ -420,6 +427,22 @@ def test_charge_parses_past_a_last_line_it_cannot_verify(tmp_path, scans,
         0.0)
     assert [e.seq for e in ledger.entries[3:]] == \
         list(range(3, len(ledger.entries)))
+
+
+def test_packed_totals_refuse_an_exponent_past_every_float_total(tmp_path):
+    top = 2 * accountant._UNIT_BITS
+    assert accountant._unpack(b"1p%d" % top) == 1 << top
+    for text in (b"1p%d" % (top + 1), b"1p-1"):
+        with pytest.raises(ValueError, match="exponent out of range"):
+            accountant._unpack(text)
+    # The last line of such a ledger, its CRC-32 matched, holds no totals.
+    path = tmp_path / "ledger.jsonl"
+    for i in range(3):
+        BudgetLedger.charge(path, f"op{i}", 0.1)
+    _overflow_the_totals_exponent(path)
+    data = path.read_bytes()
+    assert data.endswith(b'%08x"}\n' % zlib.crc32(data[:-11]))
+    assert _line_totals(path) is None
 
 
 def test_a_torn_last_line_is_refused_as_a_full_parse_refuses_it(tmp_path):

@@ -1348,6 +1348,51 @@ def test_malformed_cap_exits_3_uncharged(capsys, data_csv, tmp_path, cap):
     _one_line_error(err)
 
 
+# A valid run of each flag that takes a list of numbers, the list left out.
+_NUMBER_LISTS = {
+    "--breaks": ["stat", "histogram", "--column", "x", "--epsilon", "1"],
+    "--values": ["mech", "laplace", "--sensitivities", "1,1,1",
+                 "--epsilon", "1"],
+    "--sensitivities": ["mech", "gaussian", "--values", "1,2,3",
+                        "--epsilon", "0.5", "--delta", "0.01"],
+    "--alloc": ["mech", "laplace", "--values", "1,2,3", "--sensitivities",
+                "1,1,1", "--epsilon", "1"],
+    "--utility": ["mech", "exponential", "--epsilon", "1"],
+    "--measure": ["mech", "exponential", "--utility", "0,1,2",
+                  "--epsilon", "1"],
+    "--cap": ["mech", "laplace", "--values", "1,2,3", "--sensitivities",
+              "1,1,1", "--epsilon", "1"],
+    "--gammas": ["tune", "svm", "--label-column", "label",
+                 "--feature-columns", "a,b", "--bounds=-1,1;-1,1",
+                 "--epsilon-train", "1", "--epsilon-select", "1"],
+}
+
+
+@pytest.mark.parametrize("text", ["0,x", "1,,2"])
+@pytest.mark.parametrize("flag", _NUMBER_LISTS)
+def test_a_number_list_that_is_not_numbers_exits_3_uncharged(
+        capsys, data_csv, clf_csv, tmp_path, flag, text):
+    ledger, model = tmp_path / "led.jsonl", tmp_path / "m.json"
+    argv = _NUMBER_LISTS[flag] + [flag, text, "--ledger", str(ledger)]
+    if argv[0] == "stat":
+        argv += ["--input", data_csv]
+    elif argv[0] == "tune":
+        argv += ["--input", clf_csv, "--output", str(model)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"dpkit: expected comma-separated numbers, got {text!r}\n"
+    assert not ledger.exists() and not model.exists()
+
+
+def test_tune_refuses_its_gamma_grid_before_reading_the_csv(capsys,
+                                                            tmp_path):
+    code, _, err = run_cli(
+        capsys, *_NUMBER_LISTS["--gammas"], "--gammas", "1,x", "--input",
+        str(tmp_path / "missing.csv"), "--output", str(tmp_path / "m.json"))
+    assert code == 3
+    assert err == "dpkit: expected comma-separated numbers, got '1,x'\n"
+
+
 @pytest.mark.parametrize("model", ["logit", "svm"])
 def test_classifier_fit_refuses_delta_uncharged(capsys, clf_csv, tmp_path,
                                                 model):

@@ -335,6 +335,14 @@ def test_table_unknown_label_names_the_factor_only():
     assert "7" not in str(exc.value)
 
 
+def test_table_refuses_factors_and_category_sets_that_do_not_match():
+    with pytest.raises(ValueError, match="^factors must have equal length$"):
+        noiseless(table_dp, [["a", "b"], ["x"]], [["a", "b"], ["x"]])
+    with pytest.raises(ValueError, match="^one category set per factor is "
+                       "required$"):
+        noiseless(table_dp, [["a", "b"]], [["a", "b"], ["x"]])
+
+
 def test_table_zero_length_factors_give_zero_table():
     res = noiseless(table_dp, [[], []], [["a", "b"], ["x", "y", "z"]])
     assert np.array_equal(res.value, np.zeros((2, 3)))
