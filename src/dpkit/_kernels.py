@@ -95,9 +95,9 @@ def _parts(n: int) -> int:
     return 2 if n >= _SPLIT_MIN and _cpus() >= 2 else 1
 
 
-def _in_ranges(fn, n: int, parts: int | None = None) -> None:
+def _in_ranges(fn, n: int, parts: int) -> None:
     """Run the range function ``fn(part, lo, hi)`` over [0, n): as
-    fn(0, 0, n), or, when ``parts`` (default ``_parts(n)``) is 2, as
+    fn(0, 0, n), or, when ``parts`` (from ``_parts(n)``) is 2, as
     fn(0, 0, n // 2) here and fn(1, n // 2, n) on a helper thread.
 
     ``fn`` must give each element the same bits whichever range holds it.
@@ -107,7 +107,7 @@ def _in_ranges(fn, n: int, parts: int | None = None) -> None:
     kernels, ``RandomSource.uniform``), whose spans belong to the calling
     thread. The helper thread is joined before return, and its exception
     is raised here, never reported by ``threading.excepthook``."""
-    if (parts or _parts(n)) == 1:
+    if parts == 1:
         fn(0, 0, n)
         return
     mid, failed = n // 2, []
@@ -172,17 +172,6 @@ def _ndtri_tail(t, rows):
     x0 -= x1
     t -= 0.5
     return np.copysign(x0, t, out=x0)
-
-
-def _out(u, out):
-    """``out``, checked as the kernels' result for ``u``, or a new array."""
-    if out is None:
-        return np.empty(u.shape)
-    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
-            and out.shape == u.shape and out.flags.c_contiguous):
-        raise ValueError("out must be a C-contiguous float64 array of the "
-                         "uniforms' shape")
-    return out
 
 
 def _normal_spans(u, x, work):
@@ -252,39 +241,25 @@ def _laplace_blocks(u, x, work, scale):
         xb *= v
 
 
-def normal_quantile(u: np.ndarray, out: np.ndarray | None = None
-                    ) -> np.ndarray:
-    """Inverse standard normal CDF, elementwise, for u strictly in (0, 1).
-
-    As in numpy, ``out`` receives the result and is returned. It must be a
-    C-contiguous float64 array of u's shape and may be ``u`` itself: each
-    block of u is read before out is written over it. Without ``out`` the
-    result is a new array and ``u`` is left as it is."""
-    u = np.asarray(u, dtype=np.float64)
-    out = _out(u, out)
-    _normal_spans(u.reshape(-1), out.reshape(-1),
-                  np.empty(3 * min(u.size, _BLOCK)))
-    return out
+def normal_quantile(u: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF, elementwise, for u strictly in (0, 1),
+    as a new array of u's shape; ``u`` is left as it is."""
+    x = np.array(u, dtype=np.float64, order="C")
+    _normal_spans(x.reshape(-1), x.reshape(-1),
+                  np.empty(3 * min(x.size, _BLOCK)))
+    return x
 
 
-def laplace_noise(u: np.ndarray, scale,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def laplace_noise(u: np.ndarray, scale) -> np.ndarray:
     """Laplace(0, scale) noise by the inverse CDF, -scale sign(v)
     log1p(-2|v|) with v = u - 0.5; u = 0.5 gives exactly 0. ``scale`` is
-    one value or one per uniform, and the result has at least one
-    dimension.
-
-    As in numpy, ``out`` receives the result and is returned. It must be a
-    C-contiguous float64 array of u's shape and may be ``u`` itself: each
-    block of u is read into the kernel's work array before out is written
-    over it. Without ``out`` the result is a new array and ``u`` is left as
-    it is."""
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    scale = _laplace_scale(scale, u.shape)
-    out = _out(u, out)
-    _laplace_blocks(u.reshape(-1), out.reshape(-1),
-                    np.empty(min(u.size, _BLOCK)), scale)
-    return out
+    one value or one per uniform. The result is a new array of u's shape,
+    with at least one dimension; ``u`` is left as it is."""
+    x = np.array(u, dtype=np.float64, order="C", ndmin=1)
+    scale = _laplace_scale(scale, x.shape)
+    _laplace_blocks(x.reshape(-1), x.reshape(-1),
+                    np.empty(min(x.size, _BLOCK)), scale)
+    return x
 
 
 def rff_features(x: np.ndarray, freqs: np.ndarray,

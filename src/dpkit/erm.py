@@ -140,7 +140,7 @@ def sample_sphere_gamma(p: int, scale: float, rng: RandomSource,
     if scale == 0.0:
         out = np.zeros((n, p))
         return out[0] if size is None else out
-    direction = np.reshape(rng.normal(n * p), (n, p))
+    direction = rng.normal((n, p))
     norms = np.linalg.norm(direction, axis=1, keepdims=True)
     direction = direction / norms
     magnitude = -scale * np.log(rng.uniform((n, p))).sum(axis=1)
@@ -307,7 +307,7 @@ def kst_noise(p: int, budget: PrivacyBudget, rng: RandomSource,
         return sample_sphere_gamma(p, 2.0 * zeta / budget.epsilon, rng, size)
     sigma = kst_gaussian_sigma(zeta, budget)
     n = 1 if size is None else size
-    out = sigma * np.reshape(rng.normal(n * p), (n, p))
+    out = sigma * rng.normal((n, p))
     return out[0] if size is None else out
 
 

@@ -76,12 +76,10 @@ class RandomSource:
         self._gen = gens[-1]
 
     def normal(self, size=None):
-        """Standard normals via the inverse CDF of one uniform each: the one
-        place dpkit turns uniforms into Normal variates. The normals are
-        written over the fresh uniforms."""
-        u = np.atleast_1d(self.uniform(size=size))
-        z = _kernels.normal_quantile(u, out=u)
-        return z if size is not None else float(z[0])
+        """Standard normals of any shape ``size``, as ``uniform`` takes it,
+        via the inverse CDF of one uniform each."""
+        z = _kernels.normal_quantile(self.uniform(size))
+        return z if size is not None else float(z)
 
 
 @dataclass(frozen=True)

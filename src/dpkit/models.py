@@ -109,11 +109,10 @@ class RffProjection:
                ) -> "RffProjection":
         if dim < 1:
             raise ValueError("projection dimension must be positive")
-        if beta <= 0.0:
-            raise ValueError("kernel parameter must be positive")
+        if not 0.0 < 2.0 * beta < math.inf:  # NaN too
+            raise ValueError("kernel parameter must be finite and positive")
         rng = RandomSource(seed)
-        freqs = math.sqrt(2.0 * beta) * np.reshape(rng.normal(dim * p),
-                                                   (dim, p))
+        freqs = math.sqrt(2.0 * beta) * rng.normal((dim, p))
         phases = 2.0 * math.pi * rng.uniform(dim)
         return cls(dim, beta, int(seed), freqs, phases)
 

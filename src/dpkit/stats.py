@@ -43,10 +43,23 @@ class Bounds:
     def __post_init__(self):
         if not (self.lower < self.upper):
             raise ValueError("lower bound must be strictly below upper bound")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError("bounds must be finite")
 
     @property
     def width(self) -> float:
         return self.upper - self.lower
+
+
+def _squared_width(width: float) -> float:
+    """``width ** 2``, refused by name past the float range. ``** 2`` is
+    kept: ``width * width`` rounds differently for some widths, which would
+    move seeded releases."""
+    try:
+        return width ** 2
+    except OverflowError:
+        raise ValueError("bounds too wide: the square of their width "
+                         "overflows") from None
 
 
 @dataclass(frozen=True)
@@ -136,7 +149,7 @@ def var_dp(x, bounds: Bounds, req: StatRequest, rng: RandomSource):
     n = clipped.size
     if n < 2:
         raise ValueError("variance needs at least 2 observations")
-    sensitivity = bounds.width ** 2 / n
+    sensitivity = _squared_width(bounds.width) / n
     return _scalar_release("var", float(clipped.var(ddof=1)), sensitivity,
                            req, rng, {"n": n})
 
@@ -166,7 +179,8 @@ def cov_dp(x1, x2, bounds1: Bounds, bounds2: Bounds, req: StatRequest,
 
 def pooled_var_sensitivity(width: float, n_max: int, total_n: int,
                            n_groups: int) -> float:
-    return width ** 2 * (n_max - 1) / (n_max * (total_n - n_groups))
+    return (_squared_width(width) * (n_max - 1)
+            / (n_max * (total_n - n_groups)))
 
 
 def pooled_var_dp(groups, bounds: Bounds, req: StatRequest, rng: RandomSource,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .mechanisms import PrivacyBudget, RandomSource, exponential_mechanism
 from .models import TrainedModel, predict
-from .stats import Bounds
+from .stats import Bounds, _squared_width
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def tune_linreg(candidates: list[Candidate], X, y, y_bounds: Bounds,
     row moves the utility by at most width^2. The clamp also means a
     candidate cannot be punished beyond that for wild extrapolation.
     """
-    width_sq = y_bounds.width ** 2
+    width_sq = _squared_width(y_bounds.width)
 
     def score(model, Xv, yv):
         pred = np.clip(predict(model, Xv), y_bounds.lower, y_bounds.upper)

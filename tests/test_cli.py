@@ -1140,6 +1140,117 @@ def test_out_of_domain_cell_exits_3_uncharged(capsys, tmp_path, statistic):
     assert not ledger.exists()
 
 
+# Sentinels planted in one cell of an a,b,label CSV: (column, cell, text
+# that must not reach stderr). The invalid byte and the oversize field stop
+# the parser; the text label and NaN are refused by column name.
+_SENTINELS = {
+    "text-label": ("label", b"SECRET-label", "secret"),
+    "nan": ("a", b"NaN", "nan"),
+    "not-utf-8": ("label", b"\xff\xfe7", "xff"),
+    "oversize-field": ("b", b"7" * 131_073, "7" * 8),
+}
+
+
+@pytest.mark.parametrize("sentinel", sorted(_SENTINELS))
+@pytest.mark.parametrize("command,model", [
+    ("fit", "logit"), ("fit", "svm"), ("fit", "linreg"), ("tune", "logit"),
+    ("tune", "svm"), ("tune", "linreg"), ("predict", None)],
+    ids=["fit-logit", "fit-svm", "fit-linreg", "tune-logit", "tune-svm",
+         "tune-linreg", "predict"])
+def test_a_sentinel_cell_exits_3_unwritten(capsys, tmp_path, command, model,
+                                           sentinel):
+    """Model audit: a planted cell refuses the run before any charge or
+    write, with one stderr line that quotes no part of the cell. predict
+    reads no label, so its sentinel goes in a feature."""
+    column, cell, hidden = _SENTINELS[sentinel]
+    if command == "predict" and column == "label":
+        column = "a"
+    rng = np.random.default_rng(4)
+    rows = [f"{u:.4f},{v:.4f},{int(u + v > 0)}".encode()
+            for u, v in rng.uniform(-1, 1, (40, 2))]
+    clean, path = tmp_path / "clean.csv", tmp_path / "d.csv"
+    clean.write_bytes(b"a,b,label\n" + b"\n".join(rows) + b"\n")
+    fields = rows[11].split(b",")
+    fields[("a", "b", "label").index(column)] = cell
+    rows[11] = b",".join(fields)
+    path.write_bytes(b"a,b,label\n" + b"\n".join(rows) + b"\n")
+    if command == "predict":
+        model_path = tmp_path / "model.json"
+        assert run_cli(capsys, *_model_command("fit", "logit", clean),
+                       "--output", str(model_path))[0] == 0
+        argv = ["predict", "--model", str(model_path), "--input", str(path),
+                "--feature-columns", "a,b"]
+    else:
+        argv = _model_command(command, model, path) + [
+            "--output", str(tmp_path / "m.json"), "--ledger",
+            str(tmp_path / "led.jsonl")]
+    before = sorted(tmp_path.iterdir())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the run
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    _one_line_error(err)
+    assert hidden not in err.lower()
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("statistic", ["var", "sd", "pooled-var", "tune"])
+def test_a_squared_width_past_the_float_range_exits_3_uncharged(
+        capsys, data_csv, clf_csv, tmp_path, statistic):
+    # The sensitivity squares the bounds' width, which overflows a float
+    # here although the width itself does not.
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    if statistic == "tune":
+        argv = _model_command("tune", "linreg", clf_csv)
+        argv[argv.index("--bounds=-1,1;-1,1;0,1")] = (
+            "--bounds=-1,1;-1,1;-1e200,1e200")
+        argv += ["--output", str(model_path)]
+    else:
+        argv = ["stat", statistic, "--input", data_csv, "--column", "x",
+                "--bounds=-1e200,1e200", "--epsilon", "1"]
+        if statistic == "pooled-var":
+            argv += ["--group-column", "g"]
+    code, out, err = run_cli(capsys, *argv, "--ledger", str(ledger))
+    assert (code, out, err) == (
+        3, "", "dpkit: bounds too wide: the square of their width "
+        "overflows\n")
+    assert not ledger.exists() and not model_path.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "quantile"])
+def test_an_infinite_bound_exits_3_uncharged(capsys, data_csv, clf_csv,
+                                             tmp_path, command):
+    # A fit would divide its column by an infinite width and release a
+    # coefficient of 0 for it.
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    if command == "fit":
+        argv = [arg if arg != "--bounds=-1,1;-1,1" else "--bounds=-inf,1;-1,1"
+                for arg in _model_command("fit", "logit", clf_csv)]
+        argv += ["--output", str(model_path)]
+    else:
+        argv = ["stat", "quantile", "--input", data_csv, "--column", "x",
+                "--bounds=-inf,10", "--q", "0.5", "--epsilon", "1"]
+    code, out, err = run_cli(capsys, *argv, "--ledger", str(ledger))
+    assert (code, out, err) == (3, "", "dpkit: bounds must be finite\n")
+    assert not ledger.exists() and not model_path.exists()
+
+
+@pytest.mark.parametrize("beta", ["inf", "1e308", "nan"])
+def test_a_non_finite_kernel_parameter_exits_3_unwritten(capsys, clf_csv,
+                                                         tmp_path, beta):
+    # sqrt(2 beta), the scale of the random frequencies, is not finite.
+    ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the run
+        code, out, err = run_cli(capsys, *_model_command(
+            "fit", "svm", clf_csv, "--kernel", "gaussian", "--rff-dim", "20",
+            "--kernel-param", beta), "--output", str(model_path),
+            "--ledger", str(ledger))
+    assert (code, out, err) == (
+        3, "", "dpkit: kernel parameter must be finite and positive\n")
+    assert not ledger.exists() and not model_path.exists()
+
+
 def test_gaussian_svm_refuses_bounds_uncharged(capsys, clf_csv, tmp_path):
     ledger, model_path = tmp_path / "led.jsonl", tmp_path / "m.json"
     code, out, err = run_cli(capsys, "fit", "svm", "--input", clf_csv,

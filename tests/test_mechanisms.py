@@ -133,6 +133,20 @@ def test_random_source_normal_moments():
     assert abs(z.std() - 1.0) < 0.02
 
 
+@pytest.mark.parametrize("size", [None, 1, 7, 2**16 + 1, (3, 5)])
+def test_random_source_normal_of_a_shape_is_the_flat_stream(size):
+    # Sphere, KST and RFF draws of shape (n, p) rely on this C order.
+    shaped, flat = RandomSource(9), RandomSource(9)
+    z = shaped.normal(size)
+    want = flat.normal(int(np.prod(size or 1)))
+    if size is None:
+        assert type(z) is float and z == want[0]
+    else:
+        assert z.shape == np.empty(size).shape
+        assert z.tobytes() == want.tobytes()
+    assert shaped.uniform(3).tobytes() == flat.uniform(3).tobytes()
+
+
 # -- budget and spec validation ----------------------------------------------
 
 def test_budget_validation():

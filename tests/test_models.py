@@ -582,8 +582,12 @@ def test_malformed_model_file_names_the_key(edit, key):
 @pytest.mark.parametrize("dim,beta,message", [
     (0, 1.0, "projection dimension must be positive"),
     (-3, 1.0, "projection dimension must be positive"),
-    (10, 0.0, "kernel parameter must be positive"),
-    (10, -0.5, "kernel parameter must be positive"),
+    (10, 0.0, "kernel parameter must be finite and positive"),
+    (10, -0.5, "kernel parameter must be finite and positive"),
+    # sqrt(2 beta), the frequencies' scale, is infinite or NaN.
+    (10, math.inf, "kernel parameter must be finite and positive"),
+    (10, 1e308, "kernel parameter must be finite and positive"),
+    (10, math.nan, "kernel parameter must be finite and positive"),
 ])
 def test_rff_projection_refuses_a_bad_dimension_or_kernel_parameter(
         dim, beta, message):

@@ -36,8 +36,7 @@ def _laplace_scalar(n):
 
 def _laplace_vector(n):
     scale = np.random.default_rng(44).uniform(0.0, 3.0, n)
-    u = RandomSource(45).uniform(n)
-    return _kernels.laplace_noise(u, scale, out=u), None
+    return _kernels.laplace_noise(RandomSource(45).uniform(n), scale), None
 
 
 def _joint(budget):

@@ -33,6 +33,12 @@ def test_bounds_validation():
     with pytest.raises(ValueError):
         Bounds(1.0, 1.0)
     assert Bounds(-2.0, 3.0).width == 5.0
+    for lower, upper in ((-math.inf, 1.0), (0.0, math.inf),
+                         (-math.inf, math.inf)):
+        with pytest.raises(ValueError, match="^bounds must be finite$"):
+            Bounds(lower, upper)
+    with pytest.raises(ValueError, match="^lower bound must be strictly"):
+        Bounds(math.nan, 1.0)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
