@@ -1,6 +1,13 @@
 """Numeric kernels: uniform variates to Normal or Laplace noise, and random
 cosine features, each computed by vectorized numpy calls.
 
+Its span kernels, ``_normal_spans`` and ``_laplace_blocks``, work in place
+on one flat float64 array, with a work row of ``_work_len`` elements.
+``_split`` places the point where ``_in_ranges`` splits a loop, and so the
+word where a split draw's second stream starts. Callers allocate each
+range's scratch before ``_in_ranges``: glibc keeps what a helper thread
+frees in that thread's malloc arena.
+
 The Normal quantile is ``ndtri`` of the Cephes library (S. L. Moshier,
 *Methods and Programs for Mathematical Functions*, Prentice Hall, 1989),
 ported to numpy with its coefficients, its branch points and its operation
@@ -89,28 +96,34 @@ def _cpus() -> int:
 
 
 def _parts(n: int) -> int:
-    """The number of ranges ``_in_ranges`` splits a loop of ``n`` elements
-    into: 2 from _SPLIT_MIN elements on, when the process may run on two
-    CPUs or more, else 1."""
+    """The number of ranges ``_in_ranges`` splits a loop of n elements into."""
     return 2 if n >= _SPLIT_MIN and _cpus() >= 2 else 1
+
+
+def _split(n: int) -> int:
+    """The first element of the second range of a loop of ``n`` elements."""
+    return n // 2
+
+
+def _work_len(n: int, normal: bool) -> int:
+    """Work-row length for n elements: 3 block rows if ``normal``, else 1."""
+    return (3 if normal else 1) * min(n, _BLOCK)
 
 
 def _in_ranges(fn, n: int, parts: int) -> None:
     """Run the range function ``fn(part, lo, hi)`` over [0, n): as
     fn(0, 0, n), or, when ``parts`` (from ``_parts(n)``) is 2, as
-    fn(0, 0, n // 2) here and fn(1, n // 2, n) on a helper thread.
+    fn(0, 0, m) here and fn(1, m, n) on a helper thread, m = _split(n).
 
-    ``fn`` must give each element the same bits whichever range holds it.
-    Callers allocate each part's scratch before the call, because glibc
-    gives every thread its own malloc arena and keeps what a helper thread
-    frees in it. ``fn`` must not call what a tracer may wrap (the public
-    kernels, ``RandomSource.uniform``), whose spans belong to the calling
-    thread. The helper thread is joined before return, and its exception
-    is raised here, never reported by ``threading.excepthook``."""
+    ``fn`` must give each element the same bits whichever range holds it,
+    and must not call what a tracer may wrap (the public kernels,
+    ``RandomSource.uniform``), whose spans belong to the calling thread.
+    The helper thread is joined before return, and its exception is raised
+    here, never reported by ``threading.excepthook``."""
     if parts == 1:
         fn(0, 0, n)
         return
-    mid, failed = n // 2, []
+    mid, failed = _split(n), []
 
     def second():
         try:
@@ -174,37 +187,36 @@ def _ndtri_tail(t, rows):
     return np.copysign(x0, t, out=x0)
 
 
-def _normal_spans(u, x, work):
-    """ndtri of the flat uniforms ``u``, refused unless strictly inside
-    (0, 1), into ``x``, which may be ``u``. ``work``, 3 min(u.size, _BLOCK)
-    long, holds three rows for a block's centre pass, then four, as long as
-    the tails of _TAIL_BLOCKS blocks, for their tail pass."""
-    for span_lo in range(0, u.size, _SPAN):
-        span = u[span_lo:span_lo + _SPAN]
+def _normal_spans(x, work):
+    """ndtri in place of the uniforms ``x``, refused unless strictly inside
+    (0, 1). ``work`` holds three rows for a block's centre pass, then four,
+    as long as the tails of _TAIL_BLOCKS blocks, for their tail pass."""
+    for span_lo in range(0, x.size, _SPAN):
+        span = x[span_lo:span_lo + _SPAN]
         if not (span.min() > 0.0 and span.max() < 1.0):  # NaN too
             raise ValueError("uniform variates must lie strictly inside "
                              "(0, 1)")
         tails = np.flatnonzero((span <= _EXP_M2) | (span > 1.0 - _EXP_M2))
         t = span[tails]
-        for start in range(span_lo, span_lo + span.size, _BLOCK):
-            ub, xb = u[start:start + _BLOCK], x[start:start + _BLOCK]
-            y2, p, q = work[:3 * ub.size].reshape(3, -1)
+        for start in range(0, span.size, _BLOCK):
+            y = span[start:start + _BLOCK]
+            y2, p, q = work[:3 * y.size].reshape(3, -1)
             # The centre formula, (y + y (y^2 P0(y^2) / Q0(y^2)))
             # sqrt(2 pi), over the whole block; Q0 has no root on
             # |y| <= 1/2, so the tail elements stay finite until they
             # are overwritten.
-            y = np.subtract(ub, 0.5, out=xb)
+            y -= 0.5
             np.multiply(y, y, out=y2)
             _polevl(y2, _P0, p)
             p *= y2
             p /= _polevl(y2, _Q0, q)
             p *= y
-            xb += p
-            xb *= _S2PI
+            y += p
+            y *= _S2PI
         if tails.size:
             rows = (work[:4 * t.size].reshape(4, -1)
                     if 4 * t.size <= work.size else np.empty((4, t.size)))
-            x[span_lo:span_lo + span.size][tails] = _ndtri_tail(t, rows)
+            span[tails] = _ndtri_tail(t, rows)
 
 
 def _laplace_scale(scale, shape):
@@ -217,12 +229,12 @@ def _laplace_scale(scale, shape):
     return scale.reshape(() if scale.size == 1 else -1)
 
 
-def _laplace_blocks(u, x, work, scale):
+def _laplace_blocks(x, work, scale):
     """Laplace noise of ``scale`` (from ``_laplace_scale``) for the flat
-    uniforms ``u`` into ``x``, which may be ``u``, a block at a time."""
-    for start in range(0, u.size, _BLOCK):
+    uniforms ``x`` in place, a block at a time."""
+    for start in range(0, x.size, _BLOCK):
         xb = x[start:start + _BLOCK]
-        v = np.subtract(u[start:start + _BLOCK], 0.5, out=work[:xb.size])
+        v = np.subtract(xb, 0.5, out=work[:xb.size])
         # np.sign writes to x, never over v: numpy's sign with its input as
         # its output took 7.8 ms per 1M elements, against 1.4 ms into
         # another array (2-vCPU VM).
@@ -245,8 +257,7 @@ def normal_quantile(u: np.ndarray) -> np.ndarray:
     """Inverse standard normal CDF, elementwise, for u strictly in (0, 1),
     as a new array of u's shape; ``u`` is left as it is."""
     x = np.array(u, dtype=np.float64, order="C")
-    _normal_spans(x.reshape(-1), x.reshape(-1),
-                  np.empty(3 * min(x.size, _BLOCK)))
+    _normal_spans(x.reshape(-1), np.empty(_work_len(x.size, True)))
     return x
 
 
@@ -256,9 +267,8 @@ def laplace_noise(u: np.ndarray, scale) -> np.ndarray:
     one value or one per uniform. The result is a new array of u's shape,
     with at least one dimension; ``u`` is left as it is."""
     x = np.array(u, dtype=np.float64, order="C", ndmin=1)
-    scale = _laplace_scale(scale, x.shape)
-    _laplace_blocks(x.reshape(-1), x.reshape(-1),
-                    np.empty(min(x.size, _BLOCK)), scale)
+    _laplace_blocks(x.reshape(-1), np.empty(_work_len(x.size, False)),
+                    _laplace_scale(scale, x.shape))
     return x
 
 

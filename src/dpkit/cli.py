@@ -725,6 +725,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at os.devnull, Python's SIGPIPE idiom, so
+    that the interpreter's flush of the unwritten report at exit fails no
+    more. A stdout with no descriptor, such as a StringIO, is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation too
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # One process runs one command: build only the subparser argv names.
@@ -738,7 +751,13 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"dpkit: {exc}", file=sys.stderr)
         return 3
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader closed stdout; any charge stands
+        _stdout_to_devnull()
+        print("dpkit: stdout closed before the whole report was written",
+              file=sys.stderr)
+        return 3
     return 0
 
 

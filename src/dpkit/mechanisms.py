@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import copy
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,17 +62,16 @@ class RandomSource:
         np.minimum(out, _BELOW_ONE, out=out)
         return out
 
-    @contextmanager
-    def _streams(self, parts: int, mid: int):
-        """The generators of a draw in ``parts`` ranges split at ``mid``:
-        this source's own, then a copy advanced by ``mid`` words. The source
-        draws on from the last, as one sequential draw would leave it."""
+    def _streams(self, parts: int, n: int) -> list:
+        """The generators of an n-word draw in ``parts`` ranges: this
+        source's own, then a copy advanced to the second range's first
+        word, from which the source draws on, as one draw would leave it."""
         gens = [self._gen]
         if parts == 2:
-            gens.append(copy.deepcopy(self._gen))
-            gens[1].bit_generator.advance(mid)
-        yield gens
-        self._gen = gens[-1]
+            self._gen = copy.deepcopy(self._gen)
+            self._gen.bit_generator.advance(_kernels._split(n))
+            gens.append(self._gen)
+        return gens
 
     def normal(self, size=None):
         """Standard normals of any shape ``size``, as ``uniform`` takes it,
@@ -162,25 +160,25 @@ def _add_noise(values, budget: PrivacyBudget, scale, rng: RandomSource,
     if out is None:
         out = np.empty(n)
     parts = _kernels._parts(n)
-    work = np.empty((parts, (3 if gaussian else 1) * min(n, _kernels._BLOCK)))
+    work = np.empty((parts, _kernels._work_len(n, gaussian)))
     saved = np.empty((parts, min(n, _kernels._SPAN)), values.dtype)
+    gens = rng._streams(parts, n)
 
-    with rng._streams(parts, n // 2) as gens:
-        def release(part, lo, hi):
-            for start in range(lo, hi, _kernels._SPAN):
-                stop = min(start + _kernels._SPAN, hi)
-                kept = saved[part, :stop - start]
-                np.copyto(kept, values[start:stop])
-                x = rng._fill(gens[part], out[start:stop])
-                span_scale = scale[start:stop] if scale.ndim else scale
-                if gaussian:
-                    _kernels._normal_spans(x, x, work[part])
-                    x *= span_scale
-                else:
-                    _kernels._laplace_blocks(x, x, work[part], span_scale)
-                x += kept
+    def release(part, lo, hi):
+        for start in range(lo, hi, _kernels._SPAN):
+            stop = min(start + _kernels._SPAN, hi)
+            kept = saved[part, :stop - start]
+            np.copyto(kept, values[start:stop])
+            x = rng._fill(gens[part], out[start:stop])
+            span_scale = scale[start:stop] if scale.ndim else scale
+            if gaussian:
+                _kernels._normal_spans(x, work[part])
+                x *= span_scale
+            else:
+                _kernels._laplace_blocks(x, work[part], span_scale)
+            x += kept
 
-        _kernels._in_ranges(release, n, parts)
+    _kernels._in_ranges(release, n, parts)
     return out
 
 
@@ -194,8 +192,7 @@ def joint_mechanism(values, budget: PrivacyBudget, sensitivity: float,
     integer and float vectors are released; complex and text vectors are
     refused. The result is a new array, and ``values`` is left as it is.
     Besides the two, each range of the noise loop holds a row of 2^17 saved
-    values and one work row of 2^16 elements for Laplace noise, or three
-    for Normal noise.
+    values and its kernel's work row (``_kernels._work_len``).
 
     ``_out`` is private to count releases: their int64 counts viewed as
     float64, which the released values overwrite.

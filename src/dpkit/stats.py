@@ -45,6 +45,8 @@ class Bounds:
             raise ValueError("lower bound must be strictly below upper bound")
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
             raise ValueError("bounds must be finite")
+        if not math.isfinite(self.upper - self.lower):
+            raise ValueError("bounds too wide: their width overflows")
 
     @property
     def width(self) -> float:
@@ -131,6 +133,11 @@ def _scalar_release(statistic: str, value: float, sensitivity: float,
                     req: StatRequest, rng: RandomSource,
                     detail: dict) -> StatResult:
     require_bounded(statistic, req.neighbor)
+    # Finite bounds can still give an infinite sensitivity: cov multiplies
+    # two widths, and the pooled forms scale a square or a product up.
+    if not math.isfinite(sensitivity):
+        raise ValueError("bounds too wide: the sensitivity they give "
+                         "overflows")
     noisy = joint_mechanism(np.array([value]), req.budget, sensitivity, rng)
     return StatResult(statistic, float(noisy[0]), sensitivity,
                       _MECHANISM[req.budget.variant], BOUNDED, detail)

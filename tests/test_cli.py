@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -1233,6 +1235,94 @@ def test_an_infinite_bound_exits_3_uncharged(capsys, data_csv, clf_csv,
     code, out, err = run_cli(capsys, *argv, "--ledger", str(ledger))
     assert (code, out, err) == (3, "", "dpkit: bounds must be finite\n")
     assert not ledger.exists() and not model_path.exists()
+
+
+_OVERFLOWING_SENSITIVITY = ("bounds too wide: the sensitivity they give "
+                            "overflows")
+
+
+@pytest.mark.parametrize("statistic,flags,message", [
+    ("mean", ["--column", "x", "--bounds=-1e308,1e308"],
+     "bounds too wide: their width overflows"),
+    ("cov", ["--columns", "x,y", "--bounds=-1e200,1e200;-1e200,1e200"],
+     _OVERFLOWING_SENSITIVITY),
+    ("pooled-cov", ["--columns", "x,y", "--group-column", "g",
+                    "--bounds=-1e200,1e200;-1e200,1e200"],
+     _OVERFLOWING_SENSITIVITY),
+    # The squared width, 1.44e308, is finite; scaled by n_max - 1 it is not.
+    ("pooled-var", ["--column", "x", "--group-column", "g",
+                    "--bounds=-6e153,6e153"], _OVERFLOWING_SENSITIVITY),
+])
+def test_a_width_past_the_float_range_exits_3_uncharged(
+        capsys, data_csv, tmp_path, statistic, flags, message):
+    # Finite ends whose width, product of widths or scaled square is past
+    # the float range are refused by name, not as an infinite sensitivity.
+    ledger = tmp_path / "led.jsonl"
+    code, out, err = run_cli(capsys, "stat", statistic, "--input", data_csv,
+                             *flags, "--epsilon", "1", "--ledger",
+                             str(ledger))
+    assert (code, out, err) == (3, "", f"dpkit: {message}\n")
+    assert not ledger.exists()
+
+
+@pytest.mark.parametrize("descriptor", [True, False],
+                         ids=["pipe", "no-descriptor"])
+def test_a_closed_stdout_exits_3_after_the_charge(capsys, monkeypatch,
+                                                  data_csv, tmp_path,
+                                                  descriptor):
+    # A pipe with no reader: its descriptor then points at os.devnull, so
+    # the report left in its buffer is flushed there at close. A stdout
+    # with no descriptor is left as it is. test_startup.py runs the command
+    # in a subprocess.
+    if descriptor:
+        read, write = os.pipe()
+        os.close(read)
+        stdout = open(write, "w", encoding="utf-8")
+    else:
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        stdout = Closed()
+    ledger = tmp_path / "led.jsonl"
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["stat", "mean", "--input", data_csv, "--column", "x",
+                 "--bounds", "5,10", "--epsilon", "1", "--seed", "1",
+                 "--ledger", str(ledger)])
+    assert (code, capsys.readouterr().err) == (
+        3, "dpkit: stdout closed before the whole report was written\n")
+    assert len(ledger.read_text().splitlines()) == 1
+    stdout.close()
+
+
+def test_a_value_column_read_as_labels_refuses_text(capsys, data_csv,
+                                                    tmp_path):
+    # --group-column equal to --column reads the column as text, which is
+    # cast to numbers for the values.
+    ledger = tmp_path / "led.jsonl"
+    code, out, err = run_cli(capsys, "stat", "pooled-var", "--input",
+                             data_csv, "--column", "g", "--group-column",
+                             "g", "--bounds", "0,1", "--epsilon", "1",
+                             "--ledger", str(ledger))
+    assert (code, out, err) == (
+        3, "", "dpkit: column 'g' contains non-numeric values\n")
+    assert not ledger.exists()
+
+
+def test_stdin_bytes_are_read_as_utf8_in_process(capsys, monkeypatch,
+                                                 tmp_path):
+    # A stdin with a byte layer, opened as Latin-1 here: its bytes are
+    # decoded as UTF-8, as a path is, and stdin is left open.
+    path = tmp_path / "t.csv"
+    path.write_text("g\n\u00e9\na\n\u00e9\n", encoding="utf-8")
+    argv = ["stat", "table", "--columns", "g", "--categories", "\u00e9,a",
+            "--epsilon", "1", "--seed", "1", "--input"]
+    from_file = run_cli(capsys, *argv, str(path))
+    stdin = io.TextIOWrapper(io.BytesIO(path.read_bytes()),
+                             encoding="latin-1")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run_cli(capsys, *argv, "-") == from_file
+    assert from_file[0] == 0 and not stdin.buffer.closed
 
 
 @pytest.mark.parametrize("beta", ["inf", "1e308", "nan"])

@@ -131,6 +131,25 @@ def test_a_split_draw_is_the_sequential_stream(monkeypatch, n):
     assert got.tobytes() == reference_uniforms(5, n + 4).tobytes()
 
 
+@pytest.mark.parametrize("split", [lambda n: n // 3, lambda n: n - 1],
+                         ids=["third", "last"])
+@pytest.mark.parametrize("name", ["joint-pure", "joint-approximate",
+                                  "gaussian-vector", "histogram"])
+def test_the_split_point_moves_ranges_and_streams_together(monkeypatch,
+                                                            name, split):
+    # _kernels._split alone places the split: moved there, the ranges and
+    # the second range's stream move with it, and the bytes stay those of
+    # one pass.
+    release = RELEASES[name]
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 1)
+    one, one_rng = release(2**16 + 1)
+    monkeypatch.setattr(_kernels, "_cpus", lambda: 2)
+    monkeypatch.setattr(_kernels, "_split", split)
+    two, two_rng = release(2**16 + 1)
+    assert two.tobytes() == one.tobytes()
+    assert two_rng.uniform(3).tobytes() == one_rng.uniform(3).tobytes()
+
+
 def test_one_cpu_takes_one_range(monkeypatch):
     monkeypatch.setattr(_kernels, "_cpus", lambda: 1)
     assert _kernels._parts(2**20) == 1

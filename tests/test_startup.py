@@ -129,6 +129,25 @@ def test_gaussian_module_run_matches_in_process_report(capsys, tmp_path):
     assert 0.0 < report["result"]["value"] < 20.0
 
 
+def test_a_closed_stdout_exits_3_after_the_charge(tmp_path):
+    """A reader that closes stdout before the report is written gets one
+    stderr line and exit 3: no traceback, and no "Exception ignored" at
+    exit. The charge stands."""
+    ledger, err = tmp_path / "led.jsonl", tmp_path / "err.txt"
+    breaks = ",".join(str(5 + i / 2000) for i in range(10_001))
+    argv = [sys.executable, "-m", "dpkit", "stat", "histogram", "--input",
+            _csv(tmp_path), "--column", "x", "--breaks", breaks,
+            "--epsilon", "1", "--seed", "1", "--ledger", str(ledger)]
+    with open(err, "wb") as stderr:
+        run = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=stderr,
+                               env={**os.environ, "PYTHONPATH": SRC})
+        run.stdout.close()  # before the report, of over 200 KB, is written
+        assert run.wait(timeout=120) == 3
+    assert err.read_text() == ("dpkit: stdout closed before the whole "
+                               "report was written\n")
+    assert len(ledger.read_text().splitlines()) == 1
+
+
 def test_exponential_refusal_prints_no_numpy_warning():
     # An infinite utility made numpy warn on stderr above the refusal, and
     # so did measure weights whose sum overflows.

@@ -39,6 +39,11 @@ def test_bounds_validation():
             Bounds(lower, upper)
     with pytest.raises(ValueError, match="^lower bound must be strictly"):
         Bounds(math.nan, 1.0)
+    # Finite ends whose width is past the float range.
+    with pytest.raises(ValueError,
+                       match="^bounds too wide: their width overflows$"):
+        Bounds(-1e308, 1e308)
+    assert Bounds(-8e307, 8e307).width == 1.6e308
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
